@@ -65,6 +65,11 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     (the clean point counts as an iterate, so CE never decreases), a flag per
     sample set when *any* iterate was classified differently from y, and the
     CE at X_best.
+
+    Each point gets one forward pass: the gradient pass at an iterate also
+    yields its CE and prediction.  Only the clean point and the last iterate
+    are forward-only, so a run of s >= 1 steps makes s ``input_gradient``
+    calls and s + 2 ``forward_batch`` calls.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
@@ -75,34 +80,34 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
 
     def eval_point(P):
         _, _, logits = forward_batch(params, P)
-        return cross_entropy(logits, y), np.argmax(logits, axis=1)
+        return cross_entropy(logits, y), logits
 
-    best_ce, pred = eval_point(X)
+    best_ce, logits = eval_point(X)
     best_X = X.copy()
-    flipped = pred != y
+    flipped = np.argmax(logits, axis=1) != y
 
     if cfg.eps == 0.0 or cfg.steps == 0:
         return best_X, flipped, best_ce
 
-    if cfg.random_start:
-        cur = np.clip(X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), lo, hi)
-        ce, pred = eval_point(cur)
-        flipped |= pred != y
+    def record(P, ce, logits):
+        nonlocal best_ce, flipped
+        flipped |= np.argmax(logits, axis=1) != y
         better = ce > best_ce
         best_ce = np.where(better, ce, best_ce)
-        best_X[better] = cur[better]
+        best_X[better] = P[better]
+
+    if cfg.random_start:
+        cur = np.clip(X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), lo, hi)
     else:
         cur = X.copy()
 
     step = cfg.resolved_step
-    for _ in range(cfg.steps):
-        _, g = input_gradient(params, cur, y)
+    for k in range(cfg.steps):
+        ce, g, logits = input_gradient(params, cur, y)
+        if k or cfg.random_start:  # without a random start, cur = X is already recorded
+            record(cur, ce, logits)
         cur = np.clip(cur + step * np.sign(g), lo, hi)
-        ce, pred = eval_point(cur)
-        flipped |= pred != y
-        better = ce > best_ce
-        best_ce = np.where(better, ce, best_ce)
-        best_X[better] = cur[better]
+    record(cur, *eval_point(cur))
     return best_X, flipped, best_ce
 
 

@@ -25,7 +25,7 @@ from .attack import (
     budget_linf,
     budget_swap,
 )
-from .data import gen_blobs, gen_subspace_task, load_dataset, save_dataset
+from .data import LabeledDataset, gen_blobs, gen_subspace_task, load_dataset, save_dataset
 from .experiment import (
     AttackDescriptor,
     ExperimentPlan,
@@ -132,6 +132,14 @@ def _out_dir(opt: _Options) -> str:
     return out
 
 
+def _sample_index(opt: _Options, ds: LabeledDataset) -> int:
+    """The --index option, checked against the dataset (no negative wrap)."""
+    idx = opt.get("index", 0, int)
+    if not 0 <= idx < len(ds):
+        raise ValueError(f"--index {idx} out of range for {len(ds)} samples")
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -211,7 +219,7 @@ def _cmd_attack(opt: _Options) -> int:
         elif kind == "direct":
             res = attack_direct(params, ds, opt.get("target_label", 0, int), budget, cfg)
         elif kind == "single":
-            idx = opt.get("index", 0, int)
+            idx = _sample_index(opt, ds)
             res = attack_single(params, ds.X[idx], int(ds.y[idx]), budget, cfg)
         else:
             print(f"unknown attack kind {kind!r}", file=sys.stderr)
@@ -260,7 +268,7 @@ def _cmd_theory(opt: _Options) -> int:
         params = load_model(model_path)
         ds = load_dataset(data_path)
         if op == "surgery-point":
-            idx = opt.get("index", 0, int)
+            idx = _sample_index(opt, ds)
             trace = surgery_single_point(params, ds.X[idx], gamma,
                                          opt.get("eps", 0.05, float),
                                          radius=opt.get("radius", None, float),
@@ -271,7 +279,7 @@ def _cmd_theory(opt: _Options) -> int:
                                           radius=opt.get("radius", None, float),
                                           seed=opt.get("seed", 0, int))
         else:
-            idx = opt.get("index", 0, int)
+            idx = _sample_index(opt, ds)
             trace = gradient_inflation_attack(params, ds.X[idx], gamma)
         print(trace.summary_text())
         save_to = opt.get("save_model", None)

@@ -133,8 +133,11 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, attacks: list[AttackDescr
               cfg: AttackConfig | None = None, seed: int = 0):
     """Run every descriptor (plus controls) and return (rows, errors).
 
-    A failing sweep point contributes a flagged all-nan row and an entry in
-    ``errors``; the sweep keeps going.
+    A sweep point whose budget or attack is invalid (``ValueError``)
+    contributes a flagged all-nan row and an entry in ``errors``; the sweep
+    keeps going.  Any other exception propagates.  The attacked net's
+    accuracy and adversarial accuracy come from the attack's own
+    ``rate_inputs``, which used the same dataset, PGD settings and seed.
     """
     if not attacks:
         raise ValueError("attack sweep is empty")
@@ -148,13 +151,14 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, attacks: list[AttackDescr
             budget = desc.make_budget(params)
             runner = attack_linf if desc.kind == "linf" else attack_swap
             res = runner(params, ds, budget, cfg)
-            att_nums = _eval_triple(res.attacked, ds, cfg.pgd, seed)
+            ri = res.rate_inputs
+            att_nums = (ri.att_acc, ri.att_rob, avg_approx_radius(res.attacked, ds))
             rows.append(build_row(desc.kind, bstr, base_nums, att_nums, cfg.gamma_low))
             if desc.control:
                 rand = perturb_random(params, budget, seed=(seed, 7, idx))
                 rand_nums = _eval_triple(rand, ds, cfg.pgd, seed)
                 rows.append(build_row("random", bstr, base_nums, rand_nums, cfg.gamma_low))
-        except Exception as exc:  # keep sweeping, record the failure
+        except ValueError as exc:  # keep sweeping, record the failure
             errors.append({"attack": desc.kind, "budget": bstr, "error": str(exc)})
             rows.append(_nan_row(desc.kind, bstr))
     return rows, errors

@@ -290,11 +290,16 @@ def param_gradient(
     return grads
 
 
-def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample CE values and dCE/dx for each sample (sum reduction).
+def input_gradient(params: ModelParams, X: np.ndarray,
+                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample CE values, dCE/dx for each sample (sum reduction) and logits.
 
-    With sum reduction the rows of the input gradient are the independent
-    per-sample gradients, which is what PGD needs.
+    Returns (per, grad, logits), all from one forward pass: ``per`` is
+    ``cross_entropy(logits, y)`` and ``logits`` are the ``forward_batch``
+    logits at X, so a caller also needing the loss or the prediction at X
+    runs no second forward.  With sum reduction the rows of the input
+    gradient are the independent per-sample gradients, which is what PGD
+    needs.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     acts, signs, logits = forward_batch(params, X)
@@ -305,7 +310,7 @@ def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[n
     dz = dlogits
     for l in range(len(params.weights) - 1, 0, -1):
         dz = (dz @ params.weights[l]) * signs[l - 1]
-    return per, dz @ params.weights[0]
+    return per, dz @ params.weights[0], logits
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_criterion_01_gradient_correctness():
             lp, _, _ = loss_and_grads(unflatten_params(params, flat_p + e), X, y, reduction="mean")
             lm, _, _ = loss_and_grads(unflatten_params(params, flat_p - e), X, y, reduction="mean")
             worst = max(worst, _rel_err(flat_g[idx], (lp - lm) / (2 * h)))
-        _, gx = input_gradient(params, X, y)  # per-sample rows, sum reduction
+        _, gx, _ = input_gradient(params, X, y)  # per-sample rows, sum reduction
         for idx in rng.choice(X.size, size=3, replace=False):
             e = np.zeros(X.size)
             e[idx] = h

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from advparam import attack, mlp
 from advparam.attack import (
     AttackConfig,
     PerturbBudget,
@@ -22,7 +23,14 @@ from advparam.attack import (
     robust_loss,
 )
 from advparam.data import LabeledDataset, gen_blobs
-from advparam.mlp import ModelParams, classify, cross_entropy, forward_batch, max_abs_diff
+from advparam.mlp import (
+    ModelParams,
+    classify,
+    cross_entropy,
+    forward_batch,
+    input_gradient,
+    max_abs_diff,
+)
 from advparam.train import TrainConfig, train
 
 from common import random_net
@@ -94,6 +102,88 @@ def test_robust_loss_at_least_clean_loss():
     y = rng.integers(0, 3, size=9)
     clean = float(_ce(p, X, y).mean())
     assert robust_loss(p, X, y, PgdConfig(eps=0.1, steps=10), seed=0) >= clean - 1e-12
+
+
+def _two_pass_pgd(params, X, y, cfg, seed):
+    """Oracle: PGD with a separate forward at every iterate after its gradient step.
+
+    The single-pass ``_pgd_run`` must reproduce it bit for bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y)
+    rng = np.random.default_rng(seed)
+    lo = np.maximum(X - cfg.eps, 0.0)
+    hi = np.minimum(X + cfg.eps, 1.0)
+
+    def eval_point(P):
+        _, _, logits = forward_batch(params, P)
+        return cross_entropy(logits, y), np.argmax(logits, axis=1)
+
+    best_ce, pred = eval_point(X)
+    best_X = X.copy()
+    flipped = pred != y
+    if cfg.eps == 0.0 or cfg.steps == 0:
+        return best_X, flipped, best_ce
+    if cfg.random_start:
+        cur = np.clip(X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), lo, hi)
+        ce, pred = eval_point(cur)
+        flipped |= pred != y
+        better = ce > best_ce
+        best_ce = np.where(better, ce, best_ce)
+        best_X[better] = cur[better]
+    else:
+        cur = X.copy()
+    for _ in range(cfg.steps):
+        _, g, _ = input_gradient(params, cur, y)
+        cur = np.clip(cur + cfg.resolved_step * np.sign(g), lo, hi)
+        ce, pred = eval_point(cur)
+        flipped |= pred != y
+        better = ce > best_ce
+        best_ce = np.where(better, ce, best_ce)
+        best_X[better] = cur[better]
+    return best_X, flipped, best_ce
+
+
+@pytest.mark.parametrize("n", [1, 32])
+@pytest.mark.parametrize("steps", [0, 1, 2, 7])
+@pytest.mark.parametrize("random_start", [True, False])
+@pytest.mark.parametrize("eps", [0.0, 0.15])
+def test_pgd_matches_two_pass_oracle(n, steps, random_start, eps):
+    rng = np.random.default_rng(100 + n + steps)
+    p = random_net(rng, [4, 10, 10, 3])
+    X = rng.uniform(0, 1, size=(n, 4))
+    y = rng.integers(0, 3, size=n)
+    cfg = PgdConfig(eps=eps, steps=steps, random_start=random_start)
+    best_X, flipped, ce = _two_pass_pgd(p, X, y, cfg, seed=3)
+    assert np.array_equal(pgd_adversary_batch(p, X, y, cfg, seed=3), best_X)
+    assert np.array_equal(pgd_flips_batch(p, X, y, cfg, seed=3), flipped)
+    assert robust_loss(p, X, y, cfg, seed=3) == float(ce.mean())
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 7])
+@pytest.mark.parametrize("random_start", [True, False])
+def test_pgd_pass_counts(monkeypatch, steps, random_start):
+    rng = np.random.default_rng(8)
+    p = random_net(rng, [4, 6, 3])
+    X = rng.uniform(0, 1, size=(5, 4))
+    y = rng.integers(0, 3, size=5)
+    counts = {"forward": 0, "grad": 0}
+
+    def counted(key, fn):
+        def wrapper(*a, **k):
+            counts[key] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    fwd = counted("forward", mlp.forward_batch)
+    monkeypatch.setattr(attack, "forward_batch", fwd)
+    monkeypatch.setattr(mlp, "forward_batch", fwd)  # the pass inside input_gradient
+    monkeypatch.setattr(attack, "input_gradient", counted("grad", mlp.input_gradient))
+    pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=steps, random_start=random_start))
+    if steps == 0:
+        assert counts == {"forward": 1, "grad": 0}
+    else:
+        assert counts == {"forward": steps + 2, "grad": steps}
 
 
 # --- budgets and projection -------------------------------------------------------

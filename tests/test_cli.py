@@ -116,6 +116,17 @@ def test_attack_single_command(tmp_path, workdir):
     assert "radius_before" in result["extras"]
 
 
+@pytest.mark.parametrize("index", ["9999", "-1"])
+def test_attack_single_index_out_of_range(tmp_path, workdir, capsys, index):
+    rc = main(["attack", "--model", str(workdir / "model.json"),
+               "--data", str(workdir / "data.json"), "--kind", "single",
+               f"--index={index}", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "out of range" in err and "\n" not in err
+    assert not (tmp_path / "attack_result.json").exists()
+
+
 def test_theory_bounds_commands(capsys):
     assert main(["theory", "--op", "point-rate", "--gamma", "1.0", "--depth", "1",
                  "--angle", repr(math.pi / 2), "--row-sep", "1", "--act-floor", "1",

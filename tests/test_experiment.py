@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from advparam.attack import AttackConfig, PgdConfig
+from advparam import experiment
+from advparam.attack import AttackConfig, PgdConfig, attack_linf, budget_linf
 from advparam.data import gen_blobs, save_dataset
 from advparam.experiment import (
     AttackDescriptor,
@@ -65,6 +67,29 @@ def test_sweep_error_recorded_and_continues(trained):
     assert rows[0].failed and math.isnan(rows[0].ac_att)
     assert "matrices" in errors[0]["error"]
     assert not rows[1].failed
+
+
+def test_sweep_programming_error_propagates(trained, monkeypatch):
+    params, ds = trained
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the attack")
+
+    monkeypatch.setattr(experiment, "attack_linf", broken)
+    with pytest.raises(RuntimeError, match="bug in the attack"):
+        run_sweep(params, ds, linf_sweep([0.05]), _fast_cfg(), seed=0)
+
+
+def test_sweep_attacked_columns_are_the_attack_rate_inputs(trained):
+    params, ds = trained
+    # eps 0.2 with one step: here the PGD seed changes the adversarial accuracy
+    cfg = replace(_fast_cfg(), pgd=PgdConfig(eps=0.2, steps=1))
+    rows, _ = run_sweep(params, ds, linf_sweep([0.05], control=False), cfg, seed=0)
+    res = attack_linf(params, ds, budget_linf(params, 0.05), replace(cfg, seed=0))
+    assert rows[0].ac_att == res.rate_inputs.att_acc
+    assert rows[0].aa_att == res.rate_inputs.att_rob
+    assert rows[0].ac_base == res.rate_inputs.base_acc
+    assert rows[0].aa_base == res.rate_inputs.base_rob
 
 
 def test_sweep_empty_rejected(trained):

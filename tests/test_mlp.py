@@ -197,10 +197,10 @@ def test_input_gradient_rows_are_per_sample():
     p = random_net(rng, [3, 5, 3])
     X = rng.uniform(0, 1, size=(6, 3))
     y = rng.integers(0, 3, size=6)
-    per, gX = input_gradient(p, X, y)
+    per, gX, _ = input_gradient(p, X, y)
     assert per.shape == (6,) and gX.shape == (6, 3)
     # batching must not couple samples
-    per1, g1 = input_gradient(p, X[2:3], y[2:3])
+    per1, g1, _ = input_gradient(p, X[2:3], y[2:3])
     np.testing.assert_allclose(g1[0], gX[2], atol=1e-14)
     np.testing.assert_allclose(per1[0], per[2], atol=1e-14)
 

@@ -108,7 +108,10 @@ def test_ouv_frozen_examples():
 def _check_ouv(v):
     w = orthogonal_unit_vector(v)
     n = len(v)
-    assert abs(float(w @ np.asarray(v))) <= 1e-9 * np.linalg.norm(v) * np.linalg.norm(w)
+    # ||v|| as m * ||v / m||: squaring entries near 1e-240 underflows to 0
+    m = np.abs(v).max()
+    norm_v = m * np.linalg.norm(v / m)
+    assert abs(float(w @ np.asarray(v))) <= 1e-9 * norm_v * np.linalg.norm(w)
     assert np.abs(w).max() == 1.0
     assert np.linalg.norm(w) >= math.sqrt(n - 1) - 1e-9
 
