@@ -191,11 +191,18 @@ def _close(a: float, b: float, tol: float) -> bool:
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 
 
-def row_rates_consistent(row: SweepRow, tol: float = 1e-12) -> bool:
-    """Both stated rates must reproduce from the row's own metric columns."""
-    rate_aa = _rate_from_columns(row.ac_base, row.aa_base, row.ac_att, row.aa_att, 0.9)
-    rate_r4 = _rate_from_columns(row.ac_base, row.r4_base, row.ac_att, row.r4_att, 0.9)
-    return _close(rate_aa.value, row.ar_aa, tol) and _close(rate_r4.value, row.ar_r4, tol)
+def row_rates_consistent(row: SweepRow, gamma_low: float, tol: float = 1e-12) -> bool:
+    """Both stated rates and the failed flag must reproduce from the row's own
+    metric columns, with the sweep's ``gamma_low`` accuracy threshold."""
+    rate_aa = _rate_from_columns(row.ac_base, row.aa_base, row.ac_att, row.aa_att, gamma_low)
+    rate_r4 = _rate_from_columns(row.ac_base, row.r4_base, row.ac_att, row.r4_att, gamma_low)
+    return (_close(rate_aa.value, row.ar_aa, tol) and _close(rate_r4.value, row.ar_r4, tol)
+            and rate_aa.failed == row.failed)
+
+
+def _json_number(v):
+    """Strict JSON has no nan/inf token: such a value is written as null."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 @dataclass
@@ -228,7 +235,12 @@ class ExperimentResult:
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
-    """Execute the plan and write report.csv + summary.json to its out_dir."""
+    """Execute the plan and write report.csv + summary.json to its out_dir.
+
+    summary.json is strict JSON: a nan (undefined rate, error row) or inf
+    (every radius an inf sentinel) column is written as null there, while
+    report.csv keeps the exact ``nan``/``inf`` token.
+    """
     for p in (plan.model_path, plan.dataset_path):
         if not os.path.exists(p):
             raise FileNotFoundError(p)
@@ -246,11 +258,12 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
         "model": plan.model_path,
         "dataset": plan.dataset_path,
         "eval_eps": cfg.pgd.eps,
+        "gamma_low": cfg.gamma_low,
         "n_samples": len(ds),
-        "rows": [r.as_dict() for r in rows],
+        "rows": [{k: _json_number(v) for k, v in r.as_dict().items()} for r in rows],
         "errors": errors,
         "any_failed": any(r.failed for r in rows),
     }
     with open(summary_path, "w") as f:
-        json.dump(summary, f, indent=2)
+        json.dump(summary, f, indent=2, allow_nan=False)
     return ExperimentResult(rows, errors, csv_path, summary_path)

@@ -196,10 +196,20 @@ def input_jacobian(params: ModelParams, x: np.ndarray) -> GradientDecomposition:
     return GradientDecomposition(jacobian=jac, head_chain=head, tail_chain=tail, signs=list(tr.signs))
 
 
-def logit_gap_gradient(params: ModelParams, x: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Gradient of F_i(x) - F_j(x) w.r.t. x."""
-    jac = input_jacobian(params, x).jacobian
-    return jac[i] - jac[j]
+def logit_jacobians(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits (N x m) and the input jacobian of every sample (N x m x n).
+
+    One ``forward_batch``, then one matrix product per layer, back to front:
+    the m rows of all N samples are stacked into one (N*m) x width matrix, so
+    each layer is a single gemm.  Same kink convention as ``input_jacobian``;
+    the two agree up to rounding (the products are taken in another order).
+    """
+    _, signs, logits = forward_batch(params, X)
+    N, m = logits.shape
+    J = np.broadcast_to(params.weights[-1], (N,) + params.weights[-1].shape)
+    for w, s in zip(params.weights[-2::-1], signs[::-1]):
+        J = ((J * s[:, None, :]).reshape(N * m, -1) @ w).reshape(N, m, -1)
+    return logits, J if signs else J.copy()  # no hidden layer: J is still a read-only view
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

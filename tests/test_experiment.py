@@ -14,6 +14,7 @@ from advparam.experiment import (
     AttackDescriptor,
     ExperimentPlan,
     SWEEP_COLUMNS,
+    build_row,
     linf_sweep,
     parse_report_csv,
     row_rates_consistent,
@@ -49,7 +50,7 @@ def test_sweep_rows_and_controls(trained):
     assert not rows[0].failed
     assert rows[0].ac_att == rows[0].ac_base
     for r in rows:
-        assert row_rates_consistent(r)
+        assert row_rates_consistent(r, _fast_cfg().gamma_low)
 
 
 def test_sweep_without_control(trained):
@@ -120,7 +121,7 @@ def test_csv_round_trip(tmp_path, trained):
             va, vb = getattr(a, col), getattr(b, col)
             assert va == vb or (math.isnan(va) and math.isnan(vb))
         assert a.failed == b.failed
-        assert row_rates_consistent(b)
+        assert row_rates_consistent(b, _fast_cfg().gamma_low)
 
 
 def test_run_experiment_files(tmp_path, trained):
@@ -142,6 +143,40 @@ def test_run_experiment_files(tmp_path, trained):
     assert len(summary["rows"]) == 4
     assert summary["any_failed"] == res.any_failed
     assert [r["attack"] for r in summary["rows"]] == [r.attack for r in back]
+
+
+def test_row_consistency_uses_gamma_low_and_failed_flag():
+    # accuracy ratio 0.8: kept at gamma_low 0.5, failed at 0.9; both rates
+    # are the same either way, so only the failed flag tells them apart
+    row = build_row("linf", "0.05", (1.0, 0.5, 0.2), (0.8, 0.1, 0.05), gamma_low=0.5)
+    assert not row.failed
+    assert row_rates_consistent(row, 0.5)
+    assert not row_rates_consistent(row, 0.9)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def test_summary_is_strict_json_with_error_row(tmp_path, trained):
+    params, ds = trained
+    mpath, dpath = str(tmp_path / "model.json"), str(tmp_path / "data.json")
+    save_model(params, mpath)
+    save_dataset(ds, dpath)
+    cfg = replace(_fast_cfg(), gamma_low=0.7)
+    attacks = [AttackDescriptor("swap", k_matrices=9, control=False),  # net has 2 matrices
+               AttackDescriptor("linf", gamma=0.0, control=False)]
+    res = run_experiment(ExperimentPlan(mpath, dpath, attacks, str(tmp_path / "out"),
+                                        attack_cfg=cfg))
+    with open(res.summary_path) as f:
+        summary = json.loads(f.read(), parse_constant=_reject_constant)
+    assert len(summary["errors"]) == 1
+    assert summary["gamma_low"] == 0.7
+    bad, good = summary["rows"]
+    assert all(bad[c] is None for c in SWEEP_COLUMNS[2:10]) and bad["failed"] is True
+    assert good["ar_aa"] == 0.0
+    # report.csv keeps the nan tokens
+    assert math.isnan(parse_report_csv(res.csv_path)[0].ar_aa)
 
 
 def test_run_experiment_missing_files(tmp_path, trained):

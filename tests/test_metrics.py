@@ -1,10 +1,12 @@
-"""Robustness measures against hand-computed cases; rate arithmetic frozen values."""
+"""Robustness measures against hand-computed cases and the per-sample loop
+they replaced; rate arithmetic frozen values."""
 
 import math
 
 import numpy as np
 import pytest
 
+from advparam import metrics, mlp
 from advparam.attack import PgdConfig
 from advparam.data import LabeledDataset
 from advparam.metrics import (
@@ -21,9 +23,9 @@ from advparam.metrics import (
     robustness_report,
     targeted_rate,
 )
-from advparam.mlp import ModelParams
+from advparam.mlp import ModelParams, forward, input_jacobian
 
-from common import random_net
+from common import conditioned_surgery_net, random_net
 
 # identity-logits net: F(x) = x, two classes
 IDNET = ModelParams([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
@@ -106,6 +108,170 @@ def test_robust_radius_bracket_unflippable():
     flat = ModelParams([np.zeros((2, 2))], [np.array([1.0, 0.0])])
     lo, hi = robust_radius_bracket(flat, np.array([0.5, 0.5]), 0)
     assert lo == 1.0 and hi == math.inf
+
+
+# --- batched jacobian pass against the per-sample loop it replaced ------------
+
+
+def _loop_approx_radius(params, x, label, p=math.inf):
+    """The per-sample approx_radius: one forward and one input_jacobian."""
+    tr = forward(params, x)
+    F = tr.logits
+    if int(np.argmax(F)) != label:
+        return 0.0
+    q = 1.0 if p == math.inf else (math.inf if p == 1.0 else p / (p - 1.0))
+    jac = input_jacobian(params, x).jacobian
+    best = math.inf
+    for l in range(params.output_dim):
+        if l == label:
+            continue
+        gap = F[label] - F[l]
+        if gap <= 0.0:
+            return 0.0
+        gd = jac[label] - jac[l]
+        denom = float(np.linalg.norm(gd, ord=q)) if q != math.inf else float(np.abs(gd).max())
+        if denom < metrics.INF_SENTINEL_TOL:
+            continue
+        best = min(best, gap / denom)
+    return best
+
+
+def _loop_dist_terms(params, X, y):
+    """Per-sample (gated gap^2 minimum, grad-gap sq-norm maximum) of the loop."""
+    nums, dens = [], []
+    for x, label in zip(X, y):
+        F = forward(params, x).logits
+        jac = input_jacobian(params, x).jacobian
+        terms, gnorms = [], []
+        for l in range(params.output_dim):
+            if l == int(label):
+                continue
+            gap = F[label] - F[l]
+            terms.append(gap * gap if gap > 0 else 0.0)
+            gd = jac[label] - jac[l]
+            gnorms.append(float(gd @ gd))
+        nums.append(min(terms))
+        dens.append(max(gnorms))
+    return np.array(nums), np.array(dens)
+
+
+def _loop_dist_measure(nums, dens):
+    den = float(np.mean(dens))
+    return math.nan if den == 0.0 else float(np.mean(nums)) / den
+
+
+def _half_flat_net(rng):
+    # every hidden unit is off where x0 < 0.5: constant logits and a zero
+    # jacobian there (inf sentinels), a live gradient elsewhere
+    w1 = np.zeros((6, 4))
+    w1[:, 0] = 20.0
+    return ModelParams([w1, rng.standard_normal((3, 6))],
+                       [np.full(6, -10.0), np.array([1.0, 0.0, -1.0])])
+
+
+ORACLE_NETS = {
+    "desk": lambda rng: random_net(rng, [8, 24, 24, 24, 3]),
+    "small_gaps": lambda rng: conditioned_surgery_net(rng, n=12, width=96, m=3),
+    "no_hidden": lambda rng: random_net(rng, [5, 3]),
+    "flat": _half_flat_net,
+}
+ORACLE_SIZES = [1, 1023, 1024, 1025, 2051]  # both sides of the block edges
+
+
+@pytest.fixture(scope="module")
+def oracle_case():
+    """Per net: (params, X, y, {p: loop radii}, loop dist terms), built lazily."""
+    cache = {}
+
+    def get(name, p):
+        if name not in cache:
+            rng = np.random.default_rng(sum(map(ord, name)))
+            params = ORACLE_NETS[name](rng)
+            X = rng.uniform(0.0, 1.0, (ORACLE_SIZES[-1], params.input_dim))
+            y = mlp.classify_batch(params, X)
+            y[::7] = (y[::7] + 1) % params.output_dim  # misclassified samples
+            cache[name] = (params, X, y, {}, _loop_dist_terms(params, X, y))
+        params, X, y, radii, terms = cache[name]
+        if p not in radii:
+            radii[p] = np.array([_loop_approx_radius(params, x, int(t), p) for x, t in zip(X, y)])
+        return params, X, y, radii[p], terms
+
+    return get
+
+
+def _assert_same_radii(got, ref):
+    np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(ref))
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, 2.0, 1.0])
+@pytest.mark.parametrize("name", list(ORACLE_NETS))
+def test_batched_radii_match_loop(oracle_case, name, p):
+    params, X, y, ref, _ = oracle_case(name, p)
+    for n in ORACLE_SIZES:
+        radii, n_inf = radius_profile(params, LabeledDataset(X[:n], y[:n]), p=p)
+        _assert_same_radii(radii, ref[:n])
+        assert n_inf == int(np.isinf(ref[:n]).sum())
+    # the one-row case
+    for i in (0, 1, 7):
+        _assert_same_radii(np.array([approx_radius(params, X[i], int(y[i]), p=p)]), ref[i:i + 1])
+    assert (ref == 0.0).any() and (np.isfinite(ref) & (ref > 0.0)).any()
+    assert np.isinf(ref).any() == (name == "flat")
+
+
+@pytest.mark.parametrize("name", list(ORACLE_NETS))
+def test_batched_dist_measure_matches_loop(oracle_case, name):
+    params, X, y, _, (nums, dens) = oracle_case(name, math.inf)
+    for n in ORACLE_SIZES:
+        got = dist_robust_measure(params, LabeledDataset(X[:n], y[:n]))
+        ref = _loop_dist_measure(nums[:n], dens[:n])
+        assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["desk", "flat"])
+def test_robustness_report_equals_the_measures(oracle_case, name):
+    params, X, y, _, _ = oracle_case(name, math.inf)
+    ds = LabeledDataset(X, y)
+    rep = robustness_report(params, ds, PgdConfig(eps=0.05, steps=2), seed=0)
+    assert rep.avg_r2 == avg_approx_radius(params, ds)
+    dist = dist_robust_measure(params, ds)
+    assert rep.dist_measure == dist or (math.isnan(rep.dist_measure) and math.isnan(dist))
+    assert rep.n_radius_inf == radius_profile(params, ds)[1]
+    np.testing.assert_array_equal(rep.per_sample_radius, radius_profile(params, ds)[0])
+
+
+def test_measures_reject_non_finite_input():
+    x = np.array([0.5, math.nan])
+    with pytest.raises(ValueError):
+        approx_radius(IDNET, x, 0)
+    with pytest.raises(ValueError):
+        margin_measure(IDNET, np.array([math.inf, 0.5]), 0)
+
+
+@pytest.mark.parametrize("n", [1, 1024, 2051])
+def test_robustness_report_pass_counts(monkeypatch, n):
+    """One forward per 1024-row block for both jacobian measures, no per-sample jacobian."""
+    rng = np.random.default_rng(5)
+    params = random_net(rng, [8, 24, 24, 24, 3])
+    ds = LabeledDataset(rng.uniform(0.0, 1.0, (n, 8)), rng.integers(0, 3, n))
+    counts = {"forward_batch": 0, "input_jacobian": 0}
+
+    def counting(name):
+        fn = getattr(mlp, name)
+
+        def wrapped(*a, **k):
+            counts[name] += 1
+            return fn(*a, **k)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(mlp, name, counting(name))
+    # accuracy and PGD have their own forwards; leave only the jacobian measures
+    monkeypatch.setattr(metrics, "accuracy", lambda *a, **k: 1.0)
+    monkeypatch.setattr(metrics, "adversarial_accuracy", lambda *a, **k: 1.0)
+    robustness_report(params, ds, PgdConfig(eps=0.05, steps=2))
+    assert counts == {"forward_batch": math.ceil(n / 1024), "input_jacobian": 0}
 
 
 # --- rate arithmetic: frozen against the worked examples -----------------------

@@ -20,6 +20,7 @@ from advparam.mlp import (
     input_gradient,
     input_jacobian,
     load_model,
+    logit_jacobians,
     loss_and_grads,
     max_abs_diff,
     min_abs_entry,
@@ -190,6 +191,25 @@ def test_input_jacobian_matches_fd_and_factors():
         assert len(dec.head_chain) == len(dec.tail_chain) == p.hidden_count + 1
         for head, tail in zip(dec.head_chain, dec.tail_chain):
             np.testing.assert_allclose(head @ tail, dec.jacobian, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [[4, 6, 5, 3], [5, 3], [8, 24, 24, 24, 3]])
+def test_logit_jacobians_match_per_sample_jacobian(dims):
+    rng = np.random.default_rng(len(dims))
+    p = random_net(rng, dims)
+    X = rng.uniform(0, 1, size=(7, dims[0]))
+    logits, J = logit_jacobians(p, X)
+    assert J.shape == (7, dims[-1], dims[0]) and J.flags.writeable
+    np.testing.assert_array_equal(logits, forward_batch(p, X)[2])
+    for x, Jx in zip(X, J):
+        np.testing.assert_allclose(Jx, input_jacobian(p, x).jacobian, rtol=1e-12, atol=1e-14)
+        assert rel_err(Jx, numeric_input_jacobian(p, x)) < 1e-6
+
+
+def test_logit_jacobians_rejects_non_finite_input():
+    p = random_net(np.random.default_rng(0), [3, 4, 2])
+    with pytest.raises(ValueError, match="non-finite"):
+        logit_jacobians(p, np.array([[0.1, np.nan, 0.2]]))
 
 
 def test_input_gradient_rows_are_per_sample():
