@@ -7,16 +7,15 @@ multiset of values.  Targeted variants concentrate the damage on one label.
 An input-space PGD adversary lives here too since every attack objective and
 every robustness estimate is built on it.
 
-Sign convention for the two-phase gradient attack: the per-phase objective
-values recorded in the trace are the *displayed* objectives (phase 1: minus
-the mean robust loss, phase 2: clean/robust loss ratio), and the default
-update minimizes them, which raises the robust loss in phase 1 and pushes
-the ratio down in phase 2.  ``AttackConfig.ascend_displayed`` flips the
-update direction for comparison runs.
+Sign convention: every gradient attack minimizes its objective, and the
+trace records the objective it minimizes.  Phase 1's objective is minus the
+mean robust loss (so the step raises the robust loss); phase 2's is a
+clean/robust loss ratio (pushed down).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,6 @@ class PgdConfig:
 
     eps: float = 8.0 / 255.0
     steps: int = 20
-    step: float | None = None  # None: 2.5 * eps / steps
     random_start: bool = True
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class PgdConfig:
 
     @property
     def resolved_step(self) -> float:
-        if self.step is not None:
-            return self.step
         return 2.5 * self.eps / max(1, self.steps)
 
 
@@ -115,12 +111,6 @@ def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: 
     """Highest-CE PGD point for each sample (CE(x') >= CE(x) guaranteed)."""
     best_X, _, _ = _pgd_run(params, X, y, cfg, seed)
     return best_X
-
-
-def pgd_adversary(params: ModelParams, x: np.ndarray, label: int, eps: float,
-                  steps: int = 20, step: float | None = None, seed=0) -> np.ndarray:
-    cfg = PgdConfig(eps=eps, steps=steps, step=step)
-    return pgd_adversary_batch(params, np.asarray(x)[None, :], np.array([label]), cfg, seed)[0]
 
 
 def pgd_flips_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0) -> np.ndarray:
@@ -212,32 +202,30 @@ def proj_box(candidate: ModelParams, center: ModelParams, delta: ModelParams) ->
 # ---------------------------------------------------------------------------
 # attack configuration / result
 
+_ALPHA_DECAY = 0.5   # phase-2 step factor, see AttackConfig.alpha
+_DENOM_FLOOR = 1e-8  # lower bound on a ratio objective's denominator
+_SWAP_DRAWS = 50     # swap attack: random pairs tried per pair slot
+
 
 @dataclass
 class AttackConfig:
     pgd: PgdConfig = field(default_factory=PgdConfig)
     n_pre: int = 20          # phase-1 iterations (push the robust loss up)
     n_main: int = 80         # phase-2 iterations (clean/robust ratio)
-    alpha: float = 1e-2      # parameter step size
-    alpha_decay: float = 0.5
-    decay_every: int | None = None  # None: every n_main // 4 main-phase steps
+    alpha: float = 1e-2      # step size, halved after every max(1, n_main // 4)-th phase-2 step
     batch_size: int | None = None   # None: full batch every iteration
     seed: int = 0
     gamma_low: float = 0.9
-    ascend_displayed: bool = False
-    denom_floor: float = 1e-8
-    grad_refresh: int = 1    # swap attack: swaps per gradient recomputation
-    max_retries: int = 50    # swap attack: samples per pair slot
 
     def __post_init__(self):
         if self.n_pre < 0 or self.n_main < 0:
             raise ValueError("iteration counts must be >= 0")
-        if self.alpha <= 0 or not (0 < self.alpha_decay <= 1):
-            raise ValueError("need alpha > 0 and alpha_decay in (0,1]")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be > 0")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 < self.gamma_low <= 1):
             raise ValueError("gamma_low must be in (0,1]")
-        if self.grad_refresh < 1 or self.max_retries < 1:
-            raise ValueError("grad_refresh and max_retries must be >= 1")
 
 
 @dataclass
@@ -255,45 +243,105 @@ def _iter_seed(seed, tag: int, it: int):
     return (int(seed) & 0x7FFFFFFF, tag, it)
 
 
-def _batch(rng: np.random.Generator, ds: LabeledDataset, size: int | None):
-    if size is None or size >= len(ds):
-        return ds.X, ds.y
-    idx = rng.choice(len(ds), size=size, replace=False)
-    return ds.X[idx], ds.y[idx]
+def _batch(rng: np.random.Generator, X: np.ndarray, y: np.ndarray, size: int | None):
+    if size is None or size >= len(y):
+        return X, y
+    idx = rng.choice(len(y), size=size, replace=False)
+    return X[idx], y[idx]
 
 
-def _ratio_and_grad(theta, X, y, Xadv, yadv, floor):
-    """Objective num/den with num = clean CE sum, den = robust CE sum.
+def _ratio_grad(theta: ModelParams, num_terms, den_term):
+    """Ratio of summed cross-entropies and its quotient-rule gradient.
 
-    Returns (ratio, num, den, grad) with the quotient-rule parameter gradient.
+    The numerator is the CE sum over each (X, y) of ``num_terms``, added in
+    order; the denominator is the CE sum over the (X, y) ``den_term``, floored
+    at _DENOM_FLOOR.  Returns (ratio, unfloored denominator, gradient).
     """
-    num, g_num, _ = loss_and_grads(theta, X, y, reduction="sum")
-    den_raw, g_den, _ = loss_and_grads(theta, Xadv, yadv, reduction="sum")
-    den = max(den_raw, floor)
+    terms = [loss_and_grads(theta, X, y, reduction="sum")[:2] for X, y in num_terms]
+    num = sum(v for v, _ in terms)
+    g_num = functools.reduce(add_scaled, [g for _, g in terms])
+    den_raw, g_den, _ = loss_and_grads(theta, *den_term, reduction="sum")
+    den = max(den_raw, _DENOM_FLOOR)
     ratio = num / den
     grad = add_scaled(g_num, g_den, -ratio)
-    grad = ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
-    return ratio, num, den_raw, grad
+    return ratio, den_raw, ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
 
 
-def _finalize_untargeted(base: ModelParams, theta: ModelParams, ds: LabeledDataset,
-                         cfg: AttackConfig, budget: PerturbBudget, trace, extras) -> AttackResult:
-    from .metrics import RateInputs, accuracy, adversarial_accuracy, adversarial_rate
+def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budget: PerturbBudget,
+             cfg: AttackConfig, tag: int, n_pre: int, objective):
+    """Projected descent on ``objective`` inside the box of an linf budget.
 
-    ri = RateInputs(
-        base_acc=accuracy(base, ds),
-        base_rob=adversarial_accuracy(base, ds, cfg.pgd, seed=cfg.seed),
-        att_acc=accuracy(theta, ds),
-        att_rob=adversarial_accuracy(theta, ds, cfg.pgd, seed=cfg.seed),
-        gamma_low=cfg.gamma_low,
-    )
-    rr = adversarial_rate(ri)
+    Runs n_pre phase-1 and then cfg.n_main phase-2 iterations.  Iteration
+    ``it`` draws a minibatch of (X, y) from one default_rng(cfg.seed) and
+    calls ``objective(theta, phase, Xb, yb, seed)`` with the PGD seed
+    ``_iter_seed(cfg.seed, tag, it)``.  The objective returns (value, grad,
+    extra trace fields), or None to skip a degenerate minibatch: no step, no
+    step decay and a nan objective in the trace.  A step is theta - alpha *
+    grad projected onto the box; see AttackConfig.alpha for the schedule.
+    Returns (theta, trace).
+    """
+    if budget.kind != "linf":
+        raise ValueError("the gradient attacks need an linf budget")
+    theta = params.copy()
+    rng = np.random.default_rng(cfg.seed)
+    alpha = cfg.alpha
+    decay_every = max(1, cfg.n_main // 4)
+    trace = []
+    for it in range(n_pre + cfg.n_main):
+        phase = 1 if it < n_pre else 2
+        Xb, yb = _batch(rng, X, y, cfg.batch_size)
+        out = objective(theta, phase, Xb, yb, _iter_seed(cfg.seed, tag, it))
+        if out is None:
+            trace.append({"iter": it, "phase": phase, "objective": float("nan")})
+            continue
+        value, grad, fields = out
+        theta = proj_box(add_scaled(theta, grad, -alpha), params, budget.delta)
+        trace.append({"iter": it, "phase": phase, "objective": float(value), **fields})
+        if phase == 2 and (it - n_pre + 1) % decay_every == 0:
+            alpha *= _ALPHA_DECAY
+    return theta, trace
+
+
+def _result(params: ModelParams, theta: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
+            cfg: AttackConfig, trace, extras, kind: str | None = None, **att) -> AttackResult:
+    """Score the base net on ds and rate theta.
+
+    ``att`` is the attacked half of RateInputs for ``targeted_rate(kind)``;
+    an untargeted attack (kind None) scores theta on all of ds.
+    """
+    from .metrics import RateInputs, accuracy, adversarial_accuracy, adversarial_rate, targeted_rate
+
+    if kind is None:
+        att = dict(att_acc=accuracy(theta, ds),
+                   att_rob=adversarial_accuracy(theta, ds, cfg.pgd, seed=cfg.seed))
+    ri = RateInputs(base_acc=accuracy(params, ds),
+                    base_rob=adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed),
+                    gamma_low=cfg.gamma_low, **att)
+    rr = adversarial_rate(ri) if kind is None else targeted_rate(kind, ri)
     return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
                         rate_inputs=ri, rate=rr.value, failed=rr.failed, extras=extras)
 
 
 # ---------------------------------------------------------------------------
 # untargeted gradient attack (elementwise box)
+
+
+def _robust_objective(pgd: PgdConfig):
+    """The two-phase objective on a minibatch and its PGD points.
+
+    Phase 1: minus the mean robust loss.  Phase 2: clean CE sum / robust CE
+    sum.  Both record the mean robust loss in the trace.
+    """
+    def objective(theta, phase, Xb, yb, seed):
+        Xadv = pgd_adversary_batch(theta, Xb, yb, pgd, seed=seed)
+        if phase == 1:
+            adv_mean, g, _ = loss_and_grads(theta, Xadv, yb, reduction="mean")
+            minus_g = ModelParams([-w for w in g.weights], [-b for b in g.biases])
+            return -adv_mean, minus_g, {"robust_loss": adv_mean}
+        ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb))
+        return ratio, g, {"robust_loss": den / len(yb)}
+
+    return objective
 
 
 def attack_linf(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
@@ -304,35 +352,8 @@ def attack_linf(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
     minimizes clean-loss / robust-loss, trading a bounded clean-accuracy hit
     for a large robustness drop.  Every step is projected back onto the box.
     """
-    if budget.kind != "linf":
-        raise ValueError("attack_linf needs an linf budget")
-    theta = params.copy()
-    rng = np.random.default_rng(cfg.seed)
-    alpha = cfg.alpha
-    decay_every = cfg.decay_every if cfg.decay_every is not None else max(1, cfg.n_main // 4)
-    direction = -1.0 if cfg.ascend_displayed else 1.0  # default: minimize displayed objective
-    trace = []
-    main_done = 0
-    for it in range(cfg.n_pre + cfg.n_main):
-        Xb, yb = _batch(rng, ds, cfg.batch_size)
-        Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_iter_seed(cfg.seed, 1, it))
-        if it < cfg.n_pre:
-            adv_mean, g, _ = loss_and_grads(theta, Xadv, yb, reduction="mean")
-            displayed = -adv_mean
-            # minimizing the displayed objective means ascending the robust loss
-            theta = add_scaled(theta, g, direction * alpha)
-        else:
-            ratio, _, den_raw, g = _ratio_and_grad(theta, Xb, yb, Xadv, yb, cfg.denom_floor)
-            displayed = ratio
-            adv_mean = den_raw / len(yb)
-            theta = add_scaled(theta, g, -direction * alpha)
-            main_done += 1
-            if main_done % decay_every == 0:
-                alpha *= cfg.alpha_decay
-        theta = proj_box(theta, params, budget.delta)
-        trace.append({"iter": it, "phase": 1 if it < cfg.n_pre else 2,
-                      "objective": float(displayed), "robust_loss": float(adv_mean)})
-    return _finalize_untargeted(params, theta, ds, cfg, budget, trace, {})
+    theta, trace = _descend(params, ds.X, ds.y, budget, cfg, 1, cfg.n_pre, _robust_objective(cfg.pgd))
+    return _result(params, theta, ds, budget, cfg, trace, {})
 
 
 def perturb_random(params: ModelParams, budget: PerturbBudget, seed=0) -> ModelParams:
@@ -385,91 +406,88 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
     loss ratio to first order.
 
     A pair (w1, w2) qualifies when (g1 - g2)(w1 - w2) > 0, i.e. the exchange
-    has a negative directional derivative of the objective.  Each accepted
-    swap is logged (matrix, flat indices, gradient gap) in extras["swap_log"].
+    has a negative directional derivative of the objective.  The gradient is
+    recomputed on a fresh minibatch for each matrix and after each accepted
+    swap; a slot where _SWAP_DRAWS random pairs all fail is skipped.  Each
+    accepted swap is logged (matrix, flat indices, gradient gap) in
+    extras["swap_log"].
     """
     if budget.kind != "swap":
         raise ValueError("attack_swap needs a swap budget")
     theta = params.copy()
     rng = np.random.default_rng(cfg.seed)
     sel = _pick_matrices(rng, theta, budget.k_matrices)
-    trace = []
+    trace = []  # one entry per gradient
     swap_log = []
     skipped = 0
-    grad_calls = 0
-
-    def ratio_grad():
-        nonlocal grad_calls
-        Xb, yb = _batch(rng, ds, cfg.batch_size)
-        Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_iter_seed(cfg.seed, 2, grad_calls))
-        ratio, _, _, g = _ratio_and_grad(theta, Xb, yb, Xadv, yb, cfg.denom_floor)
-        grad_calls += 1
-        return ratio, g
 
     for l in sel:
         W = theta.weights[l]
         flat = W.ravel()
-        n_pairs = _pair_count(budget, W)
-        since_refresh = cfg.grad_refresh  # force a fresh gradient per matrix
-        gflat = None
-        for _slot in range(n_pairs):
-            if since_refresh >= cfg.grad_refresh:
-                ratio, g = ratio_grad()
+        stale = True
+        for _slot in range(_pair_count(budget, W)):
+            if stale:
+                Xb, yb = _batch(rng, ds.X, ds.y, cfg.batch_size)
+                Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_iter_seed(cfg.seed, 2, len(trace)))
+                ratio, _, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb))
                 gflat = g.weights[l].ravel()
-                since_refresh = 0
+                stale = False
                 trace.append({"iter": len(trace), "phase": 2, "objective": float(ratio)})
-            for _attempt in range(cfg.max_retries):
+            for _attempt in range(_SWAP_DRAWS):
                 i, j = _distinct_pair(rng, flat.size)
                 if (gflat[i] - gflat[j]) * (flat[i] - flat[j]) > 0.0:
                     swap_log.append({"matrix": l, "i": i, "j": j,
                                      "grad_gap": float(gflat[i] - gflat[j]),
                                      "value_gap": float(flat[i] - flat[j])})
                     flat[i], flat[j] = flat[j], flat[i]
-                    since_refresh += 1
+                    stale = True
                     break
             else:
                 skipped += 1
 
     extras = {"matrices": sel, "swaps": len(swap_log), "skipped_pairs": skipped,
               "swap_log": swap_log}
-    return _finalize_untargeted(params, theta, ds, cfg, budget, trace, extras)
+    return _result(params, theta, ds, budget, cfg, trace, extras)
 
 
 # ---------------------------------------------------------------------------
 # targeted attacks
 
 
-def _split_target(ds: LabeledDataset, target_label: int):
+def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget: PerturbBudget,
+              cfg: AttackConfig, kind: str, ratio_terms) -> AttackResult:
+    """Phase-2 descent on a targeted ratio, then the targeted rate ``kind``.
+
+    ``ratio_terms(theta, Xb, yb, on, seed)`` returns what _ratio_grad does,
+    with ``on`` marking the minibatch's target-label rows.  A minibatch that
+    is all on or all off the target is skipped.
+    """
     on = ds.y == target_label
     if not on.any():
         raise ValueError(f"target label {target_label} absent from the dataset")
     if on.all():
         raise ValueError("dataset contains only the target label; targeted objective is degenerate")
-    return on
 
+    def objective(theta, phase, Xb, yb, seed):
+        on_b = yb == target_label
+        if on_b.all() or not on_b.any():
+            return None
+        ratio, _, grad = ratio_terms(theta, Xb, yb, on_b, seed)
+        return ratio, grad, {}
 
-def _targeted_loop(params, ds, budget, cfg, target_label, objective_grad):
-    """Shared projected-descent loop for the targeted ratio objectives."""
-    if budget.kind != "linf":
-        raise ValueError("targeted attacks use an linf budget")
-    theta = params.copy()
-    rng = np.random.default_rng(cfg.seed)
-    alpha = cfg.alpha
-    decay_every = cfg.decay_every if cfg.decay_every is not None else max(1, cfg.n_main // 4)
-    direction = -1.0 if cfg.ascend_displayed else 1.0
-    trace = []
-    for it in range(cfg.n_main):
-        Xb, yb = _batch(rng, ds, cfg.batch_size)
-        on = yb == target_label
-        if on.all() or not on.any():  # degenerate minibatch, resample next round
-            trace.append({"iter": it, "phase": 2, "objective": float("nan")})
-            continue
-        val, g = objective_grad(theta, Xb, yb, on, _iter_seed(cfg.seed, 3, it))
-        theta = proj_box(add_scaled(theta, g, -direction * alpha), params, budget.delta)
-        trace.append({"iter": it, "phase": 2, "objective": float(val)})
-        if (it + 1) % decay_every == 0:
-            alpha *= cfg.alpha_decay
-    return theta, trace
+    theta, trace = _descend(params, ds.X, ds.y, budget, cfg, 3, 0, objective)
+
+    from .metrics import accuracy, adversarial_accuracy
+
+    ds_on, ds_off = ds.subset(np.where(on)[0]), ds.subset(np.where(~on)[0])
+    att_rob = adversarial_accuracy(theta, ds_off, cfg.pgd, seed=cfg.seed)
+    if kind == "label":
+        att = dict(att_acc=accuracy(theta, ds), att_rob=att_rob,
+                   att_aux=adversarial_accuracy(theta, ds_on, cfg.pgd, seed=cfg.seed))
+    else:
+        att = dict(att_acc=accuracy(theta, ds_off), att_rob=att_rob, att_aux=accuracy(theta, ds_on))
+    return _result(params, theta, ds, budget, cfg, trace,
+                   {"target_label": target_label, "kind": kind}, kind, **att)
 
 
 def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,
@@ -481,37 +499,11 @@ def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,
     accuracy, unchanged off-target robustness, and collapsed robustness on
     the target label.
     """
-    _split_target(ds, target_label)
-
-    def obj(theta, Xb, yb, on, seed):
+    def ratio_terms(theta, Xb, yb, on, seed):
         Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=seed)
-        num_ce, g_ce, _ = loss_and_grads(theta, Xb, yb, reduction="sum")
-        num_rob, g_rob, _ = loss_and_grads(theta, Xadv[~on], yb[~on], reduction="sum")
-        den_raw, g_den, _ = loss_and_grads(theta, Xadv[on], yb[on], reduction="sum")
-        den = max(den_raw, cfg.denom_floor)
-        ratio = (num_ce + num_rob) / den
-        grad = add_scaled(add_scaled(g_ce, g_rob), g_den, -ratio)
-        grad = ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
-        return ratio, grad
+        return _ratio_grad(theta, [(Xb, yb), (Xadv[~on], yb[~on])], (Xadv[on], yb[on]))
 
-    theta, trace = _targeted_loop(params, ds, budget, cfg, target_label, obj)
-
-    from .metrics import RateInputs, accuracy, adversarial_accuracy, targeted_rate
-
-    on = ds.y == target_label
-    ds_on, ds_off = ds.subset(np.where(on)[0]), ds.subset(np.where(~on)[0])
-    ri = RateInputs(
-        base_acc=accuracy(params, ds),
-        base_rob=adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed),
-        att_acc=accuracy(theta, ds),
-        att_rob=adversarial_accuracy(theta, ds_off, cfg.pgd, seed=cfg.seed),
-        att_aux=adversarial_accuracy(theta, ds_on, cfg.pgd, seed=cfg.seed),
-        gamma_low=cfg.gamma_low,
-    )
-    rr = targeted_rate("label", ri)
-    return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
-                        rate_inputs=ri, rate=rr.value, failed=rr.failed,
-                        extras={"target_label": target_label, "kind": "label"})
+    return _targeted(params, ds, target_label, budget, cfg, "label", ratio_terms)
 
 
 def attack_direct(params: ModelParams, ds: LabeledDataset, target_label: int,
@@ -521,37 +513,12 @@ def attack_direct(params: ModelParams, ds: LabeledDataset, target_label: int,
     Objective (minimized): [robust + clean loss off the target] / [clean CE
     on the target].  Drives the target's clean accuracy to zero.
     """
-    _split_target(ds, target_label)
+    def ratio_terms(theta, Xb, yb, on, seed):
+        Xoff, yoff = Xb[~on], yb[~on]
+        Xadv = pgd_adversary_batch(theta, Xoff, yoff, cfg.pgd, seed=seed)
+        return _ratio_grad(theta, [(Xadv, yoff), (Xoff, yoff)], (Xb[on], yb[on]))
 
-    def obj(theta, Xb, yb, on, seed):
-        Xadv = pgd_adversary_batch(theta, Xb[~on], yb[~on], cfg.pgd, seed=seed)
-        num_rob, g_rob, _ = loss_and_grads(theta, Xadv, yb[~on], reduction="sum")
-        num_ce, g_ce, _ = loss_and_grads(theta, Xb[~on], yb[~on], reduction="sum")
-        den_raw, g_den, _ = loss_and_grads(theta, Xb[on], yb[on], reduction="sum")
-        den = max(den_raw, cfg.denom_floor)
-        ratio = (num_rob + num_ce) / den
-        grad = add_scaled(add_scaled(g_rob, g_ce), g_den, -ratio)
-        grad = ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
-        return ratio, grad
-
-    theta, trace = _targeted_loop(params, ds, budget, cfg, target_label, obj)
-
-    from .metrics import RateInputs, accuracy, adversarial_accuracy, targeted_rate
-
-    on = ds.y == target_label
-    ds_on, ds_off = ds.subset(np.where(on)[0]), ds.subset(np.where(~on)[0])
-    ri = RateInputs(
-        base_acc=accuracy(params, ds),
-        base_rob=adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed),
-        att_acc=accuracy(theta, ds_off),
-        att_rob=adversarial_accuracy(theta, ds_off, cfg.pgd, seed=cfg.seed),
-        att_aux=accuracy(theta, ds_on),
-        gamma_low=cfg.gamma_low,
-    )
-    rr = targeted_rate("direct", ri)
-    return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
-                        rate_inputs=ri, rate=rr.value, failed=rr.failed,
-                        extras={"target_label": target_label, "kind": "direct"})
+    return _targeted(params, ds, target_label, budget, cfg, "direct", ratio_terms)
 
 
 def attack_single(params: ModelParams, x: np.ndarray, label: int,
@@ -566,33 +533,8 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     x = np.asarray(x, dtype=np.float64)
     if classify(params, x) != label:
         raise ValueError("x must be correctly classified by the base net")
-    if budget.kind != "linf":
-        raise ValueError("attack_single uses an linf budget")
-
-    theta = params.copy()
-    alpha = cfg.alpha
-    decay_every = cfg.decay_every if cfg.decay_every is not None else max(1, cfg.n_main // 4)
-    direction = -1.0 if cfg.ascend_displayed else 1.0
     X1, y1 = x[None, :], np.array([label])
-    trace = []
-    main_done = 0
-    for it in range(cfg.n_pre + cfg.n_main):
-        Xadv = pgd_adversary_batch(theta, X1, y1, cfg.pgd, seed=_iter_seed(cfg.seed, 4, it))
-        if it < cfg.n_pre:
-            adv_mean, g, _ = loss_and_grads(theta, Xadv, y1, reduction="mean")
-            displayed = -adv_mean
-            theta = add_scaled(theta, g, direction * alpha)
-        else:
-            ratio, _, den_raw, g = _ratio_and_grad(theta, X1, y1, Xadv, y1, cfg.denom_floor)
-            displayed = ratio
-            adv_mean = den_raw
-            theta = add_scaled(theta, g, -direction * alpha)
-            main_done += 1
-            if main_done % decay_every == 0:
-                alpha *= cfg.alpha_decay
-        theta = proj_box(theta, params, budget.delta)
-        trace.append({"iter": it, "phase": 1 if it < cfg.n_pre else 2,
-                      "objective": float(displayed), "robust_loss": float(adv_mean)})
+    theta, trace = _descend(params, X1, y1, budget, cfg, 4, cfg.n_pre, _robust_objective(cfg.pgd))
 
     from .metrics import RateInputs, approx_radius, targeted_rate
 

@@ -68,9 +68,6 @@ class LabeledDataset:
         idx = np.asarray(idx)
         return LabeledDataset(self.X[idx], self.y[idx], name=self.name, meta=dict(self.meta))
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.y, minlength=self.n_classes)
-
 
 def gen_blobs(
     n_samples: int,

@@ -107,8 +107,7 @@ def _rate_from_columns(ac_base, rob_base, ac_att, rob_att, gamma_low):
                                        gamma_low=gamma_low))
 
 
-def build_row(attack: str, budget: str, base_nums, att_nums,
-              gamma_low: float = 0.9) -> SweepRow:
+def build_row(attack: str, budget: str, base_nums, att_nums, gamma_low: float) -> SweepRow:
     """Assemble one report row from (acc, adv_acc, avg_radius) triples."""
     ac_b, aa_b, r4_b = base_nums
     ac_a, aa_a, r4_a = att_nums

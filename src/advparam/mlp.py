@@ -284,22 +284,6 @@ def loss_and_grads(
     return value, ModelParams(gw, gb), input_grad
 
 
-def param_gradient(
-    params: ModelParams,
-    X: np.ndarray,
-    targets: np.ndarray,
-    loss: str = "cross_entropy",
-    reduction: str = "mean",
-) -> ModelParams:
-    """Gradient of the selected loss w.r.t. every weight and bias.
-
-    The result reuses the ModelParams container (same shapes as ``params``),
-    so the parameter arithmetic helpers below apply to gradients too.
-    """
-    _, grads, _ = loss_and_grads(params, X, targets, loss=loss, reduction=reduction)
-    return grads
-
-
 def input_gradient(params: ModelParams, X: np.ndarray,
                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample CE values, dCE/dx for each sample (sum reduction) and logits.
@@ -377,12 +361,6 @@ def min_abs_entry(v: np.ndarray) -> float:
     if v.size == 0:
         raise ValueError("empty array")
     return float(np.abs(v).min())
-
-
-def min_row_norm(w: np.ndarray) -> float:
-    """Smallest euclidean row norm of a matrix."""
-    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-    return float(np.sqrt((w**2).sum(axis=1)).min())
 
 
 def init_params(dims: list[int], seed: int) -> ModelParams:

@@ -1,9 +1,11 @@
 """PGD contracts, budgets/projection, attack loop invariants."""
 
+import json
+
 import numpy as np
 import pytest
 
-from advparam import attack, mlp
+from advparam import attack, metrics, mlp
 from advparam.attack import (
     AttackConfig,
     PerturbBudget,
@@ -16,7 +18,6 @@ from advparam.attack import (
     budget_linf,
     budget_swap,
     perturb_random,
-    pgd_adversary,
     pgd_adversary_batch,
     pgd_flips_batch,
     proj_box,
@@ -78,10 +79,10 @@ def test_pgd_deterministic_and_eps_zero_identity():
     np.testing.assert_array_equal(z, X)
 
 
-def test_pgd_single_sample_wrapper():
+def test_pgd_single_sample():
     p = ModelParams([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
     x = np.array([0.62, 0.38])
-    xa = pgd_adversary(p, x, 0, eps=0.2, steps=25, seed=0)
+    xa = pgd_adversary_batch(p, x[None], np.array([0]), PgdConfig(eps=0.2, steps=25), seed=0)[0]
     # identity logits: PGD should cross the diagonal within the 0.2 ball
     assert xa[1] - xa[0] > -1e-9 or _ce(p, xa[None], [0])[0] > _ce(p, x[None], [0])[0]
     flipped = pgd_flips_batch(p, x[None], np.array([0]), PgdConfig(eps=0.2, steps=25), seed=0)
@@ -236,6 +237,14 @@ def _small_trained():
 CFG = AttackConfig(pgd=PgdConfig(eps=0.08, steps=10), n_pre=4, n_main=10, alpha=5e-3, seed=0)
 
 
+def test_attack_config_batch_size_validated():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            AttackConfig(batch_size=bad)
+    assert AttackConfig(batch_size=None).batch_size is None
+    assert AttackConfig(batch_size=1).batch_size == 1
+
+
 def test_attack_linf_zero_budget_is_identity():
     params, ds = _small_trained()
     res = attack_linf(params, ds, budget_linf(params, 0.0), CFG)
@@ -342,3 +351,331 @@ def test_perturb_random_within_budget_and_deterministic():
     q3 = perturb_random(params, budget_swap(k_matrices=1, pair_fraction=0.05, pair_floor=4), seed=3)
     for wa, w in zip(q3.weights, params.weights):
         np.testing.assert_array_equal(np.sort(wa.ravel()), np.sort(w.ravel()))
+
+
+# --- the shared descent loop against the hand-written loops -----------------------
+#
+# The reference loops below are the four attack loops as they were written before
+# they shared one loop, with the schedule constants inlined (step halving 0.5
+# every max(1, n_main // 4) main steps, denominator floor 1e-8, one gradient per
+# accepted swap, 50 draws per swap slot).  The attacks must reproduce them bit for bit.
+
+
+def _ref_batch(rng, ds, size):
+    if size is None or size >= len(ds):
+        return ds.X, ds.y
+    idx = rng.choice(len(ds), size=size, replace=False)
+    return ds.X[idx], ds.y[idx]
+
+
+def _ref_seed(seed, tag, it):
+    return (int(seed) & 0x7FFFFFFF, tag, it)
+
+
+def _ref_ratio_and_grad(theta, X, y, Xadv, yadv):
+    num, g_num, _ = mlp.loss_and_grads(theta, X, y, reduction="sum")
+    den_raw, g_den, _ = mlp.loss_and_grads(theta, Xadv, yadv, reduction="sum")
+    den = max(den_raw, 1e-8)
+    ratio = num / den
+    grad = mlp.add_scaled(g_num, g_den, -ratio)
+    grad = ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
+    return ratio, num, den_raw, grad
+
+
+def _ref_finalize_untargeted(base, theta, ds, cfg, budget, trace, extras):
+    ri = metrics.RateInputs(
+        base_acc=metrics.accuracy(base, ds),
+        base_rob=metrics.adversarial_accuracy(base, ds, cfg.pgd, seed=cfg.seed),
+        att_acc=metrics.accuracy(theta, ds),
+        att_rob=metrics.adversarial_accuracy(theta, ds, cfg.pgd, seed=cfg.seed),
+        gamma_low=cfg.gamma_low,
+    )
+    rr = metrics.adversarial_rate(ri)
+    return attack.AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
+                               rate_inputs=ri, rate=rr.value, failed=rr.failed, extras=extras)
+
+
+def _ref_attack_linf(params, ds, budget, cfg):
+    theta = params.copy()
+    rng = np.random.default_rng(cfg.seed)
+    alpha = cfg.alpha
+    decay_every = max(1, cfg.n_main // 4)
+    trace = []
+    main_done = 0
+    for it in range(cfg.n_pre + cfg.n_main):
+        Xb, yb = _ref_batch(rng, ds, cfg.batch_size)
+        Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_ref_seed(cfg.seed, 1, it))
+        if it < cfg.n_pre:
+            adv_mean, g, _ = mlp.loss_and_grads(theta, Xadv, yb, reduction="mean")
+            displayed = -adv_mean
+            theta = mlp.add_scaled(theta, g, alpha)
+        else:
+            ratio, _, den_raw, g = _ref_ratio_and_grad(theta, Xb, yb, Xadv, yb)
+            displayed = ratio
+            adv_mean = den_raw / len(yb)
+            theta = mlp.add_scaled(theta, g, -alpha)
+            main_done += 1
+            if main_done % decay_every == 0:
+                alpha *= 0.5
+        theta = proj_box(theta, params, budget.delta)
+        trace.append({"iter": it, "phase": 1 if it < cfg.n_pre else 2,
+                      "objective": float(displayed), "robust_loss": float(adv_mean)})
+    return _ref_finalize_untargeted(params, theta, ds, cfg, budget, trace, {})
+
+
+def _ref_attack_swap(params, ds, budget, cfg):
+    theta = params.copy()
+    rng = np.random.default_rng(cfg.seed)
+    sel = attack._pick_matrices(rng, theta, budget.k_matrices)
+    trace, swap_log = [], []
+    skipped = 0
+    grad_calls = 0
+    for l in sel:
+        W = theta.weights[l]
+        flat = W.ravel()
+        since_refresh = 1
+        for _slot in range(attack._pair_count(budget, W)):
+            if since_refresh >= 1:
+                Xb, yb = _ref_batch(rng, ds, cfg.batch_size)
+                Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_ref_seed(cfg.seed, 2, grad_calls))
+                ratio, _, _, g = _ref_ratio_and_grad(theta, Xb, yb, Xadv, yb)
+                grad_calls += 1
+                gflat = g.weights[l].ravel()
+                since_refresh = 0
+                trace.append({"iter": len(trace), "phase": 2, "objective": float(ratio)})
+            for _attempt in range(50):
+                i, j = attack._distinct_pair(rng, flat.size)
+                if (gflat[i] - gflat[j]) * (flat[i] - flat[j]) > 0.0:
+                    swap_log.append({"matrix": l, "i": i, "j": j,
+                                     "grad_gap": float(gflat[i] - gflat[j]),
+                                     "value_gap": float(flat[i] - flat[j])})
+                    flat[i], flat[j] = flat[j], flat[i]
+                    since_refresh += 1
+                    break
+            else:
+                skipped += 1
+    extras = {"matrices": sel, "swaps": len(swap_log), "skipped_pairs": skipped,
+              "swap_log": swap_log}
+    return _ref_finalize_untargeted(params, theta, ds, cfg, budget, trace, extras)
+
+
+def _ref_targeted_loop(params, ds, budget, cfg, target_label, objective_grad):
+    theta = params.copy()
+    rng = np.random.default_rng(cfg.seed)
+    alpha = cfg.alpha
+    decay_every = max(1, cfg.n_main // 4)
+    trace = []
+    for it in range(cfg.n_main):
+        Xb, yb = _ref_batch(rng, ds, cfg.batch_size)
+        on = yb == target_label
+        if on.all() or not on.any():
+            trace.append({"iter": it, "phase": 2, "objective": float("nan")})
+            continue
+        val, g = objective_grad(theta, Xb, yb, on, _ref_seed(cfg.seed, 3, it))
+        theta = proj_box(mlp.add_scaled(theta, g, -alpha), params, budget.delta)
+        trace.append({"iter": it, "phase": 2, "objective": float(val)})
+        if (it + 1) % decay_every == 0:
+            alpha *= 0.5
+    return theta, trace
+
+
+def _ref_targeted_result(params, theta, ds, cfg, budget, trace, target_label, kind):
+    on = ds.y == target_label
+    ds_on, ds_off = ds.subset(np.where(on)[0]), ds.subset(np.where(~on)[0])
+    if kind == "label":
+        att_acc = metrics.accuracy(theta, ds)
+        att_aux = metrics.adversarial_accuracy(theta, ds_on, cfg.pgd, seed=cfg.seed)
+    else:
+        att_acc = metrics.accuracy(theta, ds_off)
+        att_aux = metrics.accuracy(theta, ds_on)
+    ri = metrics.RateInputs(
+        base_acc=metrics.accuracy(params, ds),
+        base_rob=metrics.adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed),
+        att_acc=att_acc,
+        att_rob=metrics.adversarial_accuracy(theta, ds_off, cfg.pgd, seed=cfg.seed),
+        att_aux=att_aux,
+        gamma_low=cfg.gamma_low,
+    )
+    rr = metrics.targeted_rate(kind, ri)
+    return attack.AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
+                               rate_inputs=ri, rate=rr.value, failed=rr.failed,
+                               extras={"target_label": target_label, "kind": kind})
+
+
+def _ref_attack_label(params, ds, target_label, budget, cfg):
+    def obj(theta, Xb, yb, on, seed):
+        Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=seed)
+        num_ce, g_ce, _ = mlp.loss_and_grads(theta, Xb, yb, reduction="sum")
+        num_rob, g_rob, _ = mlp.loss_and_grads(theta, Xadv[~on], yb[~on], reduction="sum")
+        den_raw, g_den, _ = mlp.loss_and_grads(theta, Xadv[on], yb[on], reduction="sum")
+        den = max(den_raw, 1e-8)
+        ratio = (num_ce + num_rob) / den
+        grad = mlp.add_scaled(mlp.add_scaled(g_ce, g_rob), g_den, -ratio)
+        grad = ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
+        return ratio, grad
+
+    theta, trace = _ref_targeted_loop(params, ds, budget, cfg, target_label, obj)
+    return _ref_targeted_result(params, theta, ds, cfg, budget, trace, target_label, "label")
+
+
+def _ref_attack_direct(params, ds, target_label, budget, cfg):
+    def obj(theta, Xb, yb, on, seed):
+        Xadv = pgd_adversary_batch(theta, Xb[~on], yb[~on], cfg.pgd, seed=seed)
+        num_rob, g_rob, _ = mlp.loss_and_grads(theta, Xadv, yb[~on], reduction="sum")
+        num_ce, g_ce, _ = mlp.loss_and_grads(theta, Xb[~on], yb[~on], reduction="sum")
+        den_raw, g_den, _ = mlp.loss_and_grads(theta, Xb[on], yb[on], reduction="sum")
+        den = max(den_raw, 1e-8)
+        ratio = (num_rob + num_ce) / den
+        grad = mlp.add_scaled(mlp.add_scaled(g_rob, g_ce), g_den, -ratio)
+        grad = ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
+        return ratio, grad
+
+    theta, trace = _ref_targeted_loop(params, ds, budget, cfg, target_label, obj)
+    return _ref_targeted_result(params, theta, ds, cfg, budget, trace, target_label, "direct")
+
+
+def _ref_attack_single(params, x, label, budget, cfg):
+    x = np.asarray(x, dtype=np.float64)
+    theta = params.copy()
+    alpha = cfg.alpha
+    decay_every = max(1, cfg.n_main // 4)
+    X1, y1 = x[None, :], np.array([label])
+    trace = []
+    main_done = 0
+    for it in range(cfg.n_pre + cfg.n_main):
+        Xadv = pgd_adversary_batch(theta, X1, y1, cfg.pgd, seed=_ref_seed(cfg.seed, 4, it))
+        if it < cfg.n_pre:
+            adv_mean, g, _ = mlp.loss_and_grads(theta, Xadv, y1, reduction="mean")
+            displayed = -adv_mean
+            theta = mlp.add_scaled(theta, g, alpha)
+        else:
+            ratio, _, den_raw, g = _ref_ratio_and_grad(theta, X1, y1, Xadv, y1)
+            displayed = ratio
+            adv_mean = den_raw
+            theta = mlp.add_scaled(theta, g, -alpha)
+            main_done += 1
+            if main_done % decay_every == 0:
+                alpha *= 0.5
+        theta = proj_box(theta, params, budget.delta)
+        trace.append({"iter": it, "phase": 1 if it < cfg.n_pre else 2,
+                      "objective": float(displayed), "robust_loss": float(adv_mean)})
+    base_r = metrics.approx_radius(params, x, label)
+    att_r = metrics.approx_radius(theta, x, label)
+    still_correct = classify(theta, x) == label
+    has_adv = bool(pgd_flips_batch(theta, X1, y1, cfg.pgd, seed=cfg.seed)[0])
+    ri = metrics.RateInputs(base_acc=1.0, base_rob=base_r,
+                            att_acc=1.0 if still_correct else 0.0, att_rob=att_r,
+                            gamma_low=cfg.gamma_low)
+    rr = metrics.targeted_rate("single", ri)
+    return attack.AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
+                               rate_inputs=ri, rate=rr.value,
+                               failed=not (still_correct and has_adv),
+                               extras={"kind": "single", "still_correct": still_correct,
+                                       "adversarial_found": has_adv,
+                                       "radius_before": base_r, "radius_after": att_r})
+
+
+def _assert_same_result(new, ref):
+    """Bit-level equality of everything an attack returns."""
+    def arrays(p):
+        return [a.tobytes() for a in p.weights + p.biases]
+
+    assert arrays(new.attacked) == arrays(ref.attacked)
+    assert json.dumps(new.trace) == json.dumps(ref.trace)
+    assert repr(new.rate_inputs) == repr(ref.rate_inputs)
+    assert repr(new.rate) == repr(ref.rate)
+    assert new.failed == ref.failed
+    assert new.budget_desc == ref.budget_desc
+    assert repr(new.extras) == repr(ref.extras)
+
+
+@pytest.fixture(scope="module")
+def three_class():
+    ds = gen_blobs(30, 4, 3, seed=6)
+    res = train(TrainConfig(dims=[4, 10, 3], epochs=10, lr=0.2, batch_size=10, seed=2), ds)
+    return res.params, ds
+
+
+ORACLE_PGD = PgdConfig(eps=0.08, steps=3)
+SKIP_SEED = 1  # label 0, batches of 3, n_main 9: iteration 1 (a decay step) is degenerate
+BATCHES = [None, 3, 7, 30]
+SCHEDULES = [(4, 10), (0, 9), (3, 0), (2, 1), (3, 8)]  # odd n_pre: phase-2 decay steps differ from (it + 1) % 2 == 0
+
+
+def _oracle_cfg(batch_size, schedule, seed=0):
+    n_pre, n_main = schedule
+    return AttackConfig(pgd=ORACLE_PGD, n_pre=n_pre, n_main=n_main, alpha=0.05,
+                        batch_size=batch_size, seed=seed)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("batch_size", BATCHES)
+def test_attack_linf_matches_reference_loop(three_class, batch_size, schedule, gamma):
+    params, ds = three_class
+    cfg = _oracle_cfg(batch_size, schedule)
+    budget = budget_linf(params, gamma)
+    _assert_same_result(attack_linf(params, ds, budget, cfg),
+                        _ref_attack_linf(params, ds, budget, cfg))
+
+
+@pytest.mark.parametrize("target", [0, 2])
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("batch_size", BATCHES)
+@pytest.mark.parametrize("kind", ["label", "direct"])
+def test_targeted_attacks_match_reference_loop(three_class, kind, batch_size, schedule, gamma, target):
+    params, ds = three_class
+    cfg = _oracle_cfg(batch_size, schedule)
+    budget = budget_linf(params, gamma)
+    new, ref = (attack_label, _ref_attack_label) if kind == "label" else (attack_direct, _ref_attack_direct)
+    _assert_same_result(new(params, ds, target, budget, cfg), ref(params, ds, target, budget, cfg))
+
+
+def test_targeted_skip_on_decay_boundary_matches_reference(three_class):
+    """A degenerate minibatch on a decay step neither steps nor halves alpha."""
+    params, ds = three_class
+    cfg = _oracle_cfg(3, (0, 9), seed=SKIP_SEED)
+    budget = budget_linf(params, 0.1)
+    res = attack_label(params, ds, 0, budget, cfg)
+    decay_every = max(1, cfg.n_main // 4)
+    skipped = [r["iter"] for r in res.trace if np.isnan(r["objective"])]
+    assert any((it + 1) % decay_every == 0 for it in skipped)
+    assert any(not np.isnan(r["objective"]) for r in res.trace[max(skipped):])
+    _assert_same_result(res, _ref_attack_label(params, ds, 0, budget, cfg))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("batch_size", [None, 3])
+def test_attack_single_matches_reference_loop(three_class, batch_size, schedule, gamma):
+    params, ds = three_class
+    i = next(k for k in range(len(ds)) if classify(params, ds.X[k]) == ds.y[k])
+    cfg = _oracle_cfg(batch_size, schedule)
+    budget = budget_linf(params, gamma)
+    _assert_same_result(attack_single(params, ds.X[i], int(ds.y[i]), budget, cfg),
+                        _ref_attack_single(params, ds.X[i], int(ds.y[i]), budget, cfg))
+
+
+@pytest.mark.parametrize("k_matrices", [1, 2])
+@pytest.mark.parametrize("batch_size", BATCHES)
+def test_attack_swap_matches_reference_loop(three_class, batch_size, k_matrices):
+    params, ds = three_class
+    cfg = _oracle_cfg(batch_size, (0, 0), seed=k_matrices)
+    budget = budget_swap(k_matrices=k_matrices, pair_fraction=0.05, pair_floor=6)
+    _assert_same_result(attack_swap(params, ds, budget, cfg),
+                        _ref_attack_swap(params, ds, budget, cfg))
+
+
+def test_attack_swap_skipped_slots_match_reference(three_class):
+    """Slots with no qualifying pair are skipped and reuse the stale gradient."""
+    params, ds = three_class
+    W1 = np.full_like(params.weights[1], 0.3)
+    W1[0, 0] = -0.5  # one odd entry: most pairs have no value gap
+    net = ModelParams([params.weights[0], W1], params.biases)
+    cfg = _oracle_cfg(None, (0, 0), seed=4)
+    budget = budget_swap(k_matrices=2, pair_fraction=0.05, pair_floor=6)
+    res = attack_swap(net, ds, budget, cfg)
+    assert res.extras["skipped_pairs"] > 0
+    assert any(entry["matrix"] == 1 for entry in res.extras["swap_log"])
+    _assert_same_result(res, _ref_attack_swap(net, ds, budget, cfg))

@@ -127,6 +127,18 @@ def test_attack_single_index_out_of_range(tmp_path, workdir, capsys, index):
     assert not (tmp_path / "attack_result.json").exists()
 
 
+@pytest.mark.parametrize("command,size", [("report", "0"), ("attack", "-3")])
+def test_nonpositive_batch_size_rejected(tmp_path, workdir, capsys, command, size):
+    rc = main([command, "--model", str(workdir / "model.json"),
+               "--data", str(workdir / "data.json"), f"--batch-size={size}",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "batch_size" in err and "\n" not in err
+    assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "attack_result.json").exists()
+
+
 def test_theory_bounds_commands(capsys):
     assert main(["theory", "--op", "point-rate", "--gamma", "1.0", "--depth", "1",
                  "--angle", repr(math.pi / 2), "--row-sep", "1", "--act-floor", "1",

@@ -24,10 +24,8 @@ from advparam.mlp import (
     loss_and_grads,
     max_abs_diff,
     min_abs_entry,
-    min_row_norm,
     model_from_json,
     model_to_json,
-    param_gradient,
     save_model,
     unflatten_params,
 )
@@ -117,7 +115,7 @@ def test_forward_trace_invariants(seed):
 # --- analytic gradients vs finite differences ---------------------------------
 
 
-def test_param_gradient_matches_finite_differences():
+def test_loss_and_grads_matches_finite_differences():
     rng = np.random.default_rng(7)
     for trial in range(8):
         n_layers = int(rng.integers(1, 4))
@@ -127,7 +125,7 @@ def test_param_gradient_matches_finite_differences():
         X = rng.uniform(0, 1, size=(5, dims[0]))
         y = rng.integers(0, dims[-1], size=5)
 
-        g = param_gradient(p, X, y)
+        _, g, _ = loss_and_grads(p, X, y)
 
         def ce(q, X=X, y=y):
             v, _, _ = loss_and_grads(q, X, y)
@@ -248,7 +246,6 @@ def test_flatten_round_trip_and_add():
 
 def test_min_helpers():
     assert min_abs_entry(np.array([[-0.3, 2.0], [0.7, -5.0]])) == pytest.approx(0.3)
-    assert min_row_norm(np.array([[3.0, 4.0], [1.0, 0.0]])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         min_abs_entry(np.array([]))
 
