@@ -16,6 +16,7 @@ clean/robust loss ratio (pushed down).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,15 +137,14 @@ def robust_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfi
 class PerturbBudget:
     """Admissible parameter perturbations.
 
-    kind "linf": elementwise box of half-widths ``delta`` (usually
-    gamma * |theta|) around the trained parameters.
+    kind "linf": elementwise box of half-widths gamma * |theta| around the
+    trained parameters (see ``box``).
     kind "swap": exchange value pairs inside ``k_matrices`` weight matrices,
     max(pair_floor, pair_fraction * entries) pairs per matrix; the multiset
     of matrix entries is preserved exactly.
     """
 
     kind: str
-    delta: ModelParams | None = None
     gamma: float | None = None
     k_matrices: int = 1
     pair_fraction: float = 0.01
@@ -154,37 +154,31 @@ class PerturbBudget:
         if self.kind not in ("linf", "swap"):
             raise ValueError(f"unknown budget kind {self.kind!r}")
         if self.kind == "linf":
-            if self.delta is None:
-                raise ValueError("linf budget needs delta")
-            for arr in self.delta.weights + self.delta.biases:
-                if (arr < 0).any():
-                    raise ValueError("delta entries must be >= 0")
+            if self.gamma is None or not math.isfinite(self.gamma) or self.gamma < 0:
+                raise ValueError(f"linf budget needs a finite gamma >= 0, got {self.gamma}")
         else:
             if not (0.0 < self.pair_fraction <= 0.5):
                 raise ValueError("pair_fraction must be in (0, 0.5]")
             if self.k_matrices < 1 or self.pair_floor < 0:
                 raise ValueError("need k_matrices >= 1 and pair_floor >= 0")
 
+    def box(self, params: ModelParams) -> ModelParams:
+        """Half-widths gamma * |theta| of the linf box around ``params``."""
+        if self.kind != "linf":
+            raise ValueError(f"a {self.kind} budget has no box; the gradient attacks need an linf budget")
+        return ModelParams([self.gamma * np.abs(w) for w in params.weights],
+                           [self.gamma * np.abs(b) for b in params.biases])
+
     def describe(self) -> str:
         if self.kind == "linf":
-            if self.gamma is not None:
-                return f"linf gamma={self.gamma:g}"
-            return "linf delta=custom"
+            return f"linf gamma={self.gamma:g}"
         return f"swap k={self.k_matrices} frac={self.pair_fraction:g} floor={self.pair_floor}"
 
-
-def budget_linf(params: ModelParams, gamma: float) -> PerturbBudget:
-    """Relative box: half-width gamma*|theta| for every weight and bias."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    delta = ModelParams([gamma * np.abs(w) for w in params.weights],
-                        [gamma * np.abs(b) for b in params.biases])
-    return PerturbBudget(kind="linf", delta=delta, gamma=gamma)
-
-
-def budget_swap(k_matrices: int = 1, pair_fraction: float = 0.01, pair_floor: int = 400) -> PerturbBudget:
-    return PerturbBudget(kind="swap", k_matrices=k_matrices,
-                         pair_fraction=pair_fraction, pair_floor=pair_floor)
+    def label(self) -> str:
+        """The budget column of report.csv."""
+        if self.kind == "linf":
+            return repr(float(self.gamma))
+        return f"k={self.k_matrices};frac={self.pair_fraction:g};floor={self.pair_floor}"
 
 
 def proj_box(candidate: ModelParams, center: ModelParams, delta: ModelParams) -> ModelParams:
@@ -257,10 +251,10 @@ def _ratio_grad(theta: ModelParams, num_terms, den_term):
     order; the denominator is the CE sum over the (X, y) ``den_term``, floored
     at _DENOM_FLOOR.  Returns (ratio, unfloored denominator, gradient).
     """
-    terms = [loss_and_grads(theta, X, y, reduction="sum")[:2] for X, y in num_terms]
+    terms = [loss_and_grads(theta, X, y, reduction="sum") for X, y in num_terms]
     num = sum(v for v, _ in terms)
     g_num = functools.reduce(add_scaled, [g for _, g in terms])
-    den_raw, g_den, _ = loss_and_grads(theta, *den_term, reduction="sum")
+    den_raw, g_den = loss_and_grads(theta, *den_term, reduction="sum")
     den = max(den_raw, _DENOM_FLOOR)
     ratio = num / den
     grad = add_scaled(g_num, g_den, -ratio)
@@ -280,8 +274,7 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budget: PerturbB
     grad projected onto the box; see AttackConfig.alpha for the schedule.
     Returns (theta, trace).
     """
-    if budget.kind != "linf":
-        raise ValueError("the gradient attacks need an linf budget")
+    delta = budget.box(params)
     theta = params.copy()
     rng = np.random.default_rng(cfg.seed)
     alpha = cfg.alpha
@@ -295,7 +288,7 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budget: PerturbB
             trace.append({"iter": it, "phase": phase, "objective": float("nan")})
             continue
         value, grad, fields = out
-        theta = proj_box(add_scaled(theta, grad, -alpha), params, budget.delta)
+        theta = proj_box(add_scaled(theta, grad, -alpha), params, delta)
         trace.append({"iter": it, "phase": phase, "objective": float(value), **fields})
         if phase == 2 and (it - n_pre + 1) % decay_every == 0:
             alpha *= _ALPHA_DECAY
@@ -335,7 +328,7 @@ def _robust_objective(pgd: PgdConfig):
     def objective(theta, phase, Xb, yb, seed):
         Xadv = pgd_adversary_batch(theta, Xb, yb, pgd, seed=seed)
         if phase == 1:
-            adv_mean, g, _ = loss_and_grads(theta, Xadv, yb, reduction="mean")
+            adv_mean, g = loss_and_grads(theta, Xadv, yb, reduction="mean")
             minus_g = ModelParams([-w for w in g.weights], [-b for b in g.biases])
             return -adv_mean, minus_g, {"robust_loss": adv_mean}
         ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb))
@@ -361,11 +354,12 @@ def perturb_random(params: ModelParams, budget: PerturbBudget, seed=0) -> ModelP
     rng = np.random.default_rng(seed)
     theta = params.copy()
     if budget.kind == "linf":
-        for w, d in zip(theta.weights, budget.delta.weights):
+        delta = budget.box(params)
+        for w, d in zip(theta.weights, delta.weights):
             w += rng.uniform(-1.0, 1.0, size=w.shape) * d
-        for b, d in zip(theta.biases, budget.delta.biases):
+        for b, d in zip(theta.biases, delta.biases):
             b += rng.uniform(-1.0, 1.0, size=b.shape) * d
-        return proj_box(theta, params, budget.delta)
+        return proj_box(theta, params, delta)
     sel = _pick_matrices(rng, theta, budget.k_matrices)
     for l in sel:
         W = theta.weights[l]

@@ -16,22 +16,16 @@ import sys
 
 from .attack import (
     AttackConfig,
+    PerturbBudget,
     PgdConfig,
     attack_direct,
     attack_label,
     attack_linf,
     attack_single,
     attack_swap,
-    budget_linf,
-    budget_swap,
 )
 from .data import LabeledDataset, gen_blobs, gen_subspace_task, load_dataset, save_dataset
-from .experiment import (
-    AttackDescriptor,
-    ExperimentPlan,
-    linf_sweep,
-    run_experiment,
-)
+from .experiment import run_experiment
 from .metrics import reports_to_csv, robustness_report
 from .mlp import load_model, save_model
 from .theory import (
@@ -126,6 +120,12 @@ def _attack_cfg(opt: _Options, seed: int) -> AttackConfig:
     )
 
 
+def _swap_budget(opt: _Options, k: int) -> PerturbBudget:
+    return PerturbBudget("swap", k_matrices=k,
+                         pair_fraction=opt.get("pair_fraction", 0.01, float),
+                         pair_floor=opt.get("pair_floor", 400, int))
+
+
 def _out_dir(opt: _Options) -> str:
     out = opt.get("out_dir", ".")
     os.makedirs(out, exist_ok=True)
@@ -204,14 +204,10 @@ def _cmd_attack(opt: _Options) -> int:
     seed = opt.get("seed", 0, int)
     cfg = _attack_cfg(opt, seed)
     kind = opt.get("kind", "linf")
-    gamma = opt.get("gamma", 0.1, float)
     if kind == "swap":
-        budget = budget_swap(opt.get("k_matrices", 1, int),
-                             opt.get("pair_fraction", 0.01, float),
-                             opt.get("pair_floor", 400, int))
-        res = attack_swap(params, ds, budget, cfg)
+        res = attack_swap(params, ds, _swap_budget(opt, opt.get("k_matrices", 1, int)), cfg)
     else:
-        budget = budget_linf(params, gamma)
+        budget = PerturbBudget("linf", gamma=opt.get("gamma", 0.1, float))
         if kind == "linf":
             res = attack_linf(params, ds, budget, cfg)
         elif kind == "label":
@@ -327,27 +323,14 @@ def _cmd_theory(opt: _Options) -> int:
 
 
 def _cmd_report(opt: _Options) -> int:
-    seed = opt.get("seed", 0, int)
-    control = not opt.get("no_control", False, _coerce)
-    attacks = linf_sweep(_float_list(opt.get("gammas", "0.02,0.04,0.06,0.08,0.10")),
-                         control=control)
-    swap_ks = opt.get("swap_k", None)
-    if swap_ks:
-        for k in _int_list(swap_ks):
-            attacks.append(AttackDescriptor("swap", k_matrices=k,
-                                            pair_fraction=opt.get("pair_fraction", 0.01, float),
-                                            pair_floor=opt.get("pair_floor", 400, int),
-                                            control=control))
-    plan = ExperimentPlan(
-        model_path=opt.get("model"),
-        dataset_path=opt.get("data"),
-        attacks=attacks,
-        out_dir=_out_dir(opt),
-        seed=seed,
-        attack_cfg=_attack_cfg(opt, seed),
-        name=opt.get("name", "experiment"),
-    )
-    res = run_experiment(plan)
+    budgets = [PerturbBudget("linf", gamma=g)
+               for g in _float_list(opt.get("gammas", "0.02,0.04,0.06,0.08,0.10"))]
+    budgets += [_swap_budget(opt, k) for k in _int_list(opt.get("swap_k", ""))]
+    cfg = _attack_cfg(opt, opt.get("seed", 0, int))
+    res = run_experiment(opt.get("model"), opt.get("data"), budgets,
+                         opt.get("out_dir", "."), cfg,
+                         control=not opt.get("no_control", False, _coerce),
+                         name=opt.get("name", "experiment"))
     print(f"wrote {res.csv_path} and {res.summary_path}")
     header = f"{'attack':<8} {'budget':<22} {'ac_att':>7} {'aa_att':>7} {'ar_aa':>7} {'ar_r4':>7} fail"
     print(header)

@@ -13,15 +13,13 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .attack import (
     AttackConfig,
     PerturbBudget,
     attack_linf,
     attack_swap,
-    budget_linf,
-    budget_swap,
     perturb_random,
 )
 from .data import LabeledDataset, load_dataset
@@ -36,45 +34,6 @@ from .mlp import ModelParams, load_model
 
 SWEEP_COLUMNS = ["attack", "budget", "ac_base", "ac_att", "aa_base", "aa_att",
                  "r4_base", "r4_att", "ar_aa", "ar_r4", "failed"]
-
-
-@dataclass
-class AttackDescriptor:
-    """One sweep point: a guided attack at a fixed parameter budget.
-
-    kind "linf" sweeps the relative box ratio gamma; kind "swap" sweeps the
-    number of touched matrices (and optionally the pair counts).  With
-    ``control`` set, a random perturbation row at the same budget is emitted
-    right after the guided row.
-    """
-
-    kind: str
-    gamma: float | None = None
-    k_matrices: int = 1
-    pair_fraction: float = 0.01
-    pair_floor: int = 400
-    control: bool = True
-
-    def __post_init__(self):
-        if self.kind not in ("linf", "swap"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.kind == "linf":
-            if self.gamma is None or self.gamma < 0:
-                raise ValueError("linf descriptor needs gamma >= 0")
-
-    def make_budget(self, params: ModelParams) -> PerturbBudget:
-        if self.kind == "linf":
-            return budget_linf(params, self.gamma)
-        return budget_swap(self.k_matrices, self.pair_fraction, self.pair_floor)
-
-    def budget_str(self) -> str:
-        if self.kind == "linf":
-            return repr(float(self.gamma))
-        return f"k={self.k_matrices};frac={self.pair_fraction:g};floor={self.pair_floor}"
-
-
-def linf_sweep(gammas, control: bool = True) -> list[AttackDescriptor]:
-    return [AttackDescriptor("linf", gamma=float(g), control=control) for g in gammas]
 
 
 @dataclass
@@ -128,38 +87,40 @@ def _eval_triple(params: ModelParams, ds: LabeledDataset, pgd, seed):
             avg_approx_radius(params, ds))
 
 
-def run_sweep(params: ModelParams, ds: LabeledDataset, attacks: list[AttackDescriptor],
-              cfg: AttackConfig | None = None, seed: int = 0):
-    """Run every descriptor (plus controls) and return (rows, errors).
+def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudget],
+              cfg: AttackConfig | None = None, control: bool = True):
+    """Attack at every budget and return (rows, errors).
 
-    A sweep point whose budget or attack is invalid (``ValueError``)
-    contributes a flagged all-nan row and an entry in ``errors``; the sweep
-    keeps going.  Any other exception propagates.  The attacked net's
-    accuracy and adversarial accuracy come from the attack's own
-    ``rate_inputs``, which used the same dataset, PGD settings and seed.
+    Each budget gives one guided row (``attack_linf`` or ``attack_swap``),
+    followed, with ``control`` set, by a random perturbation row at the same
+    budget.  A sweep point whose attack is invalid (``ValueError``, e.g. a
+    swap over more matrices than the net has) contributes a flagged all-nan
+    row and an entry in ``errors``; the sweep keeps going.  Any other
+    exception propagates.  The attacked net's accuracy and adversarial
+    accuracy come from the attack's own ``rate_inputs``, which used the same
+    dataset, PGD settings and seed (``cfg.seed``).
     """
-    if not attacks:
+    if not budgets:
         raise ValueError("attack sweep is empty")
-    cfg = replace(cfg, seed=seed) if cfg is not None else AttackConfig(seed=seed)
-    base_nums = _eval_triple(params, ds, cfg.pgd, seed)
+    cfg = cfg if cfg is not None else AttackConfig()
+    base_nums = _eval_triple(params, ds, cfg.pgd, cfg.seed)
     rows: list[SweepRow] = []
     errors: list[dict] = []
-    for idx, desc in enumerate(attacks):
-        bstr = desc.budget_str()
+    for idx, budget in enumerate(budgets):
+        label = budget.label()
         try:
-            budget = desc.make_budget(params)
-            runner = attack_linf if desc.kind == "linf" else attack_swap
+            runner = attack_linf if budget.kind == "linf" else attack_swap
             res = runner(params, ds, budget, cfg)
             ri = res.rate_inputs
             att_nums = (ri.att_acc, ri.att_rob, avg_approx_radius(res.attacked, ds))
-            rows.append(build_row(desc.kind, bstr, base_nums, att_nums, cfg.gamma_low))
-            if desc.control:
-                rand = perturb_random(params, budget, seed=(seed, 7, idx))
-                rand_nums = _eval_triple(rand, ds, cfg.pgd, seed)
-                rows.append(build_row("random", bstr, base_nums, rand_nums, cfg.gamma_low))
+            rows.append(build_row(budget.kind, label, base_nums, att_nums, cfg.gamma_low))
+            if control:
+                rand = perturb_random(params, budget, seed=(cfg.seed, 7, idx))
+                rand_nums = _eval_triple(rand, ds, cfg.pgd, cfg.seed)
+                rows.append(build_row("random", label, base_nums, rand_nums, cfg.gamma_low))
         except ValueError as exc:  # keep sweeping, record the failure
-            errors.append({"attack": desc.kind, "budget": bstr, "error": str(exc)})
-            rows.append(_nan_row(desc.kind, bstr))
+            errors.append({"attack": budget.kind, "budget": label, "error": str(exc)})
+            rows.append(_nan_row(budget.kind, label))
     return rows, errors
 
 
@@ -205,23 +166,6 @@ def _json_number(v):
 
 
 @dataclass
-class ExperimentPlan:
-    """File-level description of one sweep run."""
-
-    model_path: str
-    dataset_path: str
-    attacks: list[AttackDescriptor]
-    out_dir: str
-    seed: int = 0
-    attack_cfg: AttackConfig | None = None
-    name: str = "experiment"
-
-    def __post_init__(self):
-        if not self.attacks:
-            raise ValueError("attack sweep is empty")
-
-
-@dataclass
 class ExperimentResult:
     rows: list[SweepRow]
     errors: list[dict]
@@ -233,29 +177,31 @@ class ExperimentResult:
         return any(r.failed for r in self.rows)
 
 
-def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
-    """Execute the plan and write report.csv + summary.json to its out_dir.
+def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudget],
+                   out_dir: str, cfg: AttackConfig | None = None, control: bool = True,
+                   name: str = "experiment") -> ExperimentResult:
+    """Run the sweep and write report.csv + summary.json to out_dir.
 
     summary.json is strict JSON: a nan (undefined rate, error row) or inf
     (every radius an inf sentinel) column is written as null there, while
     report.csv keeps the exact ``nan``/``inf`` token.
     """
-    for p in (plan.model_path, plan.dataset_path):
+    for p in (model_path, dataset_path):
         if not os.path.exists(p):
             raise FileNotFoundError(p)
-    params = load_model(plan.model_path)
-    ds = load_dataset(plan.dataset_path)
-    rows, errors = run_sweep(params, ds, plan.attacks, plan.attack_cfg, plan.seed)
-    os.makedirs(plan.out_dir, exist_ok=True)
-    csv_path = os.path.join(plan.out_dir, "report.csv")
-    summary_path = os.path.join(plan.out_dir, "summary.json")
+    cfg = cfg if cfg is not None else AttackConfig()
+    params = load_model(model_path)
+    ds = load_dataset(dataset_path)
+    rows, errors = run_sweep(params, ds, budgets, cfg, control)
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "report.csv")
+    summary_path = os.path.join(out_dir, "summary.json")
     write_report_csv(rows, csv_path)
-    cfg = plan.attack_cfg if plan.attack_cfg is not None else AttackConfig()
     summary = {
-        "name": plan.name,
-        "seed": plan.seed,
-        "model": plan.model_path,
-        "dataset": plan.dataset_path,
+        "name": name,
+        "seed": cfg.seed,
+        "model": model_path,
+        "dataset": dataset_path,
         "eval_eps": cfg.pgd.eps,
         "gamma_low": cfg.gamma_low,
         "n_samples": len(ds),

@@ -113,16 +113,16 @@ class GradientDecomposition:
     signs: list[np.ndarray]
 
 
-def _as_batch(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         if x.shape[0] != n:
             raise ValueError(f"input dim {x.shape[0]} != model input dim {n}")
-        return x[None, :], True
+        return x[None, :]
     if x.ndim == 2:
         if x.shape[1] != n:
             raise ValueError(f"input dim {x.shape[1]} != model input dim {n}")
-        return x, False
+        return x
     raise ValueError(f"input must be 1-D or 2-D, got shape {x.shape}")
 
 
@@ -152,7 +152,7 @@ def forward_batch(params: ModelParams, X: np.ndarray) -> tuple[list[np.ndarray],
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Forward pass for a single input, returning the full trace."""
-    xb, _ = _as_batch(x, params.input_dim)
+    xb = _as_batch(x, params.input_dim)
     acts, signs, logits = forward_batch(params, xb)
     return ForwardTrace(
         x=xb[0],
@@ -164,7 +164,7 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
 
 def classify(params: ModelParams, x: np.ndarray) -> int:
     """Predicted label: argmax of the logits, smallest index on ties."""
-    xb, _ = _as_batch(x, params.input_dim)
+    xb = _as_batch(x, params.input_dim)
     _, _, logits = forward_batch(params, xb)
     return int(np.argmax(logits[0]))
 
@@ -231,15 +231,14 @@ def loss_and_grads(
     targets: np.ndarray,
     loss: str = "cross_entropy",
     reduction: str = "mean",
-    want_input_grad: bool = False,
 ):
     """Loss value plus gradients from one reverse pass.
 
-    Returns (value, grads, input_grad). ``grads`` is a ModelParams-shaped
-    container holding dL/dW and dL/db; ``input_grad`` is dL/dX (or None).
-    ``targets`` are integer labels for cross-entropy, real vectors (same
-    shape as the logits) for squared error.  Squared error is the summed
-    per-sample ||F(x)-t||^2; reduction then averages or sums over the batch.
+    Returns (value, grads), where ``grads`` is a ModelParams-shaped container
+    holding dL/dW and dL/db.  ``targets`` are integer labels for
+    cross-entropy, real vectors (same shape as the logits) for squared error.
+    Squared error is the summed per-sample ||F(x)-t||^2; reduction then
+    averages or sums over the batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
@@ -280,8 +279,7 @@ def loss_and_grads(
         gb[l] = dz.sum(axis=0)
         if l > 0:
             dz = (dz @ params.weights[l]) * signs[l - 1]
-    input_grad = dz @ params.weights[0] if want_input_grad else None
-    return value, ModelParams(gw, gb), input_grad
+    return value, ModelParams(gw, gb)
 
 
 def input_gradient(params: ModelParams, X: np.ndarray,

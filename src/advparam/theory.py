@@ -36,6 +36,7 @@ from .mlp import (
     classify,
     forward_batch,
     input_jacobian,
+    logit_jacobians,
     max_abs_diff,
     min_abs_entry,
 )
@@ -316,13 +317,12 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
     for x0 in X:
         x = x0.copy()
         for _ in range(ascent_steps):
-            jac = input_jacobian(params, x).jacobian
-            _, _, lg = forward_batch(params, x[None, :])
+            lg, jac = logit_jacobians(params, x[None, :])
             hi, lo = int(np.argmax(lg[0])), int(np.argmin(lg[0]))
             best = max(best, float(lg[0, hi] - lg[0, lo]))
             if hi == lo:
                 break
-            d = jac[hi] - jac[lo]
+            d = jac[0, hi] - jac[0, lo]
             x = np.clip(x + step * np.sign(d), x0 - radius, x0 + radius)
         _, _, lg = forward_batch(params, x[None, :])
         best = max(best, float(lg[0].max() - lg[0].min()))

@@ -63,7 +63,7 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
             Xb, yb = ds.X[idx], ds.y[idx]
             if cfg.adversarial:
                 Xb = pgd_adversary_batch(params, Xb, yb, cfg.pgd, seed=(cfg.seed, 2, step_idx))
-            val, g, _ = loss_and_grads(params, Xb, yb, reduction="mean")
+            val, g = loss_and_grads(params, Xb, yb, reduction="mean")
             velocity = add_scaled(
                 ModelParams([cfg.momentum * w for w in velocity.weights],
                             [cfg.momentum * b for b in velocity.biases]),

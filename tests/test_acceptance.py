@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from advparam.attack import AttackConfig, PgdConfig, attack_swap, budget_swap
+from advparam.attack import AttackConfig, PerturbBudget, PgdConfig, attack_swap
 from advparam.data import (
     LabeledDataset,
     dataset_from_json,
@@ -21,7 +21,7 @@ from advparam.data import (
     gen_subspace_task,
     read_idx,
 )
-from advparam.experiment import linf_sweep, run_sweep
+from advparam.experiment import run_sweep
 from advparam.metrics import RateInputs, adversarial_rate
 from advparam.mlp import (
     ModelParams,
@@ -98,21 +98,21 @@ def test_criterion_01_gradient_correctness():
         if X is None:
             continue
         y = rng.integers(0, dims[-1], 2)
-        _, g_params, _ = loss_and_grads(params, X, y, reduction="mean")
+        _, g_params = loss_and_grads(params, X, y, reduction="mean")
         flat_g = flatten_params(g_params)
         flat_p = flatten_params(params)
         for idx in rng.choice(flat_p.size, size=6, replace=False):
             e = np.zeros_like(flat_p)
             e[idx] = h
-            lp, _, _ = loss_and_grads(unflatten_params(params, flat_p + e), X, y, reduction="mean")
-            lm, _, _ = loss_and_grads(unflatten_params(params, flat_p - e), X, y, reduction="mean")
+            lp, _ = loss_and_grads(unflatten_params(params, flat_p + e), X, y, reduction="mean")
+            lm, _ = loss_and_grads(unflatten_params(params, flat_p - e), X, y, reduction="mean")
             worst = max(worst, _rel_err(flat_g[idx], (lp - lm) / (2 * h)))
         _, gx, _ = input_gradient(params, X, y)  # per-sample rows, sum reduction
         for idx in rng.choice(X.size, size=3, replace=False):
             e = np.zeros(X.size)
             e[idx] = h
-            lp, _, _ = loss_and_grads(params, X + e.reshape(X.shape), y, reduction="sum")
-            lm, _, _ = loss_and_grads(params, X - e.reshape(X.shape), y, reduction="sum")
+            lp, _ = loss_and_grads(params, X + e.reshape(X.shape), y, reduction="sum")
+            lm, _ = loss_and_grads(params, X - e.reshape(X.shape), y, reduction="sum")
             worst = max(worst, _rel_err(gx.ravel()[idx], (lp - lm) / (2 * h)))
         checked += 1
     dt = time.perf_counter() - t0
@@ -264,7 +264,7 @@ def desk_sweep():
     params = train(cfg_t, ds).params
     cfg_a = AttackConfig(pgd=PgdConfig(eps=0.13, steps=20), n_pre=20, n_main=80,
                          alpha=3e-2, seed=0)
-    rows, errors = run_sweep(params, ds, linf_sweep(GAMMAS), cfg_a, seed=0)
+    rows, errors = run_sweep(params, ds, [PerturbBudget("linf", gamma=g) for g in GAMMAS], cfg_a)
     assert errors == []
     return params, ds, cfg_a, rows, time.perf_counter() - t0
 
@@ -328,7 +328,7 @@ def test_criterion_09_rate_arithmetic():
 def test_criterion_10_swap_soundness(desk_sweep):
     params, ds, cfg_a, _, _ = desk_sweep
     t0 = time.perf_counter()
-    budget = budget_swap(k_matrices=2, pair_fraction=0.01, pair_floor=50)
+    budget = PerturbBudget("swap", k_matrices=2, pair_fraction=0.01, pair_floor=50)
     res = attack_swap(params, ds, budget, cfg_a)
     touched = set(res.extras["matrices"])
     for l, (w0, w1) in enumerate(zip(params.weights, res.attacked.weights)):

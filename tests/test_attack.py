@@ -1,9 +1,12 @@
 """PGD contracts, budgets/projection, attack loop invariants."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from advparam import attack, metrics, mlp
 from advparam.attack import (
@@ -15,8 +18,6 @@ from advparam.attack import (
     attack_linf,
     attack_single,
     attack_swap,
-    budget_linf,
-    budget_swap,
     perturb_random,
     pgd_adversary_batch,
     pgd_flips_batch,
@@ -190,28 +191,76 @@ def test_pgd_pass_counts(monkeypatch, steps, random_start):
 # --- budgets and projection -------------------------------------------------------
 
 
-def test_budget_linf_shapes_and_values():
+def test_linf_budget_box_shapes_and_values():
     p = ModelParams([np.array([[2.0, -4.0], [0.5, 0.0]])], [np.array([1.0, -3.0])])
-    b = budget_linf(p, 0.1)
-    np.testing.assert_allclose(b.delta.weights[0], [[0.2, 0.4], [0.05, 0.0]])
-    np.testing.assert_allclose(b.delta.biases[0], [0.1, 0.3])
+    b = PerturbBudget("linf", gamma=0.1)
+    box = b.box(p)
+    np.testing.assert_allclose(box.weights[0], [[0.2, 0.4], [0.05, 0.0]])
+    np.testing.assert_allclose(box.biases[0], [0.1, 0.3])
     assert b.describe() == "linf gamma=0.1"
-    with pytest.raises(ValueError):
-        budget_linf(p, -0.5)
+    assert b.label() == "0.1"
+    for bad in (-0.5, None, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            PerturbBudget("linf", gamma=bad)
 
 
-def test_budget_swap_validation():
+def test_swap_budget_validation():
     with pytest.raises(ValueError):
-        budget_swap(pair_fraction=0.7)
+        PerturbBudget("swap", pair_fraction=0.7)
     with pytest.raises(ValueError):
-        budget_swap(k_matrices=0)
-    assert "swap k=2" in budget_swap(k_matrices=2).describe()
+        PerturbBudget("swap", k_matrices=0)
+    b = PerturbBudget("swap", k_matrices=2)
+    assert "swap k=2" in b.describe()
+    assert b.label() == "k=2;frac=0.01;floor=400"
+    with pytest.raises(ValueError, match="no box"):
+        b.box(random_net(np.random.default_rng(0), [3, 4, 2]))
+
+
+_BOX_NET = random_net(np.random.default_rng(11), [3, 5, 2])
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.0, -0.0, 0.01, 0.5, 0.6, 1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["linf", "swap", "box"]),
+       gamma=st.one_of(st.none(), _ANY_FLOAT),
+       k=st.integers(-2, 6), fraction=_ANY_FLOAT, floor=st.integers(-3, 500))
+@example(kind="box", gamma=0.1, k=1, fraction=0.01, floor=400)
+@example(kind="linf", gamma=None, k=1, fraction=0.01, floor=400)
+@example(kind="linf", gamma=1.7e308, k=1, fraction=0.01, floor=400)
+def test_budget_builds_or_raises(kind, gamma, k, fraction, floor):
+    """A budget either raises ValueError or builds, and a built one works."""
+    if kind == "linf":
+        valid = gamma is not None and math.isfinite(gamma) and gamma >= 0
+    else:
+        valid = kind == "swap" and 0.0 < fraction <= 0.5 and k >= 1 and floor >= 0
+    try:
+        b = PerturbBudget(kind, gamma=gamma, k_matrices=k, pair_fraction=fraction, pair_floor=floor)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    assert b.describe().startswith(kind)
+    if kind == "linf":
+        assert float(b.label()) == gamma
+        arrays = _BOX_NET.weights + _BOX_NET.biases
+        with np.errstate(over="ignore"):
+            want = [gamma * np.abs(arr) for arr in arrays]
+            if not all(np.isfinite(w).all() for w in want):  # a huge gamma overflows
+                with pytest.raises(ValueError, match="non-finite"):
+                    b.box(_BOX_NET)
+                return
+        box = b.box(_BOX_NET)
+        for got, w in zip(box.weights + box.biases, want):
+            np.testing.assert_array_equal(got, w)
+    else:
+        assert b.label() == f"k={k};frac={fraction:g};floor={floor}"
 
 
 def test_proj_box_identity_inside_and_clipping():
     rng = np.random.default_rng(2)
     center = random_net(rng, [3, 5, 2])
-    delta = budget_linf(center, 0.05).delta
+    delta = PerturbBudget("linf", gamma=0.05).box(center)
     inside = proj_box(center, center, delta)
     assert max_abs_diff(inside, center) == 0.0
     # push far outside, check exact clamping
@@ -247,7 +296,7 @@ def test_attack_config_batch_size_validated():
 
 def test_attack_linf_zero_budget_is_identity():
     params, ds = _small_trained()
-    res = attack_linf(params, ds, budget_linf(params, 0.0), CFG)
+    res = attack_linf(params, ds, PerturbBudget("linf", gamma=0.0), CFG)
     assert max_abs_diff(res.attacked, params) == 0.0
     assert res.rate == 0.0 and not res.failed
 
@@ -255,7 +304,7 @@ def test_attack_linf_zero_budget_is_identity():
 def test_attack_linf_respects_budget_exactly():
     params, ds = _small_trained()
     gamma = 0.08
-    res = attack_linf(params, ds, budget_linf(params, gamma), CFG)
+    res = attack_linf(params, ds, PerturbBudget("linf", gamma=gamma), CFG)
     for wa, w in zip(res.attacked.weights, params.weights):
         assert (np.abs(wa - w) <= gamma * np.abs(w) + 1e-15).all()
     for ba, b in zip(res.attacked.biases, params.biases):
@@ -269,14 +318,14 @@ def test_attack_linf_respects_budget_exactly():
 def test_attack_linf_budget_kind_checked():
     params, ds = _small_trained()
     with pytest.raises(ValueError):
-        attack_linf(params, ds, budget_swap(), CFG)
+        attack_linf(params, ds, PerturbBudget("swap"), CFG)
     with pytest.raises(ValueError):
-        attack_swap(params, ds, budget_linf(params, 0.1), CFG)
+        attack_swap(params, ds, PerturbBudget("linf", gamma=0.1), CFG)
 
 
 def test_attack_swap_preserves_multiset():
     params, ds = _small_trained()
-    budget = budget_swap(k_matrices=2, pair_fraction=0.05, pair_floor=10)
+    budget = PerturbBudget("swap", k_matrices=2, pair_fraction=0.05, pair_floor=10)
     res = attack_swap(params, ds, budget, CFG)
     assert res.extras["matrices"] == [0, 1]
     for wa, w in zip(res.attacked.weights, params.weights):
@@ -291,7 +340,7 @@ def test_attack_swap_preserves_multiset():
 
 def test_attack_swap_untouched_matrices_identical():
     params, ds = _small_trained()
-    budget = budget_swap(k_matrices=1, pair_fraction=0.05, pair_floor=5)
+    budget = PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=5)
     res = attack_swap(params, ds, budget, CFG)
     (touched,) = res.extras["matrices"]
     for l, (wa, w) in enumerate(zip(res.attacked.weights, params.weights)):
@@ -302,22 +351,22 @@ def test_attack_swap_untouched_matrices_identical():
 def test_attack_swap_too_many_matrices():
     params, ds = _small_trained()
     with pytest.raises(ValueError):
-        attack_swap(params, ds, budget_swap(k_matrices=5), CFG)
+        attack_swap(params, ds, PerturbBudget("swap", k_matrices=5), CFG)
 
 
 def test_targeted_attacks_validate_labels():
     params, ds = _small_trained()
     with pytest.raises(ValueError):
-        attack_label(params, ds, 7, budget_linf(params, 0.05), CFG)
+        attack_label(params, ds, 7, PerturbBudget("linf", gamma=0.05), CFG)
     only0 = ds.subset(np.where(ds.y == 0)[0])
     with pytest.raises(ValueError):
-        attack_direct(params, only0, 0, budget_linf(params, 0.05), CFG)
+        attack_direct(params, only0, 0, PerturbBudget("linf", gamma=0.05), CFG)
 
 
 def test_attack_label_runs_and_respects_budget():
     params, ds = _small_trained()
     gamma = 0.1
-    res = attack_label(params, ds, 0, budget_linf(params, gamma),
+    res = attack_label(params, ds, 0, PerturbBudget("linf", gamma=gamma),
                        AttackConfig(pgd=PgdConfig(eps=0.08, steps=8), n_main=8, alpha=5e-3, seed=2))
     assert max_abs_diff(res.attacked, params) > 0.0
     for wa, w in zip(res.attacked.weights, params.weights):
@@ -331,24 +380,24 @@ def test_attack_single_contract():
     # pick a correctly classified sample
     i = next(k for k in range(len(ds)) if classify(params, ds.X[k]) == ds.y[k])
     x, label = ds.X[i], int(ds.y[i])
-    res = attack_single(params, x, label, budget_linf(params, 0.0), CFG)
+    res = attack_single(params, x, label, PerturbBudget("linf", gamma=0.0), CFG)
     assert res.rate == 0.0  # zero budget cannot shrink the radius
     assert res.extras["radius_before"] == res.extras["radius_after"]
     # claiming the wrong label must be rejected up front
     with pytest.raises(ValueError):
-        attack_single(params, x, 1 - label, budget_linf(params, 0.1), CFG)
+        attack_single(params, x, 1 - label, PerturbBudget("linf", gamma=0.1), CFG)
 
 
 def test_perturb_random_within_budget_and_deterministic():
     params, _ = _small_trained()
     gamma = 0.07
-    budget = budget_linf(params, gamma)
+    budget = PerturbBudget("linf", gamma=gamma)
     q1 = perturb_random(params, budget, seed=5)
     q2 = perturb_random(params, budget, seed=5)
     assert max_abs_diff(q1, q2) == 0.0
     for wa, w in zip(q1.weights, params.weights):
         assert (np.abs(wa - w) <= gamma * np.abs(w) + 1e-15).all()
-    q3 = perturb_random(params, budget_swap(k_matrices=1, pair_fraction=0.05, pair_floor=4), seed=3)
+    q3 = perturb_random(params, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=4), seed=3)
     for wa, w in zip(q3.weights, params.weights):
         np.testing.assert_array_equal(np.sort(wa.ravel()), np.sort(w.ravel()))
 
@@ -373,8 +422,8 @@ def _ref_seed(seed, tag, it):
 
 
 def _ref_ratio_and_grad(theta, X, y, Xadv, yadv):
-    num, g_num, _ = mlp.loss_and_grads(theta, X, y, reduction="sum")
-    den_raw, g_den, _ = mlp.loss_and_grads(theta, Xadv, yadv, reduction="sum")
+    num, g_num = mlp.loss_and_grads(theta, X, y, reduction="sum")
+    den_raw, g_den = mlp.loss_and_grads(theta, Xadv, yadv, reduction="sum")
     den = max(den_raw, 1e-8)
     ratio = num / den
     grad = mlp.add_scaled(g_num, g_den, -ratio)
@@ -406,7 +455,7 @@ def _ref_attack_linf(params, ds, budget, cfg):
         Xb, yb = _ref_batch(rng, ds, cfg.batch_size)
         Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_ref_seed(cfg.seed, 1, it))
         if it < cfg.n_pre:
-            adv_mean, g, _ = mlp.loss_and_grads(theta, Xadv, yb, reduction="mean")
+            adv_mean, g = mlp.loss_and_grads(theta, Xadv, yb, reduction="mean")
             displayed = -adv_mean
             theta = mlp.add_scaled(theta, g, alpha)
         else:
@@ -417,7 +466,7 @@ def _ref_attack_linf(params, ds, budget, cfg):
             main_done += 1
             if main_done % decay_every == 0:
                 alpha *= 0.5
-        theta = proj_box(theta, params, budget.delta)
+        theta = proj_box(theta, params, budget.box(params))
         trace.append({"iter": it, "phase": 1 if it < cfg.n_pre else 2,
                       "objective": float(displayed), "robust_loss": float(adv_mean)})
     return _ref_finalize_untargeted(params, theta, ds, cfg, budget, trace, {})
@@ -472,7 +521,7 @@ def _ref_targeted_loop(params, ds, budget, cfg, target_label, objective_grad):
             trace.append({"iter": it, "phase": 2, "objective": float("nan")})
             continue
         val, g = objective_grad(theta, Xb, yb, on, _ref_seed(cfg.seed, 3, it))
-        theta = proj_box(mlp.add_scaled(theta, g, -alpha), params, budget.delta)
+        theta = proj_box(mlp.add_scaled(theta, g, -alpha), params, budget.box(params))
         trace.append({"iter": it, "phase": 2, "objective": float(val)})
         if (it + 1) % decay_every == 0:
             alpha *= 0.5
@@ -505,9 +554,9 @@ def _ref_targeted_result(params, theta, ds, cfg, budget, trace, target_label, ki
 def _ref_attack_label(params, ds, target_label, budget, cfg):
     def obj(theta, Xb, yb, on, seed):
         Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=seed)
-        num_ce, g_ce, _ = mlp.loss_and_grads(theta, Xb, yb, reduction="sum")
-        num_rob, g_rob, _ = mlp.loss_and_grads(theta, Xadv[~on], yb[~on], reduction="sum")
-        den_raw, g_den, _ = mlp.loss_and_grads(theta, Xadv[on], yb[on], reduction="sum")
+        num_ce, g_ce = mlp.loss_and_grads(theta, Xb, yb, reduction="sum")
+        num_rob, g_rob = mlp.loss_and_grads(theta, Xadv[~on], yb[~on], reduction="sum")
+        den_raw, g_den = mlp.loss_and_grads(theta, Xadv[on], yb[on], reduction="sum")
         den = max(den_raw, 1e-8)
         ratio = (num_ce + num_rob) / den
         grad = mlp.add_scaled(mlp.add_scaled(g_ce, g_rob), g_den, -ratio)
@@ -521,9 +570,9 @@ def _ref_attack_label(params, ds, target_label, budget, cfg):
 def _ref_attack_direct(params, ds, target_label, budget, cfg):
     def obj(theta, Xb, yb, on, seed):
         Xadv = pgd_adversary_batch(theta, Xb[~on], yb[~on], cfg.pgd, seed=seed)
-        num_rob, g_rob, _ = mlp.loss_and_grads(theta, Xadv, yb[~on], reduction="sum")
-        num_ce, g_ce, _ = mlp.loss_and_grads(theta, Xb[~on], yb[~on], reduction="sum")
-        den_raw, g_den, _ = mlp.loss_and_grads(theta, Xb[on], yb[on], reduction="sum")
+        num_rob, g_rob = mlp.loss_and_grads(theta, Xadv, yb[~on], reduction="sum")
+        num_ce, g_ce = mlp.loss_and_grads(theta, Xb[~on], yb[~on], reduction="sum")
+        den_raw, g_den = mlp.loss_and_grads(theta, Xb[on], yb[on], reduction="sum")
         den = max(den_raw, 1e-8)
         ratio = (num_rob + num_ce) / den
         grad = mlp.add_scaled(mlp.add_scaled(g_rob, g_ce), g_den, -ratio)
@@ -545,7 +594,7 @@ def _ref_attack_single(params, x, label, budget, cfg):
     for it in range(cfg.n_pre + cfg.n_main):
         Xadv = pgd_adversary_batch(theta, X1, y1, cfg.pgd, seed=_ref_seed(cfg.seed, 4, it))
         if it < cfg.n_pre:
-            adv_mean, g, _ = mlp.loss_and_grads(theta, Xadv, y1, reduction="mean")
+            adv_mean, g = mlp.loss_and_grads(theta, Xadv, y1, reduction="mean")
             displayed = -adv_mean
             theta = mlp.add_scaled(theta, g, alpha)
         else:
@@ -556,7 +605,7 @@ def _ref_attack_single(params, x, label, budget, cfg):
             main_done += 1
             if main_done % decay_every == 0:
                 alpha *= 0.5
-        theta = proj_box(theta, params, budget.delta)
+        theta = proj_box(theta, params, budget.box(params))
         trace.append({"iter": it, "phase": 1 if it < cfg.n_pre else 2,
                       "objective": float(displayed), "robust_loss": float(adv_mean)})
     base_r = metrics.approx_radius(params, x, label)
@@ -614,7 +663,7 @@ def _oracle_cfg(batch_size, schedule, seed=0):
 def test_attack_linf_matches_reference_loop(three_class, batch_size, schedule, gamma):
     params, ds = three_class
     cfg = _oracle_cfg(batch_size, schedule)
-    budget = budget_linf(params, gamma)
+    budget = PerturbBudget("linf", gamma=gamma)
     _assert_same_result(attack_linf(params, ds, budget, cfg),
                         _ref_attack_linf(params, ds, budget, cfg))
 
@@ -627,7 +676,7 @@ def test_attack_linf_matches_reference_loop(three_class, batch_size, schedule, g
 def test_targeted_attacks_match_reference_loop(three_class, kind, batch_size, schedule, gamma, target):
     params, ds = three_class
     cfg = _oracle_cfg(batch_size, schedule)
-    budget = budget_linf(params, gamma)
+    budget = PerturbBudget("linf", gamma=gamma)
     new, ref = (attack_label, _ref_attack_label) if kind == "label" else (attack_direct, _ref_attack_direct)
     _assert_same_result(new(params, ds, target, budget, cfg), ref(params, ds, target, budget, cfg))
 
@@ -636,7 +685,7 @@ def test_targeted_skip_on_decay_boundary_matches_reference(three_class):
     """A degenerate minibatch on a decay step neither steps nor halves alpha."""
     params, ds = three_class
     cfg = _oracle_cfg(3, (0, 9), seed=SKIP_SEED)
-    budget = budget_linf(params, 0.1)
+    budget = PerturbBudget("linf", gamma=0.1)
     res = attack_label(params, ds, 0, budget, cfg)
     decay_every = max(1, cfg.n_main // 4)
     skipped = [r["iter"] for r in res.trace if np.isnan(r["objective"])]
@@ -652,7 +701,7 @@ def test_attack_single_matches_reference_loop(three_class, batch_size, schedule,
     params, ds = three_class
     i = next(k for k in range(len(ds)) if classify(params, ds.X[k]) == ds.y[k])
     cfg = _oracle_cfg(batch_size, schedule)
-    budget = budget_linf(params, gamma)
+    budget = PerturbBudget("linf", gamma=gamma)
     _assert_same_result(attack_single(params, ds.X[i], int(ds.y[i]), budget, cfg),
                         _ref_attack_single(params, ds.X[i], int(ds.y[i]), budget, cfg))
 
@@ -662,7 +711,7 @@ def test_attack_single_matches_reference_loop(three_class, batch_size, schedule,
 def test_attack_swap_matches_reference_loop(three_class, batch_size, k_matrices):
     params, ds = three_class
     cfg = _oracle_cfg(batch_size, (0, 0), seed=k_matrices)
-    budget = budget_swap(k_matrices=k_matrices, pair_fraction=0.05, pair_floor=6)
+    budget = PerturbBudget("swap", k_matrices=k_matrices, pair_fraction=0.05, pair_floor=6)
     _assert_same_result(attack_swap(params, ds, budget, cfg),
                         _ref_attack_swap(params, ds, budget, cfg))
 
@@ -674,7 +723,7 @@ def test_attack_swap_skipped_slots_match_reference(three_class):
     W1[0, 0] = -0.5  # one odd entry: most pairs have no value gap
     net = ModelParams([params.weights[0], W1], params.biases)
     cfg = _oracle_cfg(None, (0, 0), seed=4)
-    budget = budget_swap(k_matrices=2, pair_fraction=0.05, pair_floor=6)
+    budget = PerturbBudget("swap", k_matrices=2, pair_fraction=0.05, pair_floor=6)
     res = attack_swap(net, ds, budget, cfg)
     assert res.extras["skipped_pairs"] > 0
     assert any(entry["matrix"] == 1 for entry in res.extras["swap_log"])

@@ -139,6 +139,21 @@ def test_nonpositive_batch_size_rejected(tmp_path, workdir, capsys, command, siz
     assert not (tmp_path / "attack_result.json").exists()
 
 
+@pytest.mark.parametrize("command,flags,word", [
+    ("report", ["--gammas", "0.02", "--swap-k", "1", "--pair-fraction", "0.7"], "pair_fraction"),
+    ("report", ["--gammas", "nan"], "gamma"),
+    ("attack", ["--gamma", "inf"], "gamma"),
+], ids=["report-swap-fraction", "report-nan-gamma", "attack-inf-gamma"])
+def test_bad_budget_rejected_before_any_output(tmp_path, workdir, capsys, command, flags, word):
+    out = tmp_path / "out"
+    rc = main([command, "--model", str(workdir / "model.json"),
+               "--data", str(workdir / "data.json"), "--out-dir", str(out)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and word in err and "\n" not in err
+    assert not out.exists()
+
+
 def test_theory_bounds_commands(capsys):
     assert main(["theory", "--op", "point-rate", "--gamma", "1.0", "--depth", "1",
                  "--angle", repr(math.pi / 2), "--row-sep", "1", "--act-floor", "1",

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from advparam import experiment
-from advparam.attack import AttackConfig, PgdConfig, attack_linf, budget_linf
+from advparam.attack import AttackConfig, PerturbBudget, PgdConfig, attack_linf, perturb_random
 from advparam.data import gen_blobs, save_dataset
+from advparam.metrics import adversarial_accuracy, avg_approx_radius
 from advparam.experiment import (
-    AttackDescriptor,
-    ExperimentPlan,
     SWEEP_COLUMNS,
     build_row,
-    linf_sweep,
     parse_report_csv,
     row_rates_consistent,
     run_experiment,
@@ -33,14 +31,18 @@ def trained():
     return res.params, ds
 
 
-def _fast_cfg():
+def _fast_cfg(seed=0):
     return AttackConfig(pgd=PgdConfig(eps=0.08, steps=8), n_pre=2, n_main=6,
-                        alpha=5e-3)
+                        alpha=5e-3, seed=seed)
+
+
+def _linf(*gammas):
+    return [PerturbBudget("linf", gamma=g) for g in gammas]
 
 
 def test_sweep_rows_and_controls(trained):
     params, ds = trained
-    rows, errors = run_sweep(params, ds, linf_sweep([0.0, 0.05]), _fast_cfg(), seed=1)
+    rows, errors = run_sweep(params, ds, _linf(0.0, 0.05), _fast_cfg(seed=1))
     assert errors == []
     assert [r.attack for r in rows] == ["linf", "random", "linf", "random"]
     assert rows[0].budget == rows[1].budget == "0.0"
@@ -55,15 +57,15 @@ def test_sweep_rows_and_controls(trained):
 
 def test_sweep_without_control(trained):
     params, ds = trained
-    rows, _ = run_sweep(params, ds, linf_sweep([0.03], control=False), _fast_cfg(), seed=0)
+    rows, _ = run_sweep(params, ds, _linf(0.03), _fast_cfg(), control=False)
     assert [r.attack for r in rows] == ["linf"]
 
 
 def test_sweep_error_recorded_and_continues(trained):
     params, ds = trained
-    bad = AttackDescriptor("swap", k_matrices=9, control=False)  # net has 2 matrices
-    good = AttackDescriptor("linf", gamma=0.0, control=False)
-    rows, errors = run_sweep(params, ds, [bad, good], _fast_cfg(), seed=0)
+    bad = PerturbBudget("swap", k_matrices=9)  # net has 2 matrices
+    good = PerturbBudget("linf", gamma=0.0)
+    rows, errors = run_sweep(params, ds, [bad, good], _fast_cfg(), control=False)
     assert len(rows) == 2 and len(errors) == 1
     assert rows[0].failed and math.isnan(rows[0].ac_att)
     assert "matrices" in errors[0]["error"]
@@ -78,39 +80,43 @@ def test_sweep_programming_error_propagates(trained, monkeypatch):
 
     monkeypatch.setattr(experiment, "attack_linf", broken)
     with pytest.raises(RuntimeError, match="bug in the attack"):
-        run_sweep(params, ds, linf_sweep([0.05]), _fast_cfg(), seed=0)
+        run_sweep(params, ds, _linf(0.05), _fast_cfg())
 
 
 def test_sweep_attacked_columns_are_the_attack_rate_inputs(trained):
     params, ds = trained
     # eps 0.2 with one step: here the PGD seed changes the adversarial accuracy
     cfg = replace(_fast_cfg(), pgd=PgdConfig(eps=0.2, steps=1))
-    rows, _ = run_sweep(params, ds, linf_sweep([0.05], control=False), cfg, seed=0)
-    res = attack_linf(params, ds, budget_linf(params, 0.05), replace(cfg, seed=0))
+    rows, _ = run_sweep(params, ds, _linf(0.05), cfg, control=False)
+    res = attack_linf(params, ds, PerturbBudget("linf", gamma=0.05), cfg)
     assert rows[0].ac_att == res.rate_inputs.att_acc
     assert rows[0].aa_att == res.rate_inputs.att_rob
     assert rows[0].ac_base == res.rate_inputs.base_acc
     assert rows[0].aa_base == res.rate_inputs.base_rob
 
 
+def test_sweep_seed_comes_from_cfg(trained):
+    """The config's seed drives the random control as well as the attack."""
+    params, ds = trained
+    budget = PerturbBudget("linf", gamma=0.05)
+    pgd = PgdConfig(eps=0.2, steps=1)  # here the PGD seed changes the adversarial accuracy
+    rows, _ = run_sweep(params, ds, [budget], replace(_fast_cfg(seed=5), pgd=pgd))
+    rand = perturb_random(params, budget, seed=(5, 7, 0))
+    assert rows[1].attack == "random"
+    assert rows[1].r4_att == avg_approx_radius(rand, ds)
+    assert rows[1].aa_base == adversarial_accuracy(params, ds, pgd, seed=5)
+    assert rows[1].aa_base != adversarial_accuracy(params, ds, pgd, seed=0)
+
+
 def test_sweep_empty_rejected(trained):
     params, ds = trained
     with pytest.raises(ValueError, match="empty"):
-        run_sweep(params, ds, [], _fast_cfg(), seed=0)
-    with pytest.raises(ValueError, match="empty"):
-        ExperimentPlan("m", "d", [], "out")
-
-
-def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        AttackDescriptor("linf")  # gamma missing
-    with pytest.raises(ValueError):
-        AttackDescriptor("bogus", gamma=0.1)
+        run_sweep(params, ds, [], _fast_cfg())
 
 
 def test_csv_round_trip(tmp_path, trained):
     params, ds = trained
-    rows, _ = run_sweep(params, ds, linf_sweep([0.0, 0.04]), _fast_cfg(), seed=2)
+    rows, _ = run_sweep(params, ds, _linf(0.0, 0.04), _fast_cfg(seed=2))
     path = tmp_path / "report.csv"
     write_report_csv(rows, str(path))
     back = parse_report_csv(str(path))
@@ -129,16 +135,15 @@ def test_run_experiment_files(tmp_path, trained):
     mpath, dpath = str(tmp_path / "model.json"), str(tmp_path / "data.json")
     save_model(params, mpath)
     save_dataset(ds, dpath)
-    plan = ExperimentPlan(mpath, dpath, linf_sweep([0.0, 0.05]),
-                          str(tmp_path / "out"), seed=3, attack_cfg=_fast_cfg(),
-                          name="smoke")
-    res = run_experiment(plan)
+    res = run_experiment(mpath, dpath, _linf(0.0, 0.05), str(tmp_path / "out"),
+                         _fast_cfg(seed=3), name="smoke")
     assert res.csv_path.endswith("report.csv")
     back = parse_report_csv(res.csv_path)
     assert len(back) == 4
     with open(res.summary_path) as f:
         summary = json.load(f)
     assert summary["name"] == "smoke"
+    assert summary["seed"] == 3
     assert summary["n_samples"] == len(ds)
     assert len(summary["rows"]) == 4
     assert summary["any_failed"] == res.any_failed
@@ -164,10 +169,9 @@ def test_summary_is_strict_json_with_error_row(tmp_path, trained):
     save_model(params, mpath)
     save_dataset(ds, dpath)
     cfg = replace(_fast_cfg(), gamma_low=0.7)
-    attacks = [AttackDescriptor("swap", k_matrices=9, control=False),  # net has 2 matrices
-               AttackDescriptor("linf", gamma=0.0, control=False)]
-    res = run_experiment(ExperimentPlan(mpath, dpath, attacks, str(tmp_path / "out"),
-                                        attack_cfg=cfg))
+    budgets = [PerturbBudget("swap", k_matrices=9),  # net has 2 matrices
+               PerturbBudget("linf", gamma=0.0)]
+    res = run_experiment(mpath, dpath, budgets, str(tmp_path / "out"), cfg, control=False)
     with open(res.summary_path) as f:
         summary = json.loads(f.read(), parse_constant=_reject_constant)
     assert len(summary["errors"]) == 1
@@ -183,18 +187,16 @@ def test_run_experiment_missing_files(tmp_path, trained):
     params, ds = trained
     mpath = str(tmp_path / "model.json")
     save_model(params, mpath)
-    plan = ExperimentPlan(mpath, str(tmp_path / "nope.json"),
-                          linf_sweep([0.02]), str(tmp_path / "out"))
     with pytest.raises(FileNotFoundError):
-        run_experiment(plan)
+        run_experiment(mpath, str(tmp_path / "nope.json"), _linf(0.02), str(tmp_path / "out"))
 
 
 def test_guided_beats_random_on_trained_net(trained):
     """Smoke-scale version of the optimized-vs-random comparison."""
     params, ds = trained
     cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=10), n_pre=8, n_main=24,
-                       alpha=1e-2)
-    rows, errors = run_sweep(params, ds, linf_sweep([0.08]), cfg, seed=4)
+                       alpha=1e-2, seed=4)
+    rows, errors = run_sweep(params, ds, _linf(0.08), cfg)
     assert errors == []
     guided = [r for r in rows if r.attack == "linf"][0]
     rand = [r for r in rows if r.attack == "random"][0]

@@ -125,10 +125,10 @@ def test_loss_and_grads_matches_finite_differences():
         X = rng.uniform(0, 1, size=(5, dims[0]))
         y = rng.integers(0, dims[-1], size=5)
 
-        _, g, _ = loss_and_grads(p, X, y)
+        _, g = loss_and_grads(p, X, y)
 
         def ce(q, X=X, y=y):
-            v, _, _ = loss_and_grads(q, X, y)
+            v, _ = loss_and_grads(q, X, y)
             return v
 
         g_num = numeric_param_gradient(ce, p)
@@ -139,7 +139,7 @@ def test_squared_error_gradient_scalar_case():
     # f(x) = (w*x, 0); L = (w*x - t)^2, dL/dw = 2(w*x - t)*x
     w, x, t = 1.7, 0.6, 0.9
     p = ModelParams([np.array([[w], [0.0]])], [np.zeros(2)])
-    v, g, _ = loss_and_grads(p, np.array([[x]]), np.array([[t, 0.0]]), loss="squared_error")
+    v, g = loss_and_grads(p, np.array([[x]]), np.array([[t, 0.0]]), loss="squared_error")
     assert v == pytest.approx((w * x - t) ** 2, rel=1e-12)
     assert g.weights[0][0, 0] == pytest.approx(2 * (w * x - t) * x, rel=1e-12)
 
@@ -149,10 +149,10 @@ def test_squared_error_gradient_matches_fd():
     p = random_net(rng, [4, 6, 3])
     X = rng.uniform(0, 1, size=(3, 4))
     T = rng.standard_normal((3, 3))
-    _, g, _ = loss_and_grads(p, X, T, loss="squared_error")
+    _, g = loss_and_grads(p, X, T, loss="squared_error")
 
     def se(q):
-        v, _, _ = loss_and_grads(q, X, T, loss="squared_error")
+        v, _ = loss_and_grads(q, X, T, loss="squared_error")
         return v
 
     assert rel_err(flatten_params(g), numeric_param_gradient(se, p)) < 1e-5
@@ -171,8 +171,8 @@ def test_sum_vs_mean_reduction():
     p = random_net(rng, [3, 4, 2])
     X = rng.uniform(0, 1, size=(4, 3))
     y = rng.integers(0, 2, size=4)
-    vm, gm, _ = loss_and_grads(p, X, y, reduction="mean")
-    vs, gs, _ = loss_and_grads(p, X, y, reduction="sum")
+    vm, gm = loss_and_grads(p, X, y, reduction="mean")
+    vs, gs = loss_and_grads(p, X, y, reduction="sum")
     assert vs == pytest.approx(4 * vm, rel=1e-12)
     np.testing.assert_allclose(gs.weights[0], 4 * gm.weights[0], rtol=1e-12)
 

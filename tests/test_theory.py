@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advparam import theory
 from advparam.data import gen_subspace_task
-from advparam.mlp import ModelParams, classify, forward_batch
+from advparam.mlp import ModelParams, classify, forward_batch, input_jacobian
 from advparam.theory import (
     ConstructionTrace,
     activation_fraction,
@@ -189,6 +190,76 @@ def test_gap_bound_covers_anchor_spread():
     _, _, lg = forward_batch(net, x0[None, :])
     spread = float(lg[0].max() - lg[0].min())
     assert estimate_gap_bound(net, x0, radius=0.05, n_probes=50, ascent_steps=5) >= spread
+
+
+def _ref_gap_bound(params, anchors, radius, n_probes=200, ascent_steps=30, seed=0):
+    """estimate_gap_bound as written with a separate jacobian and logit pass."""
+    X = np.asarray(anchors, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    rng = np.random.default_rng(seed)
+    n = X.shape[1]
+    per = max(1, n_probes // X.shape[0])
+    probes = np.repeat(X, per, axis=0) + rng.uniform(-radius, radius, (X.shape[0] * per, n))
+    probes = np.vstack([X, probes])
+    _, _, logits = forward_batch(params, probes)
+    best = float((logits.max(axis=1) - logits.min(axis=1)).max())
+    step = radius / 8.0
+    for x0 in X:
+        x = x0.copy()
+        for _ in range(ascent_steps):
+            jac = input_jacobian(params, x).jacobian
+            _, _, lg = forward_batch(params, x[None, :])
+            hi, lo = int(np.argmax(lg[0])), int(np.argmin(lg[0]))
+            best = max(best, float(lg[0, hi] - lg[0, lo]))
+            if hi == lo:
+                break
+            d = jac[hi] - jac[lo]
+            x = np.clip(x + step * np.sign(d), x0 - radius, x0 + radius)
+        _, _, lg = forward_batch(params, x[None, :])
+        best = max(best, float(lg[0].max() - lg[0].min()))
+    return best
+
+
+def _gap_cases():
+    rng = np.random.default_rng(21)
+    task = gen_subspace_task(48, 12, 5, 3, seed=0)
+    surg = conditioned_surgery_net(rng, n=12, width=96, m=3)
+    cases = [(surg, task.X, 0.05), (surg, task.X[0], 0.05)]
+    for dims in ([5, 12, 3], [8, 24, 24, 24, 3], [6, 16, 16, 4], [4, 3]):
+        cases.append((random_net(rng, dims), rng.uniform(0.2, 0.8, (3, dims[0])), 0.1))
+    cases.append((positive_square_net(rng, 6, 3, m=3), rng.uniform(0.3, 0.9, (2, 6)), 0.1))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gap_bound_matches_two_pass_reference(seed):
+    for params, anchors, radius in _gap_cases():
+        got = estimate_gap_bound(params, anchors, radius, n_probes=60, ascent_steps=12, seed=seed)
+        assert got == _ref_gap_bound(params, anchors, radius, n_probes=60, ascent_steps=12, seed=seed)
+
+
+def test_gap_bound_pass_counts(monkeypatch):
+    """One logit_jacobians pass per ascent step and no input_jacobian."""
+    rng = np.random.default_rng(4)
+    params = random_net(rng, [6, 16, 16, 3])
+    anchors = rng.uniform(0.2, 0.8, (5, 6))
+    counts = {"logit_jacobians": 0, "input_jacobian": 0}
+
+    def counting(name):
+        fn = getattr(theory, name)
+
+        def wrapped(*a, **k):
+            counts[name] += 1
+            return fn(*a, **k)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(theory, name, counting(name))
+    steps = 7
+    estimate_gap_bound(params, anchors, 0.1, n_probes=20, ascent_steps=steps)
+    assert counts["input_jacobian"] == 0
+    assert 0 < counts["logit_jacobians"] <= steps * len(anchors)
 
 
 # ---------------------------------------------------------------------------
