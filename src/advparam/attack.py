@@ -38,11 +38,10 @@ from .mlp import (
 
 @dataclass
 class PgdConfig:
-    """L-infinity PGD schedule; inputs are kept inside [0,1]^n."""
+    """L-infinity PGD schedule from a random start; inputs are kept inside [0,1]^n."""
 
     eps: float = 8.0 / 255.0
     steps: int = 20
-    random_start: bool = True
 
     def __post_init__(self):
         if self.eps < 0:
@@ -63,10 +62,11 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     sample set when *any* iterate was classified differently from y, and the
     CE at X_best.
 
-    Each point gets one forward pass: the gradient pass at an iterate also
-    yields its CE and prediction.  Only the clean point and the last iterate
-    are forward-only, so a run of s >= 1 steps makes s ``input_gradient``
-    calls and s + 2 ``forward_batch`` calls.
+    The first iterate is a uniform random point of the eps-ball (clipped to
+    [0,1]^n).  Each point gets one forward pass: the gradient pass at an
+    iterate also yields its CE and prediction.  Only the clean point and the
+    last iterate are forward-only, so a run of s >= 1 steps makes s
+    ``input_gradient`` calls and s + 2 ``forward_batch`` calls.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
@@ -93,16 +93,11 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
         best_ce = np.where(better, ce, best_ce)
         best_X[better] = P[better]
 
-    if cfg.random_start:
-        cur = np.clip(X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), lo, hi)
-    else:
-        cur = X.copy()
-
+    cur = np.clip(X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), lo, hi)
     step = cfg.resolved_step
-    for k in range(cfg.steps):
+    for _ in range(cfg.steps):
         ce, g, logits = input_gradient(params, cur, y)
-        if k or cfg.random_start:  # without a random start, cur = X is already recorded
-            record(cur, ce, logits)
+        record(cur, ce, logits)
         cur = np.clip(cur + step * np.sign(g), lo, hi)
     record(cur, *eval_point(cur))
     return best_X, flipped, best_ce
@@ -169,6 +164,12 @@ class PerturbBudget:
         return ModelParams([self.gamma * np.abs(w) for w in params.weights],
                            [self.gamma * np.abs(b) for b in params.biases])
 
+    def check_fits(self, params: ModelParams) -> None:
+        """Raise ValueError when a swap budget names more weight matrices than the net has."""
+        n_mats = len(params.weights)
+        if self.kind == "swap" and self.k_matrices > n_mats:
+            raise ValueError(f"k_matrices={self.k_matrices} but the net has {n_mats} weight matrices")
+
     def describe(self) -> str:
         if self.kind == "linf":
             return f"linf gamma={self.gamma:g}"
@@ -209,7 +210,6 @@ class AttackConfig:
     alpha: float = 1e-2      # step size, halved after every max(1, n_main // 4)-th phase-2 step
     batch_size: int | None = None   # None: full batch every iteration
     seed: int = 0
-    gamma_low: float = 0.9
 
     def __post_init__(self):
         if self.n_pre < 0 or self.n_main < 0:
@@ -218,8 +218,6 @@ class AttackConfig:
             raise ValueError("alpha must be > 0")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0 < self.gamma_low <= 1):
-            raise ValueError("gamma_low must be in (0,1]")
 
 
 @dataclass
@@ -308,8 +306,7 @@ def _result(params: ModelParams, theta: ModelParams, ds: LabeledDataset, budget:
         att = dict(att_acc=accuracy(theta, ds),
                    att_rob=adversarial_accuracy(theta, ds, cfg.pgd, seed=cfg.seed))
     ri = RateInputs(base_acc=accuracy(params, ds),
-                    base_rob=adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed),
-                    gamma_low=cfg.gamma_low, **att)
+                    base_rob=adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed), **att)
     rr = adversarial_rate(ri) if kind is None else targeted_rate(kind, ri)
     return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
                         rate_inputs=ri, rate=rr.value, failed=rr.failed, extras=extras)
@@ -360,7 +357,7 @@ def perturb_random(params: ModelParams, budget: PerturbBudget, seed=0) -> ModelP
         for b, d in zip(theta.biases, delta.biases):
             b += rng.uniform(-1.0, 1.0, size=b.shape) * d
         return proj_box(theta, params, delta)
-    sel = _pick_matrices(rng, theta, budget.k_matrices)
+    sel = _pick_matrices(rng, theta, budget)
     for l in sel:
         W = theta.weights[l]
         n_pairs = _pair_count(budget, W)
@@ -375,11 +372,9 @@ def perturb_random(params: ModelParams, budget: PerturbBudget, seed=0) -> ModelP
 # swap attack (multiset-preserving)
 
 
-def _pick_matrices(rng, params: ModelParams, k: int):
-    n_mats = len(params.weights)
-    if k > n_mats:
-        raise ValueError(f"k_matrices={k} but the net has {n_mats} weight matrices")
-    return sorted(rng.choice(n_mats, size=k, replace=False).tolist())
+def _pick_matrices(rng, params: ModelParams, budget: PerturbBudget):
+    budget.check_fits(params)
+    return sorted(rng.choice(len(params.weights), size=budget.k_matrices, replace=False).tolist())
 
 
 def _pair_count(budget: PerturbBudget, W: np.ndarray) -> int:
@@ -410,7 +405,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
         raise ValueError("attack_swap needs a swap budget")
     theta = params.copy()
     rng = np.random.default_rng(cfg.seed)
-    sel = _pick_matrices(rng, theta, budget.k_matrices)
+    sel = _pick_matrices(rng, theta, budget)
     trace = []  # one entry per gradient
     swap_log = []
     skipped = 0
@@ -537,8 +532,7 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     still_correct = classify(theta, x) == label
     has_adv = bool(pgd_flips_batch(theta, X1, y1, cfg.pgd, seed=cfg.seed)[0])
     ri = RateInputs(base_acc=1.0, base_rob=base_r,
-                    att_acc=1.0 if still_correct else 0.0, att_rob=att_r,
-                    gamma_low=cfg.gamma_low)
+                    att_acc=1.0 if still_correct else 0.0, att_rob=att_r)
     rr = targeted_rate("single", ri)
     failed = not (still_correct and has_adv)
     return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,

@@ -26,7 +26,7 @@ from .attack import (
 )
 from .data import LabeledDataset, gen_blobs, gen_subspace_task, load_dataset, save_dataset
 from .experiment import run_experiment
-from .metrics import reports_to_csv, robustness_report
+from .metrics import GAMMA_LOW, reports_to_csv, robustness_report
 from .mlp import load_model, save_model
 from .theory import (
     dist_rate_bound,
@@ -95,8 +95,6 @@ class _Options:
 
 
 def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(t) for t in text]
     return [float(t) for t in str(text).replace(",", " ").split()]
 
 
@@ -235,9 +233,15 @@ def _cmd_attack(opt: _Options) -> int:
     result_path = os.path.join(out, "attack_result.json")
     with open(result_path, "w") as f:
         json.dump(result, f, indent=2)
-    status = "FAILED (accuracy lost)" if res.failed else "ok"
+    if math.isnan(res.rate):
+        status = "rate undefined"
+    elif ri.att_acc / ri.base_acc < GAMMA_LOW:
+        status = "FAILED (accuracy lost)"
+    else:
+        status = "FAILED" if res.failed else "ok"
+    what = res.budget_desc if kind in ("linf", "swap") else f"{kind} {res.budget_desc}"
     print(f"wrote {model_path} and {result_path}")
-    print(f"attack {kind} {res.budget_desc}: rate {res.rate:.4f} [{status}]")
+    print(f"attack {what}: rate {res.rate:.4f} [{status}]")
     return 1 if res.failed else 0
 
 

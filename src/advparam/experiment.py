@@ -24,6 +24,7 @@ from .attack import (
 )
 from .data import LabeledDataset, load_dataset
 from .metrics import (
+    GAMMA_LOW,
     RateInputs,
     accuracy,
     adversarial_accuracy,
@@ -60,18 +61,17 @@ class SweepRow:
         return {c: getattr(self, c) for c in SWEEP_COLUMNS}
 
 
-def _rate_from_columns(ac_base, rob_base, ac_att, rob_att, gamma_low):
+def _rate_from_columns(ac_base, rob_base, ac_att, rob_att):
     return adversarial_rate(RateInputs(base_acc=ac_base, base_rob=rob_base,
-                                       att_acc=ac_att, att_rob=rob_att,
-                                       gamma_low=gamma_low))
+                                       att_acc=ac_att, att_rob=rob_att))
 
 
-def build_row(attack: str, budget: str, base_nums, att_nums, gamma_low: float) -> SweepRow:
+def build_row(attack: str, budget: str, base_nums, att_nums) -> SweepRow:
     """Assemble one report row from (acc, adv_acc, avg_radius) triples."""
     ac_b, aa_b, r4_b = base_nums
     ac_a, aa_a, r4_a = att_nums
-    rate_aa = _rate_from_columns(ac_b, aa_b, ac_a, aa_a, gamma_low)
-    rate_r4 = _rate_from_columns(ac_b, r4_b, ac_a, r4_a, gamma_low)
+    rate_aa = _rate_from_columns(ac_b, aa_b, ac_a, aa_a)
+    rate_r4 = _rate_from_columns(ac_b, r4_b, ac_a, r4_a)
     return SweepRow(attack, budget, ac_b, ac_a, aa_b, aa_a, r4_b, r4_a,
                     rate_aa.value, rate_r4.value, rate_aa.failed)
 
@@ -94,9 +94,10 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
     Each budget gives one guided row (``attack_linf`` or ``attack_swap``),
     followed, with ``control`` set, by a random perturbation row at the same
     budget.  A sweep point whose attack is invalid (``ValueError``, e.g. a
-    swap over more matrices than the net has) contributes a flagged all-nan
-    row and an entry in ``errors``; the sweep keeps going.  Any other
-    exception propagates.  The attacked net's accuracy and adversarial
+    swap over more matrices than the net has, or a gamma so large that the
+    box or the attacked net overflows) contributes a flagged all-nan row and
+    an entry in ``errors``; the sweep keeps going.  Any other exception
+    propagates.  The attacked net's accuracy and adversarial
     accuracy come from the attack's own ``rate_inputs``, which used the same
     dataset, PGD settings and seed (``cfg.seed``).
     """
@@ -113,11 +114,11 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
             res = runner(params, ds, budget, cfg)
             ri = res.rate_inputs
             att_nums = (ri.att_acc, ri.att_rob, avg_approx_radius(res.attacked, ds))
-            rows.append(build_row(budget.kind, label, base_nums, att_nums, cfg.gamma_low))
+            rows.append(build_row(budget.kind, label, base_nums, att_nums))
             if control:
                 rand = perturb_random(params, budget, seed=(cfg.seed, 7, idx))
                 rand_nums = _eval_triple(rand, ds, cfg.pgd, cfg.seed)
-                rows.append(build_row("random", label, base_nums, rand_nums, cfg.gamma_low))
+                rows.append(build_row("random", label, base_nums, rand_nums))
         except ValueError as exc:  # keep sweeping, record the failure
             errors.append({"attack": budget.kind, "budget": label, "error": str(exc)})
             rows.append(_nan_row(budget.kind, label))
@@ -151,11 +152,11 @@ def _close(a: float, b: float, tol: float) -> bool:
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 
 
-def row_rates_consistent(row: SweepRow, gamma_low: float, tol: float = 1e-12) -> bool:
-    """Both stated rates and the failed flag must reproduce from the row's own
-    metric columns, with the sweep's ``gamma_low`` accuracy threshold."""
-    rate_aa = _rate_from_columns(row.ac_base, row.aa_base, row.ac_att, row.aa_att, gamma_low)
-    rate_r4 = _rate_from_columns(row.ac_base, row.r4_base, row.ac_att, row.r4_att, gamma_low)
+def row_rates_consistent(row: SweepRow, tol: float = 1e-12) -> bool:
+    """Both stated rates and the failed flag (accuracy threshold ``GAMMA_LOW``)
+    must reproduce from the row's own metric columns."""
+    rate_aa = _rate_from_columns(row.ac_base, row.aa_base, row.ac_att, row.aa_att)
+    rate_r4 = _rate_from_columns(row.ac_base, row.r4_base, row.ac_att, row.r4_att)
     return (_close(rate_aa.value, row.ar_aa, tol) and _close(rate_r4.value, row.ar_r4, tol)
             and rate_aa.failed == row.failed)
 
@@ -182,9 +183,11 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
                    name: str = "experiment") -> ExperimentResult:
     """Run the sweep and write report.csv + summary.json to out_dir.
 
-    summary.json is strict JSON: a nan (undefined rate, error row) or inf
-    (every radius an inf sentinel) column is written as null there, while
-    report.csv keeps the exact ``nan``/``inf`` token.
+    A budget that does not fit the loaded net (``PerturbBudget.check_fits``)
+    raises ValueError before out_dir is created.  summary.json is strict
+    JSON: a nan (undefined rate, error row) or inf (every radius an inf
+    sentinel) column is written as null there, while report.csv keeps the
+    exact ``nan``/``inf`` token.
     """
     for p in (model_path, dataset_path):
         if not os.path.exists(p):
@@ -192,6 +195,8 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
     cfg = cfg if cfg is not None else AttackConfig()
     params = load_model(model_path)
     ds = load_dataset(dataset_path)
+    for budget in budgets:
+        budget.check_fits(params)
     rows, errors = run_sweep(params, ds, budgets, cfg, control)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
@@ -203,7 +208,7 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
         "model": model_path,
         "dataset": dataset_path,
         "eval_eps": cfg.pgd.eps,
-        "gamma_low": cfg.gamma_low,
+        "gamma_low": GAMMA_LOW,
         "n_samples": len(ds),
         "rows": [{k: _json_number(v) for k, v in r.as_dict().items()} for r in rows],
         "errors": errors,

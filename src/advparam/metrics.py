@@ -31,6 +31,7 @@ from .data import LabeledDataset
 from .mlp import ModelParams, classify_batch, logit_jacobians
 
 INF_SENTINEL_TOL = 1e-12  # gradient-gap norms below this count as "no gradient"
+GAMMA_LOW = 0.9  # an attack keeping less than this share of clean accuracy has failed
 # Rows per logit_jacobians call.  Bounds the live jacobians (N x m x n) so the
 # measures' peak memory does not grow with the dataset; speed is flat from
 # 256 to 4096 rows.
@@ -196,7 +197,6 @@ class RateInputs:
     att_acc: float
     att_rob: float
     att_aux: float | None = None
-    gamma_low: float = 0.9
 
 
 @dataclass
@@ -217,7 +217,7 @@ def adversarial_rate(ri: RateInputs) -> RateResult:
     """Untargeted attack rate: retained accuracy times destroyed robustness.
 
     rate = min(acc_ratio, 1) * (1 - min(rob_ratio, 1)); the attack is flagged
-    failed when acc_ratio < gamma_low.  Undefined (nan) when the base net has
+    failed when acc_ratio < GAMMA_LOW.  Undefined (nan) when the base net has
     zero accuracy or zero robustness.
     """
     if ri.base_acc <= 0.0 or ri.base_rob <= 0.0 or not (
@@ -227,7 +227,7 @@ def adversarial_rate(ri: RateInputs) -> RateResult:
     g1 = ri.att_acc / ri.base_acc
     g2 = ri.att_rob / ri.base_rob
     value = _capped(g1) * (1.0 - _capped(g2))
-    return RateResult(value, g1, g2, None, failed=g1 < ri.gamma_low, defined=True)
+    return RateResult(value, g1, g2, None, failed=g1 < GAMMA_LOW, defined=True)
 
 
 def targeted_rate(kind: str, ri: RateInputs) -> RateResult:
@@ -257,7 +257,7 @@ def targeted_rate(kind: str, ri: RateInputs) -> RateResult:
     g2 = ri.att_rob / ri.base_rob
     g3 = ri.att_aux / (ri.base_rob if kind == "label" else ri.base_acc)
     value = _capped(g1) * _capped(g2) * (1.0 - _capped(g3))
-    return RateResult(value, g1, g2, g3, failed=g1 < ri.gamma_low, defined=True)
+    return RateResult(value, g1, g2, g3, failed=g1 < GAMMA_LOW, defined=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ class RobustnessReport:
 
 
 def robustness_report(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig,
-                      seed: int = 0, name: str | None = None) -> RobustnessReport:
+                      seed: int = 0) -> RobustnessReport:
     """Accuracy, PGD accuracy and both jacobian measures of ``params`` on ``ds``.
 
     ``avg_r2`` and ``dist_measure`` come from one batched jacobian pass and
@@ -306,7 +306,7 @@ def robustness_report(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig,
     """
     radii, margin2, grad2 = _jacobian_measures(params, ds.X, ds.y)
     return RobustnessReport(
-        dataset=name if name is not None else (ds.name or "dataset"),
+        dataset=ds.name or "dataset",
         n_samples=len(ds),
         acc=accuracy(params, ds),
         adv_acc=adversarial_accuracy(params, ds, pgd, seed=seed),

@@ -1,4 +1,4 @@
-"""Dense ReLU networks: parameters, forward traces, analytic gradients, serialization.
+"""Dense ReLU networks: parameters, forward pass, analytic gradients, serialization.
 
 Everything downstream (training, attacks, weight surgery) manipulates the
 ``ModelParams`` container directly, so the layer layout is deliberately plain:
@@ -10,15 +10,11 @@ cross-entropy loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MODEL_FORMAT_VERSION = 1
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
 
 
 @dataclass
@@ -82,21 +78,6 @@ class ModelParams:
 
 
 @dataclass
-class ForwardTrace:
-    """Everything the forward pass saw for one input.
-
-    ``hidden[l]`` is the post-ReLU activation of hidden layer l+1,
-    ``signs[l]`` the corresponding 0/1 active mask (1 where the
-    pre-activation was strictly positive).  ``logits`` is the raw output.
-    """
-
-    x: np.ndarray
-    hidden: list[np.ndarray]
-    signs: list[np.ndarray]
-    logits: np.ndarray
-
-
-@dataclass
 class GradientDecomposition:
     """Input jacobian of the logits together with its layerwise factors.
 
@@ -113,28 +94,20 @@ class GradientDecomposition:
     signs: list[np.ndarray]
 
 
-def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != n:
-            raise ValueError(f"input dim {x.shape[0]} != model input dim {n}")
-        return x[None, :]
-    if x.ndim == 2:
-        if x.shape[1] != n:
-            raise ValueError(f"input dim {x.shape[1]} != model input dim {n}")
-        return x
-    raise ValueError(f"input must be 1-D or 2-D, got shape {x.shape}")
-
-
 def forward_batch(params: ModelParams, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Batched forward pass.
 
     Returns (acts, signs, logits) where acts[0] is X itself, acts[l] for
     l >= 1 the post-ReLU activations of hidden layer l, and signs[l-1] the
-    0/1 mask of hidden layer l.  Inputs only need to be finite; values
-    outside [0,1] are fine (surgery evaluates points off the data domain).
+    0/1 mask of hidden layer l (1 where the pre-activation was strictly
+    positive).  X must be 2-D with ``params.input_dim`` columns; a single
+    point x goes in as ``np.reshape(x, (1, -1))``.  Inputs only need to be
+    finite; values outside [0,1] are fine (surgery evaluates points off the
+    data domain).
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ValueError(f"input shape {X.shape} does not match model input dim {params.input_dim}")
     if not np.isfinite(X).all():
         raise ValueError("non-finite input")
     acts = [X]
@@ -150,22 +123,9 @@ def forward_batch(params: ModelParams, X: np.ndarray) -> tuple[list[np.ndarray],
     return acts, signs, logits
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Forward pass for a single input, returning the full trace."""
-    xb = _as_batch(x, params.input_dim)
-    acts, signs, logits = forward_batch(params, xb)
-    return ForwardTrace(
-        x=xb[0],
-        hidden=[a[0] for a in acts[1:]],
-        signs=[s[0] for s in signs],
-        logits=logits[0],
-    )
-
-
 def classify(params: ModelParams, x: np.ndarray) -> int:
     """Predicted label: argmax of the logits, smallest index on ties."""
-    xb = _as_batch(x, params.input_dim)
-    _, _, logits = forward_batch(params, xb)
+    _, _, logits = forward_batch(params, np.reshape(x, (1, -1)))
     return int(np.argmax(logits[0]))
 
 
@@ -178,22 +138,21 @@ def input_jacobian(params: ModelParams, x: np.ndarray) -> GradientDecomposition:
     """Exact jacobian of the logits w.r.t. the input, with layer factors.
 
     At a ReLU kink (pre-activation exactly 0) the derivative of the inactive
-    branch is used, matching the 0/1 sign convention of the forward trace.
+    branch is used, matching the 0/1 sign convention of ``forward_batch``.
     """
-    tr = forward(params, x)
-    n = params.input_dim
+    _, signs, _ = forward_batch(params, np.reshape(x, (1, -1)))
+    signs = [s[0] for s in signs]
     # tail_chain[l] = d h_l / d x, built front to back
-    tail = [np.eye(n)]
-    for w, s in zip(params.weights[:-1], tr.signs):
+    tail = [np.eye(params.input_dim)]
+    for w, s in zip(params.weights[:-1], signs):
         tail.append((s[:, None] * w) @ tail[-1])
     # head_chain[l] = d logits / d h_l, built back to front
     head = [params.weights[-1]]
     for l in range(len(params.weights) - 2, -1, -1):
-        head.append(head[-1] @ (tr.signs[l][:, None] * params.weights[l]))
+        head.append(head[-1] @ (signs[l][:, None] * params.weights[l]))
     head.reverse()
     # head[0] maps the input itself, so it is the full jacobian
-    jac = head[0]
-    return GradientDecomposition(jacobian=jac, head_chain=head, tail_chain=tail, signs=list(tr.signs))
+    return GradientDecomposition(jacobian=head[0], head_chain=head, tail_chain=tail, signs=signs)
 
 
 def logit_jacobians(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,12 +171,6 @@ def logit_jacobians(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.
     return logits, J if signs else J.copy()  # no hidden layer: J is still a read-only view
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample softmax cross-entropy, numerically stable."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -225,20 +178,20 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - z[np.arange(len(y)), y]
 
 
-def loss_and_grads(
-    params: ModelParams,
-    X: np.ndarray,
-    targets: np.ndarray,
-    loss: str = "cross_entropy",
-    reduction: str = "mean",
-):
-    """Loss value plus gradients from one reverse pass.
+def _ce_and_dlogits(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample cross-entropy and its gradient w.r.t. the logits (softmax - onehot)."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits = e / e.sum(axis=1, keepdims=True)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    return cross_entropy(logits, y), dlogits
+
+
+def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction: str = "mean"):
+    """Cross-entropy loss value plus gradients from one reverse pass.
 
     Returns (value, grads), where ``grads`` is a ModelParams-shaped container
-    holding dL/dW and dL/db.  ``targets`` are integer labels for
-    cross-entropy, real vectors (same shape as the logits) for squared error.
-    Squared error is the summed per-sample ||F(x)-t||^2; reduction then
-    averages or sums over the batch.
+    holding dL/dW and dL/db for the integer labels ``y``; reduction averages
+    or sums the per-sample losses over the batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
@@ -248,27 +201,13 @@ def loss_and_grads(
     acts, signs, logits = forward_batch(params, X)
     N = X.shape[0]
     scale = 1.0 / N if reduction == "mean" else 1.0
-
-    if loss == "cross_entropy":
-        y = np.asarray(targets)
-        if y.ndim != 1 or y.shape[0] != N:
-            raise ValueError("cross-entropy targets must be one label per sample")
-        if y.min() < 0 or y.max() >= params.output_dim:
-            raise ValueError("label out of range")
-        per = cross_entropy(logits, y)
-        dlogits = _softmax(logits)
-        dlogits[np.arange(N), y] -= 1.0
-        dlogits *= scale
-    elif loss == "squared_error":
-        t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        if t.shape != logits.shape:
-            raise ValueError(f"squared-error targets shape {t.shape} != logits {logits.shape}")
-        diff = logits - t
-        per = (diff**2).sum(axis=1)
-        dlogits = 2.0 * diff * scale
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-
+    y = np.asarray(y)
+    if y.ndim != 1 or y.shape[0] != N:
+        raise ValueError("cross-entropy targets must be one label per sample")
+    if y.min() < 0 or y.max() >= params.output_dim:
+        raise ValueError("label out of range")
+    per, dlogits = _ce_and_dlogits(logits, y)
+    dlogits *= scale
     value = float(per.sum() * scale)
 
     gw = [np.empty_like(w) for w in params.weights]
@@ -295,11 +234,7 @@ def input_gradient(params: ModelParams, X: np.ndarray,
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     acts, signs, logits = forward_batch(params, X)
-    y = np.asarray(y)
-    per = cross_entropy(logits, y)
-    dlogits = _softmax(logits)
-    dlogits[np.arange(len(y)), y] -= 1.0
-    dz = dlogits
+    per, dz = _ce_and_dlogits(logits, np.asarray(y))
     for l in range(len(params.weights) - 1, 0, -1):
         dz = (dz @ params.weights[l]) * signs[l - 1]
     return per, dz @ params.weights[0], logits

@@ -475,7 +475,8 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     if params.hidden_count != 1:
         raise ValueError("surgery needs exactly one hidden layer")
-    lx = classify(params, x0)
+    logits0 = forward_batch(params, x0[None, :])[2][0]
+    lx = int(np.argmax(logits0))  # smallest index on ties, as in classify
     if label is not None and label != lx:
         raise ValueError(f"anchor point is classified {lx}, not the given label {label}")
     if gamma == 0.0 or eps == 0.0:
@@ -495,8 +496,7 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
 
     m = params.output_dim
     if target_class is None:
-        logits = forward_batch(params, x0[None, :])[2][0]
-        order = np.argsort(logits)[::-1]
+        order = np.argsort(logits0)[::-1]
         l2 = int(order[1]) if int(order[0]) == lx else int(order[0])
     else:
         l2 = int(target_class)
@@ -515,7 +515,6 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
 
     adv = x0 + eps * v
     found = classify(attacked, adv) != lx
-    logits0 = forward_batch(params, x0[None, :])[2][0]
     logits1 = forward_batch(attacked, x0[None, :])[2][0]
     return ConstructionTrace(
         kind="single_point",
@@ -589,7 +588,8 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
         conditions = surgery_conditions(params, X, radius, eps, gamma,
                                         n_probes=n_probes, ascent_steps=ascent_steps, seed=seed)
 
-    labels = np.argmax(forward_batch(params, X)[2], axis=1)
+    logits0 = forward_batch(params, X)[2]
+    labels = np.argmax(logits0, axis=1)
     # orient each v_l so the activation-friendly side is x - eps v_l for
     # most class-l samples; the attacking pre-activation shift points that way
     for l in range(m):
@@ -611,7 +611,6 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
     attacked = params.copy()
     attacked.weights[0] = attacked.weights[0] + delta
 
-    logits0 = forward_batch(params, X)[2]
     logits1 = forward_batch(attacked, X)[2]
     residual = float(np.abs(logits1 - logits0).max())
 
@@ -774,16 +773,16 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float,
         raise ValueError("needs a bias-free net")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    lx = classify(params, x0)
+    acts, signs, logits = forward_batch(params, x0[None, :])
+    acts = [a[0] for a in acts]
+    signs = [s[0] for s in signs]
+    logits = logits[0]
+    lx = int(np.argmax(logits))  # smallest index on ties, as in classify
     if gamma == 0.0:
         mb = margin_measure(params, x0, lx)
         return _identity_trace("gradient_inflation", params, gamma,
                                margin_before=mb, margin_after=mb, guarantee=True)
 
-    acts, signs, logits = forward_batch(params, x0[None, :])
-    acts = [a[0] for a in acts]
-    signs = [s[0] for s in signs]
-    logits = logits[0]
     dec = input_jacobian(params, x0)
     jac = dec.jacobian
 

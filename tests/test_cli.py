@@ -10,7 +10,7 @@ import pytest
 from advparam.cli import main
 from advparam.data import LabeledDataset, gen_blobs, load_dataset, save_dataset
 from advparam.experiment import parse_report_csv
-from advparam.mlp import load_model, max_abs_diff, save_model
+from advparam.mlp import ModelParams, init_params, load_model, max_abs_diff, save_model
 from advparam.train import TrainConfig, train
 
 from common import conditioned_surgery_net, positive_square_net
@@ -143,7 +143,8 @@ def test_nonpositive_batch_size_rejected(tmp_path, workdir, capsys, command, siz
     ("report", ["--gammas", "0.02", "--swap-k", "1", "--pair-fraction", "0.7"], "pair_fraction"),
     ("report", ["--gammas", "nan"], "gamma"),
     ("attack", ["--gamma", "inf"], "gamma"),
-], ids=["report-swap-fraction", "report-nan-gamma", "attack-inf-gamma"])
+    ("report", ["--gammas", "0.02", "--swap-k", "9"], "k_matrices=9"),  # the net has 2 matrices
+], ids=["report-swap-fraction", "report-nan-gamma", "attack-inf-gamma", "report-swap-k-above-matrix-count"])
 def test_bad_budget_rejected_before_any_output(tmp_path, workdir, capsys, command, flags, word):
     out = tmp_path / "out"
     rc = main([command, "--model", str(workdir / "model.json"),
@@ -152,6 +153,36 @@ def test_bad_budget_rejected_before_any_output(tmp_path, workdir, capsys, comman
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and word in err and "\n" not in err
     assert not out.exists()
+
+
+def test_report_with_mismatched_input_dim(tmp_path, workdir, capsys):
+    save_model(init_params([5, 4, 2], 0), str(tmp_path / "model5.json"))  # the data has 6 features
+    out = tmp_path / "out"
+    rc = main(["report", "--model", str(tmp_path / "model5.json"),
+               "--data", str(workdir / "data.json"), "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "input dim 5" in err and "\n" not in err
+    assert not out.exists()
+
+
+def test_attack_status_line_with_zero_base_robustness(tmp_path, capsys):
+    # every sample lies within eps of the identity net's decision boundary:
+    # accuracy 1, adversarial accuracy 0, so the rate is undefined
+    save_model(ModelParams([np.eye(2)], [np.zeros(2)]), str(tmp_path / "id.json"))
+    X = np.array([[0.55, 0.45], [0.45, 0.55], [0.6, 0.4], [0.4, 0.6]])
+    save_dataset(LabeledDataset(X, np.array([0, 1, 0, 1])), str(tmp_path / "edge.json"))
+    rc = main(["attack", "--model", str(tmp_path / "id.json"), "--data", str(tmp_path / "edge.json"),
+               "--gamma", "0.05", "--eps", "0.2", "--pgd-steps", "3", "--n-pre", "1", "--n-main", "2",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    with open(tmp_path / "out" / "attack_result.json") as f:
+        result = json.load(f)
+    assert result["base_rob"] == 0.0 and result["att_acc"] == result["base_acc"] == 1.0
+    assert math.isnan(result["rate"]) and result["failed"] is True
+    out = capsys.readouterr().out
+    assert "attack linf gamma=0.05: rate nan [rate undefined]" in out
+    assert "accuracy lost" not in out
 
 
 def test_theory_bounds_commands(capsys):

@@ -10,7 +10,7 @@ import pytest
 from advparam import experiment
 from advparam.attack import AttackConfig, PerturbBudget, PgdConfig, attack_linf, perturb_random
 from advparam.data import gen_blobs, save_dataset
-from advparam.metrics import adversarial_accuracy, avg_approx_radius
+from advparam.metrics import GAMMA_LOW, adversarial_accuracy, avg_approx_radius
 from advparam.experiment import (
     SWEEP_COLUMNS,
     build_row,
@@ -52,7 +52,7 @@ def test_sweep_rows_and_controls(trained):
     assert not rows[0].failed
     assert rows[0].ac_att == rows[0].ac_base
     for r in rows:
-        assert row_rates_consistent(r, _fast_cfg().gamma_low)
+        assert row_rates_consistent(r)
 
 
 def test_sweep_without_control(trained):
@@ -127,7 +127,7 @@ def test_csv_round_trip(tmp_path, trained):
             va, vb = getattr(a, col), getattr(b, col)
             assert va == vb or (math.isnan(va) and math.isnan(vb))
         assert a.failed == b.failed
-        assert row_rates_consistent(b, _fast_cfg().gamma_low)
+        assert row_rates_consistent(b)
 
 
 def test_run_experiment_files(tmp_path, trained):
@@ -151,12 +151,14 @@ def test_run_experiment_files(tmp_path, trained):
 
 
 def test_row_consistency_uses_gamma_low_and_failed_flag():
-    # accuracy ratio 0.8: kept at gamma_low 0.5, failed at 0.9; both rates
-    # are the same either way, so only the failed flag tells them apart
-    row = build_row("linf", "0.05", (1.0, 0.5, 0.2), (0.8, 0.1, 0.05), gamma_low=0.5)
-    assert not row.failed
-    assert row_rates_consistent(row, 0.5)
-    assert not row_rates_consistent(row, 0.9)
+    # accuracy ratios 0.8 and 0.95 sit on either side of GAMMA_LOW = 0.9; the
+    # rates do not depend on the threshold, so only the failed flag checks it
+    assert GAMMA_LOW == 0.9
+    for ac_att, failed in ((0.8, True), (0.95, False)):
+        row = build_row("linf", "0.05", (1.0, 0.5, 0.2), (ac_att, 0.1, 0.05))
+        assert row.failed is failed
+        assert row_rates_consistent(row)
+        assert not row_rates_consistent(replace(row, failed=not failed))
 
 
 def _reject_constant(token):
@@ -168,19 +170,29 @@ def test_summary_is_strict_json_with_error_row(tmp_path, trained):
     mpath, dpath = str(tmp_path / "model.json"), str(tmp_path / "data.json")
     save_model(params, mpath)
     save_dataset(ds, dpath)
-    cfg = replace(_fast_cfg(), gamma_low=0.7)
-    budgets = [PerturbBudget("swap", k_matrices=9),  # net has 2 matrices
+    budgets = [PerturbBudget("linf", gamma=1.7e308),  # gamma * |theta| overflows
                PerturbBudget("linf", gamma=0.0)]
-    res = run_experiment(mpath, dpath, budgets, str(tmp_path / "out"), cfg, control=False)
+    res = run_experiment(mpath, dpath, budgets, str(tmp_path / "out"), _fast_cfg(), control=False)
     with open(res.summary_path) as f:
         summary = json.loads(f.read(), parse_constant=_reject_constant)
     assert len(summary["errors"]) == 1
-    assert summary["gamma_low"] == 0.7
+    assert summary["gamma_low"] == GAMMA_LOW
     bad, good = summary["rows"]
     assert all(bad[c] is None for c in SWEEP_COLUMNS[2:10]) and bad["failed"] is True
     assert good["ar_aa"] == 0.0
     # report.csv keeps the nan tokens
     assert math.isnan(parse_report_csv(res.csv_path)[0].ar_aa)
+
+
+def test_run_experiment_checks_budgets_against_the_net_first(tmp_path, trained):
+    params, ds = trained
+    mpath, dpath = str(tmp_path / "model.json"), str(tmp_path / "data.json")
+    save_model(params, mpath)
+    save_dataset(ds, dpath)
+    budgets = _linf(0.02) + [PerturbBudget("swap", k_matrices=3)]  # net has 2 matrices
+    with pytest.raises(ValueError, match="k_matrices=3"):
+        run_experiment(mpath, dpath, budgets, str(tmp_path / "out"), _fast_cfg())
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_experiment_missing_files(tmp_path, trained):

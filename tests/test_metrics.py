@@ -23,7 +23,7 @@ from advparam.metrics import (
     robustness_report,
     targeted_rate,
 )
-from advparam.mlp import ModelParams, forward, input_jacobian
+from advparam.mlp import ModelParams, forward_batch, input_jacobian
 
 from common import conditioned_surgery_net, random_net
 
@@ -115,8 +115,7 @@ def test_robust_radius_bracket_unflippable():
 
 def _loop_approx_radius(params, x, label, p=math.inf):
     """The per-sample approx_radius: one forward and one input_jacobian."""
-    tr = forward(params, x)
-    F = tr.logits
+    F = forward_batch(params, x[None, :])[2][0]
     if int(np.argmax(F)) != label:
         return 0.0
     q = 1.0 if p == math.inf else (math.inf if p == 1.0 else p / (p - 1.0))
@@ -140,7 +139,7 @@ def _loop_dist_terms(params, X, y):
     """Per-sample (gated gap^2 minimum, grad-gap sq-norm maximum) of the loop."""
     nums, dens = [], []
     for x, label in zip(X, y):
-        F = forward(params, x).logits
+        F = forward_batch(params, x[None, :])[2][0]
         jac = input_jacobian(params, x).jacobian
         terms, gnorms = [], []
         for l in range(params.output_dim):

@@ -14,7 +14,6 @@ from advparam.mlp import (
     classify_batch,
     cross_entropy,
     flatten_params,
-    forward,
     forward_batch,
     init_params,
     input_gradient,
@@ -55,9 +54,9 @@ def test_affine_only_net_allowed():
     # zero hidden layers: logits = Wx + b
     p = ModelParams([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
     assert p.hidden_count == 0
-    tr = forward(p, np.array([0.3, 0.7]))
-    assert tr.hidden == [] and tr.signs == []
-    np.testing.assert_allclose(tr.logits, [0.3, 0.7])
+    acts, signs, logits = forward_batch(p, np.array([[0.3, 0.7]]))
+    assert acts[1:] == [] and signs == []
+    np.testing.assert_allclose(logits[0], [0.3, 0.7])
 
 
 # --- forward / classify -------------------------------------------------------
@@ -71,10 +70,10 @@ def test_forward_hand_case():
     )
     x = np.array([0.8, 0.2])
     # z1 = (0.8-0.2+0.1, 0.4+0.1-0.6) = (0.7, -0.1) -> h = (0.7, 0)
-    tr = forward(p, x)
-    np.testing.assert_allclose(tr.hidden[0], [0.7, 0.0])
-    np.testing.assert_allclose(tr.signs[0], [1.0, 0.0])
-    np.testing.assert_allclose(tr.logits, [0.7, 0.05])
+    acts, signs, logits = forward_batch(p, x[None, :])
+    np.testing.assert_allclose(acts[1][0], [0.7, 0.0])
+    np.testing.assert_allclose(signs[0][0], [1.0, 0.0])
+    np.testing.assert_allclose(logits[0], [0.7, 0.05])
     assert classify(p, x) == 0
 
 
@@ -89,10 +88,26 @@ def test_classify_argmax_and_ties():
 
 def test_forward_accepts_points_outside_unit_box():
     p = random_net(np.random.default_rng(0), [3, 5, 2])
-    tr = forward(p, np.array([1.7, -2.3, 0.4]))
-    assert np.isfinite(tr.logits).all()
+    _, _, logits = forward_batch(p, np.array([[1.7, -2.3, 0.4]]))
+    assert np.isfinite(logits).all()
     with pytest.raises(ValueError):
-        forward(p, np.array([np.inf, 0.0, 0.0]))
+        forward_batch(p, np.array([[np.inf, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1, 3), (2, 4), (2, 2)],
+                         ids=["1-D", "3-D", "too-wide", "too-narrow"])
+def test_forward_batch_rejects_wrong_shapes(shape):
+    p = random_net(np.random.default_rng(1), [3, 5, 2])
+    with pytest.raises(ValueError, match="input dim 3"):
+        forward_batch(p, np.zeros(shape))
+
+
+@pytest.mark.parametrize("fn", [classify, input_jacobian])
+@pytest.mark.parametrize("length", [2, 4])
+def test_single_point_functions_reject_wrong_length(fn, length):
+    p = random_net(np.random.default_rng(1), [3, 5, 2])
+    with pytest.raises(ValueError, match="input dim 3"):
+        fn(p, np.zeros(length))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -133,29 +148,6 @@ def test_loss_and_grads_matches_finite_differences():
 
         g_num = numeric_param_gradient(ce, p)
         assert rel_err(flatten_params(g), g_num) < 1e-5
-
-
-def test_squared_error_gradient_scalar_case():
-    # f(x) = (w*x, 0); L = (w*x - t)^2, dL/dw = 2(w*x - t)*x
-    w, x, t = 1.7, 0.6, 0.9
-    p = ModelParams([np.array([[w], [0.0]])], [np.zeros(2)])
-    v, g = loss_and_grads(p, np.array([[x]]), np.array([[t, 0.0]]), loss="squared_error")
-    assert v == pytest.approx((w * x - t) ** 2, rel=1e-12)
-    assert g.weights[0][0, 0] == pytest.approx(2 * (w * x - t) * x, rel=1e-12)
-
-
-def test_squared_error_gradient_matches_fd():
-    rng = np.random.default_rng(12)
-    p = random_net(rng, [4, 6, 3])
-    X = rng.uniform(0, 1, size=(3, 4))
-    T = rng.standard_normal((3, 3))
-    _, g = loss_and_grads(p, X, T, loss="squared_error")
-
-    def se(q):
-        v, _ = loss_and_grads(q, X, T, loss="squared_error")
-        return v
-
-    assert rel_err(flatten_params(g), numeric_param_gradient(se, p)) < 1e-5
 
 
 def test_cross_entropy_hand_values():

@@ -1,5 +1,6 @@
 """Tests for the constructive surgery module and the closed-form bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advparam import theory
+from advparam import mlp, theory
 from advparam.data import gen_subspace_task
 from advparam.mlp import ModelParams, classify, forward_batch, input_jacobian
 from advparam.theory import (
@@ -262,8 +263,35 @@ def test_gap_bound_pass_counts(monkeypatch):
     assert 0 < counts["logit_jacobians"] <= steps * len(anchors)
 
 
+def _forward_log(monkeypatch):
+    """Record (params, X) of every forward_batch call, in call order."""
+    log = []
+    fwd = mlp.forward_batch
+
+    def wrapped(params, X):
+        log.append((params, np.array(X)))
+        return fwd(params, X)
+
+    monkeypatch.setattr(mlp, "forward_batch", wrapped)  # classify and the jacobians
+    monkeypatch.setattr(theory, "forward_batch", wrapped)
+    return log
+
+
 # ---------------------------------------------------------------------------
 # single-point surgery
+
+
+def test_single_point_one_forward_at_anchor_before_edit(monkeypatch):
+    rng = np.random.default_rng(10)
+    net = conditioned_surgery_net(rng, n=10, width=64, m=3)
+    x0 = rng.uniform(0.3, 0.7, 10)
+    cond = surgery_conditions(net, x0, 0.075, 0.05, 0.5, seed=1)
+    log = _forward_log(monkeypatch)
+    tr = surgery_single_point(net, x0, gamma=0.5, eps=0.05, conditions=cond)
+    assert tr.adversarial_found
+    # every call before the first one on another net is on the unedited net
+    before = [X for _, X in itertools.takewhile(lambda call: call[0] is net, log)]
+    assert len(before) == 1 and np.array_equal(before[0], x0[None, :])
 
 
 def test_single_point_surgery_success():
@@ -363,6 +391,15 @@ def test_protected_set_preserved_and_attacked():
             assert np.linalg.norm(adv - x) <= 0.05 + 1e-9
 
 
+def test_protected_set_one_forward_on_the_unedited_set(monkeypatch):
+    task, net = _subspace_setup(20)
+    cond = surgery_conditions(net, task.X, 0.075, 0.05, 0.5, seed=2)
+    log = _forward_log(monkeypatch)
+    tr = surgery_protected_set(net, task.X, gamma=0.5, eps=0.05, conditions=cond)
+    assert tr.adversarial_fraction >= 0.5
+    assert sum(p is net and np.array_equal(X, task.X) for p, X in log) == 1
+
+
 def test_protected_set_directions_are_null():
     task, net = _subspace_setup(21)
     tr = surgery_protected_set(net, task.X, gamma=0.4, eps=0.05, seed=0)
@@ -454,6 +491,24 @@ def test_inflation_preserves_and_shrinks():
         assert tr.guarantee
         assert tr.extras["grad_norm2_after"] >= tr.extras["grad_norm2_bound"] * (1 - 1e-10)
         assert tr.extras["grad_norm2_bound"] >= tr.extras["grad_norm2_before"] * (1 - 1e-12)
+
+
+def test_inflation_one_forward_before_the_jacobian(monkeypatch):
+    rng = np.random.default_rng(40)
+    net = positive_square_net(rng, 8, 3, m=4)
+    x0 = rng.uniform(0.3, 1.0, 8)
+    log = _forward_log(monkeypatch)
+    jac = theory.input_jacobian
+
+    def marked(*a):
+        log.append(None)
+        return jac(*a)
+
+    monkeypatch.setattr(theory, "input_jacobian", marked)
+    tr = gradient_inflation_attack(net, x0, gamma=0.5)
+    assert tr.guarantee
+    assert log.index(None) == 1
+    assert log[0][0] is net and np.array_equal(log[0][1], x0[None, :])
 
 
 def test_inflation_median_drop_is_substantial():
