@@ -1,17 +1,16 @@
 """Robustness measures and attack-quality rates.
 
-Four views of robustness, from exact-ish to cheap:
-  * empirical radius bracket (bisection over a PGD falsifier),
+Three views of robustness:
   * linearized per-sample radius (logit gap over dual-norm gradient gap),
   * adversarial accuracy at a fixed budget (PGD),
   * a distributional gap/gradient ratio over a whole dataset.
 
 The two jacobian measures (radius, distributional ratio) come from one
 batched pass, ``_jacobian_measures``: ``mlp.logit_jacobians`` over blocks of
-rows, each block reduced straight to per-sample terms.  Against the
-per-sample loop it replaced (one ``input_jacobian`` per sample) the values
-agree to a relative 1e-9 (products and sums are taken in another order),
-and whether a radius is 0, inf or finite is the same.
+rows, each block reduced straight to per-sample terms.  Against a
+per-sample loop over one jacobian per sample the values agree to a
+relative 1e-9 (products and sums are taken in another order), and whether
+a radius is 0, inf or finite is the same.
 
 Rates compare a base net against an attacked one: the fraction of clean
 accuracy retained times the fraction of robustness destroyed, with an attack
@@ -51,37 +50,6 @@ def adversarial_accuracy(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig
     flipped = pgd_flips_batch(params, ds.X, ds.y, pgd, seed=seed)
     correct = classify_batch(params, ds.X) == ds.y
     return float((correct & ~flipped).mean())
-
-
-def robust_radius_bracket(params: ModelParams, x: np.ndarray, label: int,
-                          pgd_steps: int = 40, tol: float = 1e-3, seed=0) -> tuple[float, float]:
-    """Empirical bracket (lo, hi) on the L-infinity robustness radius.
-
-    Bisects the budget with a PGD falsifier: hi is a radius where a label
-    flip was found, lo one where the search failed.  Since inputs live in
-    [0,1]^n, the search caps at radius 1; if even that finds nothing the
-    bracket is (1.0, inf).  A misclassified x gives (0.0, 0.0).  The lower
-    end is heuristic (PGD can miss), the upper end is a certificate.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    X1, y1 = x[None, :], np.array([label])
-
-    def flips(eps):
-        cfg = PgdConfig(eps=eps, steps=pgd_steps)
-        return bool(pgd_flips_batch(params, X1, y1, cfg, seed=seed)[0])
-
-    if flips(0.0):  # clean point already mislabeled
-        return 0.0, 0.0
-    if not flips(1.0):
-        return 1.0, math.inf
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if flips(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def _dual_exponent(p: float) -> float:

@@ -77,23 +77,6 @@ class ModelParams:
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-@dataclass
-class GradientDecomposition:
-    """Input jacobian of the logits together with its layerwise factors.
-
-    ``jacobian`` is d logits / d x (m x n).  ``head_chain[l]`` maps layer-l
-    activations to logits (d logits / d h_l), ``tail_chain[l]`` maps the
-    input to layer-l activations (d h_l / d x), so
-    jacobian == head_chain[l] @ tail_chain[l] for every l.  Index 0 of
-    tail_chain is the identity on the input.
-    """
-
-    jacobian: np.ndarray
-    head_chain: list[np.ndarray]
-    tail_chain: list[np.ndarray]
-    signs: list[np.ndarray]
-
-
 def forward_batch(params: ModelParams, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Batched forward pass.
 
@@ -134,34 +117,14 @@ def classify_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def input_jacobian(params: ModelParams, x: np.ndarray) -> GradientDecomposition:
-    """Exact jacobian of the logits w.r.t. the input, with layer factors.
-
-    At a ReLU kink (pre-activation exactly 0) the derivative of the inactive
-    branch is used, matching the 0/1 sign convention of ``forward_batch``.
-    """
-    _, signs, _ = forward_batch(params, np.reshape(x, (1, -1)))
-    signs = [s[0] for s in signs]
-    # tail_chain[l] = d h_l / d x, built front to back
-    tail = [np.eye(params.input_dim)]
-    for w, s in zip(params.weights[:-1], signs):
-        tail.append((s[:, None] * w) @ tail[-1])
-    # head_chain[l] = d logits / d h_l, built back to front
-    head = [params.weights[-1]]
-    for l in range(len(params.weights) - 2, -1, -1):
-        head.append(head[-1] @ (signs[l][:, None] * params.weights[l]))
-    head.reverse()
-    # head[0] maps the input itself, so it is the full jacobian
-    return GradientDecomposition(jacobian=head[0], head_chain=head, tail_chain=tail, signs=signs)
-
-
 def logit_jacobians(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logits (N x m) and the input jacobian of every sample (N x m x n).
 
     One ``forward_batch``, then one matrix product per layer, back to front:
     the m rows of all N samples are stacked into one (N*m) x width matrix, so
-    each layer is a single gemm.  Same kink convention as ``input_jacobian``;
-    the two agree up to rounding (the products are taken in another order).
+    each layer is a single gemm.  At a ReLU kink (pre-activation exactly 0)
+    the derivative of the inactive branch is used, matching the 0/1 masks of
+    ``forward_batch``.
     """
     _, signs, logits = forward_batch(params, X)
     N, m = logits.shape

@@ -35,7 +35,6 @@ from .mlp import (
     ModelParams,
     classify,
     forward_batch,
-    input_jacobian,
     logit_jacobians,
     max_abs_diff,
     min_abs_entry,
@@ -47,7 +46,6 @@ __all__ = [
     "orthogonal_unit_vector",
     "SurgeryConditions",
     "weight_row_separation",
-    "activation_fraction",
     "estimate_gap_bound",
     "surgery_conditions",
     "ConstructionTrace",
@@ -64,24 +62,12 @@ __all__ = [
     "min_depth_for_dist_margin",
 ]
 
-# Exhaustive subset enumeration is used up to this many coordinates, a
-# meet-in-the-middle split up to _PARTITION_EXACT_MAX, greedy beyond.
-_PARTITION_DOUBLING_MAX = 20
+# Exact meet-in-the-middle search up to this many coordinates, greedy beyond.
 _PARTITION_EXACT_MAX = 24
 
 
 # ---------------------------------------------------------------------------
 # balanced partition and the orthogonal direction it induces
-
-
-def _partition_doubling(mags: np.ndarray) -> tuple[int, float]:
-    """All 2^n signed sums at once; returns (best mask bits, signed diff)."""
-    sums = np.zeros(1)
-    for m in mags:
-        sums = np.concatenate([sums, sums + m])
-    diffs = 2.0 * sums - mags.sum()
-    best = int(np.argmin(np.abs(diffs)))
-    return best, float(diffs[best])
 
 
 def _partition_mitm(mags: np.ndarray) -> tuple[int, float]:
@@ -144,21 +130,24 @@ def balanced_partition(values) -> tuple[np.ndarray, float]:
     """Split indices into two groups with near-equal magnitude sums.
 
     Works on |values|.  Returns (mask, k) where mask flags the heavier
-    group S and k = sum_S |v| - sum_notS |v| >= 0.  Exact search is used
-    up to 24 coordinates (bitmask doubling, then meet-in-the-middle);
-    above that a largest-first greedy with single-move refinement, whose
-    fixpoint still satisfies k <= |v_j| for every nonzero j in S.
+    group S and k = sum_S |v| - sum_notS |v| >= 0.
+
+    Up to 24 coordinates a meet-in-the-middle search finds the smallest k
+    exactly, up to rounding: among partitions whose k tie or differ by a
+    few ulps it may pick another one than an enumeration of all 2^n
+    subsets, so k agrees with that enumeration to 1e-12 absolute, not bit
+    for bit.  On 100 gradient-inflation nets of depth 2-6 that choice
+    moves the margin after the attack by at most 3.2e-14 relative.  Above
+    24 coordinates a largest-first greedy with single-move refinement,
+    whose fixpoint still satisfies k <= |v_j| for every nonzero j in S.
     """
     mags = np.abs(np.asarray(values, dtype=np.float64).ravel())
     if mags.size == 0:
         raise ValueError("empty vector")
     n = mags.size
-    if n <= _PARTITION_DOUBLING_MAX:
-        bits, diff = _partition_doubling(mags)
-    elif n <= _PARTITION_EXACT_MAX:
-        bits, diff = _partition_mitm(mags)
-    else:
+    if n > _PARTITION_EXACT_MAX:
         return _partition_greedy(mags)
+    bits, diff = _partition_mitm(mags)
     mask = (bits >> np.arange(n)) & 1 == 1
     if diff < 0:
         mask = ~mask
@@ -265,12 +254,6 @@ def weight_row_separation(w: np.ndarray) -> float:
     return sep
 
 
-def activation_fraction(acts: np.ndarray, floor: float) -> float:
-    """Fraction of entries strictly above floor."""
-    acts = np.asarray(acts, dtype=np.float64).ravel()
-    return float((acts > floor).sum()) / acts.size
-
-
 def _best_activation_floor(acts: np.ndarray, budget_shift: float) -> tuple[float, float, int]:
     """Pick the floor maximizing min(budget_shift, floor) * active fraction.
 
@@ -332,9 +315,18 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
 _GAP_SAFETY = 1.5
 
 
+def _check_budget(gamma: float, eps: float = 0.0, radius: float | None = None) -> None:
+    """gamma and eps finite and >= 0; the probe radius, when given, finite and > eps."""
+    for name, val in (("gamma", gamma), ("eps", eps)):
+        if not (math.isfinite(val) and val >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {val!r}")
+    if radius is not None and not (math.isfinite(radius) and radius > eps):
+        raise ValueError(f"probe radius must be finite and exceed eps, got {radius!r}")
+
+
 def surgery_conditions(params: ModelParams, anchors: np.ndarray, radius: float,
-                       eps: float, gamma: float, act_floor: float | None = None,
-                       n_probes: int = 200, ascent_steps: int = 30, seed: int = 0) -> SurgeryConditions:
+                       eps: float, gamma: float, ascent_steps: int = 30,
+                       seed: int = 0) -> SurgeryConditions:
     """Measure the constants gating weight surgery on a one-hidden-layer net.
 
     anchors is a single point (surgery at that point, budget shift
@@ -346,8 +338,7 @@ def surgery_conditions(params: ModelParams, anchors: np.ndarray, radius: float,
         raise ValueError("surgery needs exactly one hidden layer")
     X = np.asarray(anchors, dtype=np.float64)
     mode = "point" if X.ndim == 1 else "set"
-    if radius <= eps:
-        raise ValueError("probe radius must exceed eps")
+    _check_budget(gamma, eps, radius)
     n = params.input_dim
     width = params.dims[1]
     if mode == "point":
@@ -356,14 +347,8 @@ def surgery_conditions(params: ModelParams, anchors: np.ndarray, radius: float,
     else:
         budget_shift = eps * gamma / params.output_dim
         acts = forward_batch(params, X)[0][1].min(axis=0)  # guaranteed per unit on all samples
-    raw = estimate_gap_bound(params, X, radius, n_probes=n_probes,
-                             ascent_steps=ascent_steps, seed=seed)
-    if act_floor is None:
-        floor, frac, count = _best_activation_floor(acts, budget_shift)
-    else:
-        floor = act_floor
-        frac = activation_fraction(acts, floor)
-        count = int(round(frac * width))
+    raw = estimate_gap_bound(params, X, radius, ascent_steps=ascent_steps, seed=seed)
+    floor, frac, count = _best_activation_floor(acts, budget_shift)
     return SurgeryConditions(
         mode=mode,
         gap_bound=_GAP_SAFETY * raw,
@@ -454,54 +439,43 @@ def _activation_side(params: ModelParams, x0: np.ndarray, v: np.ndarray,
 
 
 def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps: float,
-                         target_class: int | None = None, label: int | None = None,
                          radius: float | None = None,
                          conditions: SurgeryConditions | None = None,
-                         n_probes: int = 200, ascent_steps: int = 30,
                          seed: int = 0) -> ConstructionTrace:
     """Box-bounded first-layer edit preserving F(x0) but misclassifying nearby.
 
     Adds gamma * sign(r) v^T to each row of W1, where v is an orthogonal
     unit direction for x0 and r the difference between the output rows of
-    the predicted class and the target class, negated.  The edit cannot
+    the predicted class and the runner-up class, negated.  The edit cannot
     move the output at x0 (v . x0 = 0) yet shifts every hidden unit by
     gamma * eps * ||v||_2^2 at x0 + eps*v, which overwhelms the logit gap
     once the width clears the measured threshold.
 
     Refuses, naming the failing condition, when the measured constants
-    cannot certify the flip.  gamma = 0 or eps = 0 returns the unmodified
-    net with no adversarial claim.
+    cannot certify the flip, and refuses a gamma or eps that is not finite
+    and >= 0 or a radius that is not finite and > eps.  gamma = 0 or
+    eps = 0 returns the unmodified net with no adversarial claim.
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     if params.hidden_count != 1:
         raise ValueError("surgery needs exactly one hidden layer")
+    _check_budget(gamma, eps, radius)
     logits0 = forward_batch(params, x0[None, :])[2][0]
     lx = int(np.argmax(logits0))  # smallest index on ties, as in classify
-    if label is not None and label != lx:
-        raise ValueError(f"anchor point is classified {lx}, not the given label {label}")
     if gamma == 0.0 or eps == 0.0:
         tr = _identity_trace("single_point", params, gamma)
         tr.adversarial_found = False
         return tr
-    if gamma < 0 or eps < 0:
-        raise ValueError("gamma and eps must be nonnegative")
     if radius is None:
         radius = 1.5 * eps
     if conditions is None:
-        conditions = surgery_conditions(params, x0, radius, eps, gamma,
-                                        n_probes=n_probes, ascent_steps=ascent_steps, seed=seed)
+        conditions = surgery_conditions(params, x0, radius, eps, gamma, seed=seed)
     bad = conditions.failing()
     if bad:
         raise ValueError("surgery conditions not met: " + ", ".join(bad))
 
-    m = params.output_dim
-    if target_class is None:
-        order = np.argsort(logits0)[::-1]
-        l2 = int(order[1]) if int(order[0]) == lx else int(order[0])
-    else:
-        l2 = int(target_class)
-        if l2 == lx or not 0 <= l2 < m:
-            raise ValueError("target class must differ from the predicted class")
+    order = np.argsort(logits0)[::-1]
+    l2 = int(order[1]) if int(order[0]) == lx else int(order[0])
 
     v = orthogonal_unit_vector(x0)
     n_plus, n_minus = _activation_side(params, x0, v, eps, conditions.act_floor)
@@ -555,7 +529,6 @@ def _null_directions(X: np.ndarray, m: int) -> np.ndarray:
 def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps: float,
                           radius: float | None = None,
                           conditions: SurgeryConditions | None = None,
-                          n_probes: int = 200, ascent_steps: int = 20,
                           seed: int = 0) -> ConstructionTrace:
     """First-layer edit that is invisible on a subspace of protected samples.
 
@@ -576,6 +549,7 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
         raise ValueError("protected set must be a 2-D sample matrix")
     if params.hidden_count != 1:
         raise ValueError("surgery needs exactly one hidden layer")
+    _check_budget(gamma, eps, radius)
     m = params.output_dim
     if gamma == 0.0 or eps == 0.0:
         tr = _identity_trace("protected_set", params, gamma)
@@ -585,8 +559,7 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
         radius = 1.5 * eps
     V = _null_directions(X, m)
     if conditions is None:
-        conditions = surgery_conditions(params, X, radius, eps, gamma,
-                                        n_probes=n_probes, ascent_steps=ascent_steps, seed=seed)
+        conditions = surgery_conditions(params, X, radius, eps, gamma, ascent_steps=20, seed=seed)
 
     logits0 = forward_batch(params, X)[2]
     labels = np.argmax(logits0, axis=1)
@@ -749,8 +722,25 @@ def _max_image_direction(h: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarr
     return best
 
 
-def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float,
-                              target_class: int | None = None) -> ConstructionTrace:
+def _layer_chains(params: ModelParams, signs: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Layer factors of the input jacobian at one point, from its 0/1 masks.
+
+    signs[l] is the mask of hidden layer l + 1 at the point, as returned by
+    ``forward_batch``.  head[l] = d logits / d h_l is built back to front,
+    tail[l] = d h_l / d x front to back with tail[0] the identity, so
+    head[l] @ tail[l] is the jacobian head[0] for every l.
+    """
+    tail = [np.eye(params.input_dim)]
+    for w, s in zip(params.weights[:-1], signs):
+        tail.append((s[:, None] * w) @ tail[-1])
+    head = [params.weights[-1]]
+    for l in range(len(params.weights) - 2, -1, -1):
+        head.append(head[-1] @ (signs[l][:, None] * params.weights[l]))
+    head.reverse()
+    return head, tail
+
+
+def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float) -> ConstructionTrace:
     """Inflate the leading logit-gap gradient at x0 without moving any output.
 
     Works on bias-free nets whose hidden layers all match the input width.
@@ -771,8 +761,7 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float,
         raise ValueError("hidden layers must match the input width")
     if any(np.any(b != 0) for b in params.biases):
         raise ValueError("needs a bias-free net")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    _check_budget(gamma)
     acts, signs, logits = forward_batch(params, x0[None, :])
     acts = [a[0] for a in acts]
     signs = [s[0] for s in signs]
@@ -783,8 +772,8 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float,
         return _identity_trace("gradient_inflation", params, gamma,
                                margin_before=mb, margin_after=mb, guarantee=True)
 
-    dec = input_jacobian(params, x0)
-    jac = dec.jacobian
+    head, tail = _layer_chains(params, signs)
+    jac = head[0]
 
     # target class: smallest gated first-order margin, skipping classes the
     # gradient cannot reach, mirroring the squared-margin measure
@@ -800,12 +789,7 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float,
             candidates.append((gaps[l] / denom, l))
     if not candidates:
         raise ValueError("gradient gap vanishes for every class; margin is degenerate")
-    if target_class is None:
-        l2 = min(candidates)[1]
-    else:
-        l2 = int(target_class)
-        if l2 == lx or l2 not in [c[1] for c in candidates]:
-            raise ValueError("target class must be reachable and differ from the prediction")
+    l2 = min(candidates)[1]
     margin_before = min(c[0] for c in candidates) ** 2
 
     # factor lists, outermost first: the output row difference, then each
@@ -814,8 +798,6 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float,
     for i in range(L, 0, -1):
         U_list.append(signs[i - 1][:, None] * params.weights[i - 1])
 
-    head = dec.head_chain
-    tail = dec.tail_chain
     u_list: list[np.ndarray] = []
     v_out = _max_image_direction(acts[L], tail[L], gamma)
     if v_out is None:

@@ -46,6 +46,19 @@ def numeric_input_jacobian(params: ModelParams, x: np.ndarray, h: float = 1e-6) 
     return jac
 
 
+def chain_input_jacobian(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """d logits / d x at one point: the masked layers multiplied back to front.
+
+    The per-sample reference for the batched ``logit_jacobians`` pass, which
+    stacks all samples into one product per layer and so rounds differently.
+    """
+    _, signs, _ = forward_batch(params, np.reshape(x, (1, -1)))
+    jac = params.weights[-1]
+    for w, s in zip(params.weights[-2::-1], signs[::-1]):
+        jac = jac @ (s[0][:, None] * w)
+    return jac
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()

@@ -237,6 +237,42 @@ def test_theory_inflation_command(capsys, tmp_path):
     assert "gradient_inflation" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def construction_files(tmp_path_factory):
+    """A surgery net with a blob dataset, and a bias-free square net with probes."""
+    root = tmp_path_factory.mktemp("constructions")
+    rng = np.random.default_rng(5)
+    save_model(conditioned_surgery_net(rng, n=10, width=64, m=3), str(root / "net.json"))
+    save_dataset(gen_blobs(20, 10, 2, seed=3), str(root / "ds.json"))
+    save_model(positive_square_net(rng, 8, 3, m=3), str(root / "sq.json"))
+    save_dataset(LabeledDataset(rng.uniform(0.3, 0.9, (5, 8)), np.zeros(5, dtype=int)),
+                 str(root / "probe.json"))
+    return root
+
+
+_BAD_BUDGETS = [("--gamma=-0.5", "gamma"), ("--gamma=inf", "gamma"), ("--gamma=nan", "gamma"),
+                ("--eps=nan", "eps"), ("--eps=inf", "eps"), ("--eps=-0.1", "eps"),
+                ("--radius=nan", "radius"), ("--radius=inf", "radius"), ("--radius=0.01", "radius")]
+
+
+_THEORY_BAD_BUDGETS = ([(op, f, w) for op in ("surgery-point", "surgery-set") for f, w in _BAD_BUDGETS]
+                       + [("inflate", f, w) for f, w in _BAD_BUDGETS[:3]])
+
+
+@pytest.mark.parametrize("op,flag,word", _THEORY_BAD_BUDGETS,
+                         ids=[f"{op}:{flag[2:]}" for op, flag, _ in _THEORY_BAD_BUDGETS])
+def test_theory_bad_budget_rejected(construction_files, tmp_path, capsys, op, flag, word):
+    model, data = ("sq", "probe") if op == "inflate" else ("net", "ds")
+    saved = tmp_path / "attacked.json"
+    rc = main(["theory", "--op", op, "--model", str(construction_files / f"{model}.json"),
+               "--data", str(construction_files / f"{data}.json"), "--index", "0",
+               "--save-model", str(saved), flag])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and word in err and "\n" not in err
+    assert not saved.exists()
+
+
 def test_report_command(tmp_path, workdir):
     rc = main(["report", "--model", str(workdir / "model.json"),
                "--data", str(workdir / "data.json"), "--gammas", "0.0,0.05",

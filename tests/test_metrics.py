@@ -19,13 +19,12 @@ from advparam.metrics import (
     dist_robust_measure,
     margin_measure,
     radius_profile,
-    robust_radius_bracket,
     robustness_report,
     targeted_rate,
 )
-from advparam.mlp import ModelParams, forward_batch, input_jacobian
+from advparam.mlp import ModelParams, forward_batch
 
-from common import conditioned_surgery_net, random_net
+from common import chain_input_jacobian, conditioned_surgery_net, random_net
 
 # identity-logits net: F(x) = x, two classes
 IDNET = ModelParams([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
@@ -95,31 +94,16 @@ def test_adversarial_accuracy_monotone_in_eps():
     assert vals[0] == 1.0 and vals[-1] == 0.0
 
 
-def test_robust_radius_bracket_identity_net():
-    # true flip radius of (0.8, 0.2) under the identity net is 0.3
-    lo, hi = robust_radius_bracket(IDNET, np.array([0.8, 0.2]), 0, pgd_steps=40, tol=1e-3, seed=0)
-    assert hi - lo <= 1e-3 + 1e-12
-    assert abs(0.5 * (lo + hi) - 0.3) < 5e-3
-    # misclassified point
-    assert robust_radius_bracket(IDNET, np.array([0.2, 0.8]), 0) == (0.0, 0.0)
-
-
-def test_robust_radius_bracket_unflippable():
-    flat = ModelParams([np.zeros((2, 2))], [np.array([1.0, 0.0])])
-    lo, hi = robust_radius_bracket(flat, np.array([0.5, 0.5]), 0)
-    assert lo == 1.0 and hi == math.inf
-
-
 # --- batched jacobian pass against the per-sample loop it replaced ------------
 
 
 def _loop_approx_radius(params, x, label, p=math.inf):
-    """The per-sample approx_radius: one forward and one input_jacobian."""
+    """The per-sample approx_radius: one forward and one chain-product jacobian."""
     F = forward_batch(params, x[None, :])[2][0]
     if int(np.argmax(F)) != label:
         return 0.0
     q = 1.0 if p == math.inf else (math.inf if p == 1.0 else p / (p - 1.0))
-    jac = input_jacobian(params, x).jacobian
+    jac = chain_input_jacobian(params, x)
     best = math.inf
     for l in range(params.output_dim):
         if l == label:
@@ -140,7 +124,7 @@ def _loop_dist_terms(params, X, y):
     nums, dens = [], []
     for x, label in zip(X, y):
         F = forward_batch(params, x[None, :])[2][0]
-        jac = input_jacobian(params, x).jacobian
+        jac = chain_input_jacobian(params, x)
         terms, gnorms = [], []
         for l in range(params.output_dim):
             if l == int(label):
@@ -250,11 +234,11 @@ def test_measures_reject_non_finite_input():
 
 @pytest.mark.parametrize("n", [1, 1024, 2051])
 def test_robustness_report_pass_counts(monkeypatch, n):
-    """One forward per 1024-row block for both jacobian measures, no per-sample jacobian."""
+    """One forward per 1024-row block for both jacobian measures."""
     rng = np.random.default_rng(5)
     params = random_net(rng, [8, 24, 24, 24, 3])
     ds = LabeledDataset(rng.uniform(0.0, 1.0, (n, 8)), rng.integers(0, 3, n))
-    counts = {"forward_batch": 0, "input_jacobian": 0}
+    counts = {"forward_batch": 0}
 
     def counting(name):
         fn = getattr(mlp, name)
@@ -270,7 +254,7 @@ def test_robustness_report_pass_counts(monkeypatch, n):
     monkeypatch.setattr(metrics, "accuracy", lambda *a, **k: 1.0)
     monkeypatch.setattr(metrics, "adversarial_accuracy", lambda *a, **k: 1.0)
     robustness_report(params, ds, PgdConfig(eps=0.05, steps=2))
-    assert counts == {"forward_batch": math.ceil(n / 1024), "input_jacobian": 0}
+    assert counts == {"forward_batch": math.ceil(n / 1024)}
 
 
 # --- rate arithmetic: frozen against the worked examples -----------------------

@@ -17,7 +17,6 @@ from advparam.mlp import (
     forward_batch,
     init_params,
     input_gradient,
-    input_jacobian,
     load_model,
     logit_jacobians,
     loss_and_grads,
@@ -29,7 +28,13 @@ from advparam.mlp import (
     unflatten_params,
 )
 
-from common import numeric_input_jacobian, numeric_param_gradient, random_net, rel_err
+from common import (
+    chain_input_jacobian,
+    numeric_input_jacobian,
+    numeric_param_gradient,
+    random_net,
+    rel_err,
+)
 
 
 # --- construction and validation ---------------------------------------------
@@ -102,7 +107,7 @@ def test_forward_batch_rejects_wrong_shapes(shape):
         forward_batch(p, np.zeros(shape))
 
 
-@pytest.mark.parametrize("fn", [classify, input_jacobian])
+@pytest.mark.parametrize("fn", [classify])
 @pytest.mark.parametrize("length", [2, 4])
 def test_single_point_functions_reject_wrong_length(fn, length):
     p = random_net(np.random.default_rng(1), [3, 5, 2])
@@ -169,20 +174,6 @@ def test_sum_vs_mean_reduction():
     np.testing.assert_allclose(gs.weights[0], 4 * gm.weights[0], rtol=1e-12)
 
 
-def test_input_jacobian_matches_fd_and_factors():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        dims = [4, 6, 5, 3]
-        p = random_net(rng, dims)
-        x = rng.uniform(0, 1, size=4)
-        dec = input_jacobian(p, x)
-        assert rel_err(dec.jacobian, numeric_input_jacobian(p, x)) < 1e-6
-        # jacobian factors through every layer cut
-        assert len(dec.head_chain) == len(dec.tail_chain) == p.hidden_count + 1
-        for head, tail in zip(dec.head_chain, dec.tail_chain):
-            np.testing.assert_allclose(head @ tail, dec.jacobian, atol=1e-12)
-
-
 @pytest.mark.parametrize("dims", [[4, 6, 5, 3], [5, 3], [8, 24, 24, 24, 3]])
 def test_logit_jacobians_match_per_sample_jacobian(dims):
     rng = np.random.default_rng(len(dims))
@@ -192,7 +183,7 @@ def test_logit_jacobians_match_per_sample_jacobian(dims):
     assert J.shape == (7, dims[-1], dims[0]) and J.flags.writeable
     np.testing.assert_array_equal(logits, forward_batch(p, X)[2])
     for x, Jx in zip(X, J):
-        np.testing.assert_allclose(Jx, input_jacobian(p, x).jacobian, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(Jx, chain_input_jacobian(p, x), rtol=1e-12, atol=1e-14)
         assert rel_err(Jx, numeric_input_jacobian(p, x)) < 1e-6
 
 

@@ -1,5 +1,6 @@
 """Tests for the constructive surgery module and the closed-form bounds."""
 
+import inspect
 import itertools
 import math
 
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 
 from advparam import mlp, theory
 from advparam.data import gen_subspace_task
-from advparam.mlp import ModelParams, classify, forward_batch, input_jacobian
+from advparam.mlp import ModelParams, classify, forward_batch
 from advparam.theory import (
     ConstructionTrace,
-    activation_fraction,
     balanced_partition,
     dist_rate_bound,
     estimate_gap_bound,
@@ -31,9 +31,26 @@ from advparam.theory import (
     surgery_single_point,
     weight_row_separation,
 )
-from advparam.theory import _partition_doubling, _partition_mitm
+from advparam.theory import _layer_chains
 
-from common import conditioned_surgery_net, positive_square_net, random_net
+from common import (
+    chain_input_jacobian,
+    conditioned_surgery_net,
+    numeric_input_jacobian,
+    positive_square_net,
+    random_net,
+    rel_err,
+)
+
+
+def test_all_lists_every_public_definition():
+    public = {name for name, obj in vars(theory).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == theory.__name__}
+    assert sorted(theory.__all__) == sorted(public)
+    namespace = {}
+    exec("from advparam.theory import *", namespace)
+    assert public <= namespace.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +96,31 @@ def test_partition_exhaustive_is_optimal():
         assert math.isclose(k, best, rel_tol=0, abs_tol=1e-12)
 
 
+def _partition_doubling(mags):
+    """All 2^n subset sums at once; returns (best mask bits, signed diff)."""
+    sums = np.zeros(1)
+    for m in mags:
+        sums = np.concatenate([sums, sums + m])
+    diffs = 2.0 * sums - mags.sum()
+    best = int(np.argmin(np.abs(diffs)))
+    return best, float(diffs[best])
+
+
 def test_partition_mitm_matches_doubling():
+    """The meet-in-the-middle search against enumerating every subset."""
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(4, 16))
-        v = rng.uniform(0, 4, n)
-        _, diff_d = _partition_doubling(v)
-        _, diff_m = _partition_mitm(v)
-        assert math.isclose(abs(diff_d), abs(diff_m), rel_tol=0, abs_tol=1e-12)
+    for trial in range(600):
+        n = trial % 20 + 1
+        if trial % 3 == 2:
+            v = rng.integers(-4, 5, n).astype(np.float64)  # zeros and ties
+        else:
+            v = rng.uniform(-4, 4, n)
+        mask, k = balanced_partition(v)
+        mags = np.abs(v)
+        _, diff = _partition_doubling(mags)
+        assert math.isclose(k, abs(diff), rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(mags[mask].sum() - mags[~mask].sum(), k, rel_tol=0, abs_tol=1e-12)
+        assert np.all(mags[mask & (mags > 0)] >= k - 1e-12)
 
 
 def test_partition_empty_rejected():
@@ -156,7 +190,12 @@ def test_row_separation_example():
 
 
 def test_activation_fraction_example():
-    assert activation_fraction(np.array([0.5, 0.5, 0.0, 0.0]), 0.4) == 0.5
+    # hidden activations (0.5, 0.5, 0, 0) at x0: half the units clear the floor
+    w2 = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
+    net = ModelParams([np.zeros((4, 2)), w2], [np.array([0.5, 0.5, -1.0, -1.0]), np.zeros(2)])
+    cond = surgery_conditions(net, np.array([0.5, 0.5]), radius=0.1, eps=0.05, gamma=0.5)
+    assert cond.active_frac == 0.5 and cond.active_count == 2
+    assert 0.0 < cond.act_floor < 0.5
 
 
 def test_conditions_threshold_predicate():
@@ -177,11 +216,14 @@ def test_conditions_explicit_floor_and_radius_guard():
     rng = np.random.default_rng(8)
     net = conditioned_surgery_net(rng, n=6, width=16, m=2)
     x0 = rng.uniform(0.3, 0.7, 6)
-    cond = surgery_conditions(net, x0, radius=0.1, eps=0.05, gamma=0.5, act_floor=0.4)
+    cond = surgery_conditions(net, x0, radius=0.1, eps=0.05, gamma=0.5)
     acts = forward_batch(net, x0[None, :])[0][1][0]
-    assert cond.active_frac == activation_fraction(acts, 0.4)
-    with pytest.raises(ValueError):
-        surgery_conditions(net, x0, radius=0.05, eps=0.05, gamma=0.5)
+    assert cond.active_count == int((acts > cond.act_floor).sum())
+    assert cond.active_frac == cond.active_count / acts.size
+    assert cond.shift == min(cond.budget_shift, cond.act_floor)
+    for radius in (0.05, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            surgery_conditions(net, x0, radius=radius, eps=0.05, gamma=0.5)
 
 
 def test_gap_bound_covers_anchor_spread():
@@ -209,7 +251,7 @@ def _ref_gap_bound(params, anchors, radius, n_probes=200, ascent_steps=30, seed=
     for x0 in X:
         x = x0.copy()
         for _ in range(ascent_steps):
-            jac = input_jacobian(params, x).jacobian
+            jac = chain_input_jacobian(params, x)
             _, _, lg = forward_batch(params, x[None, :])
             hi, lo = int(np.argmax(lg[0])), int(np.argmin(lg[0]))
             best = max(best, float(lg[0, hi] - lg[0, lo]))
@@ -241,11 +283,11 @@ def test_gap_bound_matches_two_pass_reference(seed):
 
 
 def test_gap_bound_pass_counts(monkeypatch):
-    """One logit_jacobians pass per ascent step and no input_jacobian."""
+    """At most one logit_jacobians pass per ascent step."""
     rng = np.random.default_rng(4)
     params = random_net(rng, [6, 16, 16, 3])
     anchors = rng.uniform(0.2, 0.8, (5, 6))
-    counts = {"logit_jacobians": 0, "input_jacobian": 0}
+    counts = {"logit_jacobians": 0}
 
     def counting(name):
         fn = getattr(theory, name)
@@ -259,7 +301,6 @@ def test_gap_bound_pass_counts(monkeypatch):
         monkeypatch.setattr(theory, name, counting(name))
     steps = 7
     estimate_gap_bound(params, anchors, 0.1, n_probes=20, ascent_steps=steps)
-    assert counts["input_jacobian"] == 0
     assert 0 < counts["logit_jacobians"] <= steps * len(anchors)
 
 
@@ -345,9 +386,6 @@ def test_single_point_refusals():
     rng = np.random.default_rng(14)
     net = conditioned_surgery_net(rng, n=6, width=16, m=2)
     x0 = rng.uniform(0.3, 0.7, 6)
-    lx = classify(net, x0)
-    with pytest.raises(ValueError, match="classified"):
-        surgery_single_point(net, x0, gamma=0.5, eps=0.05, label=1 - lx)
     # duplicate output rows destroy the row separation
     w2 = net.weights[1].copy()
     w2[1] = w2[0]
@@ -494,21 +532,30 @@ def test_inflation_preserves_and_shrinks():
 
 
 def test_inflation_one_forward_before_the_jacobian(monkeypatch):
+    """The jacobian chains take their masks from the one forward at x0."""
     rng = np.random.default_rng(40)
     net = positive_square_net(rng, 8, 3, m=4)
     x0 = rng.uniform(0.3, 1.0, 8)
     log = _forward_log(monkeypatch)
-    jac = theory.input_jacobian
-
-    def marked(*a):
-        log.append(None)
-        return jac(*a)
-
-    monkeypatch.setattr(theory, "input_jacobian", marked)
     tr = gradient_inflation_attack(net, x0, gamma=0.5)
     assert tr.guarantee
-    assert log.index(None) == 1
+    assert sum(p is net for p, _ in log) == 1
     assert log[0][0] is net and np.array_equal(log[0][1], x0[None, :])
+
+
+def test_layer_chains_match_fd_and_factors():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        p = random_net(rng, [4, 6, 5, 3])
+        x = rng.uniform(0, 1, size=4)
+        head, tail = _layer_chains(p, [s[0] for s in forward_batch(p, x[None, :])[1]])
+        assert rel_err(head[0], numeric_input_jacobian(p, x)) < 1e-6
+        np.testing.assert_array_equal(head[0], chain_input_jacobian(p, x))
+        # the jacobian factors through every layer cut
+        assert len(head) == len(tail) == p.hidden_count + 1
+        np.testing.assert_array_equal(tail[0], np.eye(4))
+        for h, t in zip(head, tail):
+            np.testing.assert_allclose(h @ t, head[0], atol=1e-12)
 
 
 def test_inflation_median_drop_is_substantial():
@@ -547,12 +594,17 @@ def test_inflation_architecture_refusals():
 
 
 def test_inflation_target_class_validation():
+    """The target is the other class with the smallest first-order margin."""
     rng = np.random.default_rng(44)
     net = positive_square_net(rng, 8, 2, m=3)
     x0 = rng.uniform(0.3, 1.0, 8)
     lx = classify(net, x0)
-    with pytest.raises(ValueError, match="target class"):
-        gradient_inflation_attack(net, x0, gamma=0.5, target_class=lx)
+    F = forward_batch(net, x0[None, :])[2][0]
+    jac = chain_input_jacobian(net, x0)
+    ratios = {l: (F[lx] - F[l]) / np.linalg.norm(jac[lx] - jac[l]) for l in range(3) if l != lx}
+    tr = gradient_inflation_attack(net, x0, gamma=0.5)
+    assert tr.target_class == min(ratios, key=ratios.get) != lx
+    assert math.isclose(tr.margin_before, min(ratios.values()) ** 2, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
