@@ -118,12 +118,6 @@ def pgd_flips_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdC
     return flipped
 
 
-def robust_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0) -> float:
-    """Mean cross-entropy at the PGD points (the adversarial-training loss)."""
-    _, _, ce = _pgd_run(params, X, y, cfg, seed)
-    return float(ce.mean())
-
-
 # ---------------------------------------------------------------------------
 # budgets and projection
 
@@ -161,8 +155,8 @@ class PerturbBudget:
         """Half-widths gamma * |theta| of the linf box around ``params``."""
         if self.kind != "linf":
             raise ValueError(f"a {self.kind} budget has no box; the gradient attacks need an linf budget")
-        return ModelParams([self.gamma * np.abs(w) for w in params.weights],
-                           [self.gamma * np.abs(b) for b in params.biases])
+        with np.errstate(over="ignore"):  # ``like`` refuses a box that overflows
+            return params.like(self.gamma * np.abs(params.flat))
 
     def check_fits(self, params: ModelParams) -> None:
         """Raise ValueError when a swap budget names more weight matrices than the net has."""
@@ -189,9 +183,7 @@ def proj_box(candidate: ModelParams, center: ModelParams, delta: ModelParams) ->
     """
     if candidate.dims != center.dims or center.dims != delta.dims:
         raise ValueError("candidate, center and delta must share shapes")
-    ws = [np.clip(wc, w - d, w + d) for wc, w, d in zip(candidate.weights, center.weights, delta.weights)]
-    bs = [np.clip(bc, b - d, b + d) for bc, b, d in zip(candidate.biases, center.biases, delta.biases)]
-    return ModelParams(ws, bs)
+    return center.like(np.clip(candidate.flat, center.flat - delta.flat, center.flat + delta.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +248,7 @@ def _ratio_grad(theta: ModelParams, num_terms, den_term):
     den = max(den_raw, _DENOM_FLOOR)
     ratio = num / den
     grad = add_scaled(g_num, g_den, -ratio)
-    return ratio, den_raw, ModelParams([w / den for w in grad.weights], [b / den for b in grad.biases])
+    return ratio, den_raw, grad.like(grad.flat / den)
 
 
 def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budget: PerturbBudget,
@@ -326,8 +318,7 @@ def _robust_objective(pgd: PgdConfig):
         Xadv = pgd_adversary_batch(theta, Xb, yb, pgd, seed=seed)
         if phase == 1:
             adv_mean, g = loss_and_grads(theta, Xadv, yb, reduction="mean")
-            minus_g = ModelParams([-w for w in g.weights], [-b for b in g.biases])
-            return -adv_mean, minus_g, {"robust_loss": adv_mean}
+            return -adv_mean, g.like(-g.flat), {"robust_loss": adv_mean}
         ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb))
         return ratio, g, {"robust_loss": den / len(yb)}
 
@@ -349,14 +340,11 @@ def attack_linf(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
 def perturb_random(params: ModelParams, budget: PerturbBudget, seed=0) -> ModelParams:
     """Budget-matched random perturbation (control for the guided attacks)."""
     rng = np.random.default_rng(seed)
-    theta = params.copy()
     if budget.kind == "linf":
         delta = budget.box(params)
-        for w, d in zip(theta.weights, delta.weights):
-            w += rng.uniform(-1.0, 1.0, size=w.shape) * d
-        for b, d in zip(theta.biases, delta.biases):
-            b += rng.uniform(-1.0, 1.0, size=b.shape) * d
+        theta = params.like(params.flat + rng.uniform(-1.0, 1.0, size=params.num_params) * delta.flat)
         return proj_box(theta, params, delta)
+    theta = params.copy()
     sel = _pick_matrices(rng, theta, budget)
     for l in sel:
         W = theta.weights[l]

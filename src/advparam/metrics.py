@@ -7,8 +7,8 @@ Three views of robustness:
 
 The two jacobian measures (radius, distributional ratio) come from one
 batched pass, ``_jacobian_measures``: ``mlp.logit_jacobians`` over blocks of
-rows, each block reduced straight to per-sample terms.  Against a
-per-sample loop over one jacobian per sample the values agree to a
+rows, each block reduced straight to per-sample terms (``_jacobian_terms``).
+Against a per-sample loop over one jacobian per sample the values agree to a
 relative 1e-9 (products and sums are taken in another order), and whether
 a radius is 0, inf or finite is the same.
 
@@ -78,21 +78,23 @@ def _jacobian_measures(params: ModelParams, X: np.ndarray, y: np.ndarray,
     radii, margin2, grad2 = np.empty(N), np.empty(N), np.empty(N)
     for lo in range(0, N, _BLOCK_ROWS):
         blk = slice(lo, lo + _BLOCK_ROWS)
-        logits, J = logit_jacobians(params, X[blk])
-        yb = y[blk]
-        rows = np.arange(len(yb))
-        gap = logits[rows, yb][:, None] - logits
-        gd = J[rows, yb][:, None, :] - J
-        gap[rows, yb] = math.inf  # own class: no gap to close (and its gd is exactly 0)
-        denom = np.linalg.norm(gd, ord=q, axis=2)
-        usable = denom >= INF_SENTINEL_TOL
-        ratio = np.divide(gap, denom, out=np.full_like(gap, math.inf), where=usable)
-        r = ratio.min(axis=1)
-        r[(gap <= 0.0).any(axis=1)] = 0.0  # misclassified, or a class tied/ahead
-        radii[blk] = r
-        margin2[blk] = np.where(gap > 0.0, gap * gap, 0.0).min(axis=1)
-        grad2[blk] = (gd * gd).sum(axis=2).max(axis=1)
+        radii[blk], margin2[blk], grad2[blk] = _jacobian_terms(*logit_jacobians(params, X[blk]), y[blk], q)
     return radii, margin2, grad2
+
+
+def _jacobian_terms(logits: np.ndarray, J: np.ndarray, y: np.ndarray,
+                    q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_jacobian_measures`` of one block from its ``logit_jacobians`` output (q: dual exponent)."""
+    rows = np.arange(len(y))
+    gap = logits[rows, y][:, None] - logits
+    gd = J[rows, y][:, None, :] - J
+    gap[rows, y] = math.inf  # own class: no gap to close (and its gd is exactly 0)
+    denom = np.linalg.norm(gd, ord=q, axis=2)
+    usable = denom >= INF_SENTINEL_TOL
+    ratio = np.divide(gap, denom, out=np.full_like(gap, math.inf), where=usable)
+    r = ratio.min(axis=1)
+    r[(gap <= 0.0).any(axis=1)] = 0.0  # misclassified, or a class tied/ahead
+    return r, np.where(gap > 0.0, gap * gap, 0.0).min(axis=1), (gd * gd).sum(axis=2).max(axis=1)
 
 
 def _mean_finite(radii: np.ndarray) -> float:
@@ -123,7 +125,12 @@ def approx_radius(params: ModelParams, x: np.ndarray, label: int, p: float = mat
 
 def margin_measure(params: ModelParams, x: np.ndarray, label: int) -> float:
     """Squared first-order margin: min over classes of gap^2 / ||grad gap||_2^2."""
-    r = approx_radius(params, x, label, p=2.0)
+    return _squared_margin(*logit_jacobians(params, np.reshape(x, (1, -1))), label)
+
+
+def _squared_margin(logits: np.ndarray, J: np.ndarray, label: int) -> float:
+    """``margin_measure`` of one point from its one-row ``logit_jacobians`` output."""
+    r = float(_jacobian_terms(logits, J, np.array([label]), 2.0)[0][0])
     return r * r if math.isfinite(r) else math.inf
 
 

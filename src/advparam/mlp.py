@@ -1,80 +1,104 @@
 """Dense ReLU networks: parameters, forward pass, analytic gradients, serialization.
 
 Everything downstream (training, attacks, weight surgery) manipulates the
-``ModelParams`` container directly, so the layer layout is deliberately plain:
-a list of weight matrices and a list of bias vectors, float64 throughout.
-The last layer is affine (raw logits); softmax appears only inside the
-cross-entropy loss.
+``ModelParams`` container directly.  Its entries live in one float64 vector,
+``flat``: all weight matrices (row-major, in layer order), then all biases.
+An elementwise parameter operation is thus one array operation, whose result
+``like(vec)`` wraps as a set.  The last layer is affine (raw logits); softmax
+appears only inside the cross-entropy loss.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass
 class ModelParams:
     """Weights and biases of a fully connected ReLU network.
 
     ``weights[l]`` maps layer l inputs to layer l outputs (shape out x in);
     hidden layers apply ReLU, the final layer does not.  Shapes must chain,
     every entry must be finite, and the output dimension must be >= 2.
-    A network may have zero hidden layers (a single affine map).
+    A network may have zero hidden layers (a single affine map).  The
+    constructor copies its inputs into ``flat``; ``weights`` and ``biases``
+    are tuples of views into it, so an in-place layer edit edits ``flat``.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
+    def __init__(self, weights, biases):
+        if len(weights) != len(biases):
             raise ValueError("weights and biases must have the same layer count")
-        if not self.weights:
+        if not weights:
             raise ValueError("a network needs at least one layer")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        for l, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2:
                 raise ValueError(f"layer {l}: weight must be 2-D, got shape {w.shape}")
             if b.ndim != 1 or b.shape[0] != w.shape[0]:
                 raise ValueError(f"layer {l}: bias shape {b.shape} does not match weight {w.shape}")
-            if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
+            if l > 0 and w.shape[1] != weights[l - 1].shape[0]:
                 raise ValueError(
                     f"layer {l}: input dim {w.shape[1]} != previous output dim "
-                    f"{self.weights[l - 1].shape[0]}"
+                    f"{weights[l - 1].shape[0]}"
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {l}: non-finite parameter entries")
-        if self.weights[-1].shape[0] < 2:
+        if weights[-1].shape[0] < 2:
             raise ValueError("output dimension must be >= 2 (need at least two classes)")
+        arrays = weights + biases
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._spans = tuple(zip([0] + ends[:-1], ends, [a.shape for a in arrays]))
+        self._set_flat(np.concatenate([a.ravel() for a in arrays]))
+
+    def _set_flat(self, flat: np.ndarray) -> None:
+        views = tuple(flat[a:b].reshape(shape) for a, b, shape in self._spans)
+        n = len(views) // 2
+        self._flat, self._weights, self._biases = flat, views[:n], views[n:]
+
+    def like(self, vec) -> "ModelParams":
+        """A set with these shapes whose ``flat`` is vec, not copied: vec must
+        hold ``num_params`` finite entries, or ValueError is raised."""
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
+        if vec.shape != self._flat.shape:
+            raise ValueError(f"expected {self._flat.size} entries, got {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("non-finite parameter entries")
+        out = object.__new__(ModelParams)
+        out._spans = self._spans
+        out._set_flat(vec)
+        return out
+
+    flat = property(lambda self: self._flat, doc="Every weight matrix row-major, then every bias.")
+    weights = property(lambda self: self._weights, doc="Weight matrices, views into ``flat``.")
+    biases = property(lambda self: self._biases, doc="Bias vectors, views into ``flat``.")
 
     @property
     def dims(self) -> list[int]:
         """Layer widths [n_in, n_1, ..., n_out]."""
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        return [self._weights[0].shape[1]] + [w.shape[0] for w in self._weights]
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self._weights[0].shape[1]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self._weights[-1].shape[0]
 
     @property
     def hidden_count(self) -> int:
-        return len(self.weights) - 1
+        return len(self._weights) - 1
 
     @property
     def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self._flat.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return self.like(self._flat.copy())
 
 
 def forward_batch(params: ModelParams, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
@@ -142,11 +166,15 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ce_and_dlogits(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample cross-entropy and its gradient w.r.t. the logits (softmax - onehot)."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    dlogits = e / e.sum(axis=1, keepdims=True)
-    dlogits[np.arange(len(y)), y] -= 1.0
-    return cross_entropy(logits, y), dlogits
+    """Per-sample cross-entropy (bit for bit ``cross_entropy``) and its gradient
+    w.r.t. the logits (softmax - onehot), from one softmax pass."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    dlogits = e / s
+    dlogits[rows, y] -= 1.0
+    return np.log(s[:, 0]) - z[rows, y], dlogits
 
 
 def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction: str = "mean"):
@@ -173,15 +201,14 @@ def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction:
     dlogits *= scale
     value = float(per.sum() * scale)
 
-    gw = [np.empty_like(w) for w in params.weights]
-    gb = [np.empty_like(b) for b in params.biases]
+    grads = params.like(np.zeros_like(params.flat))
     dz = dlogits
     for l in range(len(params.weights) - 1, -1, -1):
-        gw[l] = dz.T @ acts[l]
-        gb[l] = dz.sum(axis=0)
+        grads.weights[l][...] = dz.T @ acts[l]
+        grads.biases[l][...] = dz.sum(axis=0)
         if l > 0:
             dz = (dz @ params.weights[l]) * signs[l - 1]
-    return value, ModelParams(gw, gb)
+    return value, params.like(grads.flat)
 
 
 def input_gradient(params: ModelParams, X: np.ndarray,
@@ -211,44 +238,24 @@ def add_scaled(a: ModelParams, b: ModelParams, scale: float = 1.0) -> ModelParam
     """a + scale * b, elementwise over all layers."""
     if a.dims != b.dims:
         raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
-    return ModelParams(
-        [wa + scale * wb for wa, wb in zip(a.weights, b.weights)],
-        [ba + scale * bb for ba, bb in zip(a.biases, b.biases)],
-    )
+    return a.like(a.flat + scale * b.flat)
 
 
 def max_abs_diff(a: ModelParams, b: ModelParams) -> float:
     """L-infinity distance between two parameter sets."""
     if a.dims != b.dims:
         raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
-    d = 0.0
-    for wa, wb in zip(a.weights, b.weights):
-        d = max(d, float(np.abs(wa - wb).max()))
-    for ba, bb in zip(a.biases, b.biases):
-        if ba.size:
-            d = max(d, float(np.abs(ba - bb).max()))
-    return d
+    return float(np.abs(a.flat - b.flat).max())
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    """A copy of ``params.flat``: all weight matrices row-major in layer order, then all biases."""
+    return params.flat.copy()
 
 
 def unflatten_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (template.num_params,):
-        raise ValueError(f"expected {template.num_params} entries, got {vec.shape}")
-    ws, bs, k = [], [], 0
-    for w, b in zip(template.weights, template.biases):
-        ws.append(vec[k : k + w.size].reshape(w.shape))
-        k += w.size
-        bs.append(vec[k : k + b.size].copy())
-        k += b.size
-    return ModelParams(ws, bs)
+    """The set with ``template``'s shapes holding a copy of vec, laid out as ``flatten_params``."""
+    return template.like(np.array(vec, dtype=np.float64))
 
 
 def min_abs_entry(v: np.ndarray) -> float:

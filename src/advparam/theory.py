@@ -39,7 +39,7 @@ from .mlp import (
     max_abs_diff,
     min_abs_entry,
 )
-from .metrics import INF_SENTINEL_TOL, margin_measure
+from .metrics import INF_SENTINEL_TOL, _squared_margin, margin_measure
 
 __all__ = [
     "balanced_partition",
@@ -286,6 +286,8 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
     anchor.  A probing maximum is only a lower bound on the true supremum,
     so callers add a safety factor.
     """
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"probe radius must be finite and nonnegative, got {radius!r}")
     X = np.asarray(anchors, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -460,8 +462,8 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     if params.hidden_count != 1:
         raise ValueError("surgery needs exactly one hidden layer")
     _check_budget(gamma, eps, radius)
-    logits0 = forward_batch(params, x0[None, :])[2][0]
-    lx = int(np.argmax(logits0))  # smallest index on ties, as in classify
+    lg0, jac0 = logit_jacobians(params, x0[None, :])
+    lx = int(np.argmax(lg0[0]))  # smallest index on ties, as in classify
     if gamma == 0.0 or eps == 0.0:
         tr = _identity_trace("single_point", params, gamma)
         tr.adversarial_found = False
@@ -474,7 +476,7 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     if bad:
         raise ValueError("surgery conditions not met: " + ", ".join(bad))
 
-    order = np.argsort(logits0)[::-1]
+    order = np.argsort(lg0[0])[::-1]
     l2 = int(order[1]) if int(order[0]) == lx else int(order[0])
 
     v = orthogonal_unit_vector(x0)
@@ -485,7 +487,7 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     rbar = -(params.weights[-1][lx] - params.weights[-1][l2])
     rowsigns = np.sign(rbar)
     attacked = params.copy()
-    attacked.weights[0] = attacked.weights[0] + gamma * rowsigns[:, None] * v[None, :]
+    attacked.weights[0][...] += gamma * rowsigns[:, None] * v[None, :]
 
     adv = x0 + eps * v
     found = classify(attacked, adv) != lx
@@ -495,13 +497,13 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
         attacked=attacked,
         budget=gamma,
         budget_used=max_abs_diff(attacked, params),
-        clean_residual=float(np.abs(logits1 - logits0).max()),
+        clean_residual=float(np.abs(logits1 - lg0[0]).max()),
         direction=v,
         sign=sign,
         target_class=l2,
         adversarial_point=adv,
         adversarial_found=bool(found),
-        margin_before=margin_measure(params, x0, lx),
+        margin_before=_squared_margin(lg0, jac0, lx),
         margin_after=margin_measure(attacked, x0, lx),
         conditions=conditions,
         guarantee=True,
@@ -582,7 +584,7 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
         rowsigns = np.sign(w2[l] - w2[(l + 1) % m])
         delta += (gamma / m) * rowsigns[:, None] * V[l][None, :]
     attacked = params.copy()
-    attacked.weights[0] = attacked.weights[0] + delta
+    attacked.weights[0][...] += delta
 
     logits1 = forward_batch(attacked, X)[2]
     residual = float(np.abs(logits1 - logits0).max())
@@ -832,13 +834,11 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
     Wbar_out = np.zeros_like(params.weights[-1])
     Wbar_out[lx] = v_out
     Wbar_out[l2] = -v_out
-    attacked.weights[-1] = attacked.weights[-1] + sign_pattern[0] * Wbar_out
+    attacked.weights[-1][...] += sign_pattern[0] * Wbar_out
     for slot, i in enumerate(range(L, 0, -1), start=1):
         k = row_choices[slot]
         if k is not None:
-            w = attacked.weights[i - 1].copy()
-            w[k] = w[k] + sign_pattern[slot] * witnesses[slot]
-            attacked.weights[i - 1] = w
+            attacked.weights[i - 1][k] += sign_pattern[slot] * witnesses[slot]
 
     acts_a, _, logits_a = forward_batch(attacked, x0[None, :])
     residual = float(np.abs(logits_a[0] - logits).max())

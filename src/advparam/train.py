@@ -9,7 +9,7 @@ import numpy as np
 from .attack import PgdConfig, pgd_adversary_batch
 from .data import LabeledDataset
 from .metrics import accuracy
-from .mlp import ModelParams, add_scaled, init_params, loss_and_grads
+from .mlp import ModelParams, init_params, loss_and_grads
 
 
 @dataclass
@@ -49,8 +49,7 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
         raise ValueError(f"dims[-1]={cfg.dims[-1]} < {ds.n_classes} classes")
     params = init_params(cfg.dims, seed=cfg.seed)
     shuffle_rng = np.random.default_rng((cfg.seed, 1))
-    velocity = ModelParams([np.zeros_like(w) for w in params.weights],
-                           [np.zeros_like(b) for b in params.biases])
+    velocity = np.zeros(params.num_params)
     lr = cfg.lr
     history = []
     n = len(ds)
@@ -64,11 +63,8 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
             if cfg.adversarial:
                 Xb = pgd_adversary_batch(params, Xb, yb, cfg.pgd, seed=(cfg.seed, 2, step_idx))
             val, g = loss_and_grads(params, Xb, yb, reduction="mean")
-            velocity = add_scaled(
-                ModelParams([cfg.momentum * w for w in velocity.weights],
-                            [cfg.momentum * b for b in velocity.biases]),
-                g, -lr)
-            params = add_scaled(params, velocity)
+            velocity = cfg.momentum * velocity - lr * g.flat
+            params = params.like(params.flat + velocity)
             epoch_loss += val * len(idx)
             step_idx += 1
         lr *= cfg.lr_decay

@@ -22,7 +22,6 @@ from advparam.attack import (
     pgd_adversary_batch,
     pgd_flips_batch,
     proj_box,
-    robust_loss,
 )
 from advparam.data import LabeledDataset, gen_blobs
 from advparam.mlp import (
@@ -102,8 +101,8 @@ def test_robust_loss_at_least_clean_loss():
     p = random_net(rng, [4, 7, 3])
     X = rng.uniform(0, 1, size=(9, 4))
     y = rng.integers(0, 3, size=9)
-    clean = float(_ce(p, X, y).mean())
-    assert robust_loss(p, X, y, PgdConfig(eps=0.1, steps=10), seed=0) >= clean - 1e-12
+    Xadv = pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=10), seed=0)
+    assert (_ce(p, Xadv, y) >= _ce(p, X, y) - 1e-12).all()
 
 
 def _two_pass_pgd(params, X, y, cfg, seed):
@@ -157,7 +156,7 @@ def test_pgd_matches_two_pass_oracle(n, steps, eps):
     best_X, flipped, ce = _two_pass_pgd(p, X, y, cfg, seed=3)
     assert np.array_equal(pgd_adversary_batch(p, X, y, cfg, seed=3), best_X)
     assert np.array_equal(pgd_flips_batch(p, X, y, cfg, seed=3), flipped)
-    assert robust_loss(p, X, y, cfg, seed=3) == float(ce.mean())
+    assert np.array_equal(attack._pgd_run(p, X, y, cfg, seed=3)[2], ce)
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 7], ids=lambda s: f"True-{s}")
@@ -252,6 +251,48 @@ def test_budget_builds_or_raises(kind, gamma, k, fraction, floor):
             np.testing.assert_array_equal(got, w)
     else:
         assert b.label() == f"k={k};frac={fraction:g};floor={floor}"
+
+
+def _loop_box(gamma, params):
+    """The per-layer box: one comprehension over the weights, one over the biases."""
+    return ([gamma * np.abs(w) for w in params.weights], [gamma * np.abs(b) for b in params.biases])
+
+
+def _loop_proj_box(candidate, center, delta):
+    ws = [np.clip(wc, w - d, w + d) for wc, w, d in zip(candidate.weights, center.weights, delta.weights)]
+    bs = [np.clip(bc, b - d, b + d) for bc, b, d in zip(candidate.biases, center.biases, delta.biases)]
+    return ws, bs
+
+
+def _loop_perturb_random_linf(params, gamma, seed):
+    """The linf control drawn layer by layer, weights first, then biases."""
+    rng = np.random.default_rng(seed)
+    ws, bs = _loop_box(gamma, params)
+    theta = ModelParams(params.weights, params.biases)
+    for w, d in zip(theta.weights, ws):
+        w += rng.uniform(-1.0, 1.0, size=w.shape) * d
+    for b, d in zip(theta.biases, bs):
+        b += rng.uniform(-1.0, 1.0, size=b.shape) * d
+    return _loop_proj_box(theta, params, ModelParams(ws, bs))
+
+
+def _same_layers(p, ws, bs):
+    return all(np.array_equal(got, want) for got, want in zip(p.weights + p.biases, ws + bs))
+
+
+@pytest.mark.parametrize("dims", [[3, 5, 2], [8, 24, 24, 24, 3], [4, 3]])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.37])
+def test_flat_box_projection_and_control_match_per_layer_loops(dims, gamma):
+    rng = np.random.default_rng(len(dims) + int(gamma * 100))
+    center = random_net(rng, dims)
+    budget = PerturbBudget("linf", gamma=gamma)
+    delta = budget.box(center)
+    assert _same_layers(delta, *_loop_box(gamma, center))
+    cand = random_net(rng, dims)
+    assert _same_layers(proj_box(cand, center, delta), *_loop_proj_box(cand, center, delta))
+    for seed in (0, 5, (7, 1, 3)):
+        assert _same_layers(perturb_random(center, budget, seed=seed),
+                            *_loop_perturb_random_linf(center, gamma, seed))
 
 
 def test_proj_box_identity_inside_and_clipping():

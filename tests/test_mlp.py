@@ -27,6 +27,7 @@ from advparam.mlp import (
     save_model,
     unflatten_params,
 )
+from advparam.mlp import _ce_and_dlogits
 
 from common import (
     chain_input_jacobian,
@@ -53,6 +54,51 @@ def test_params_validation():
     assert p.dims == [3, 4, 2]
     assert p.hidden_count == 1
     assert p.num_params == 4 * 3 + 2 * 4 + 4 + 2
+
+
+def test_params_live_in_one_flat_vector():
+    rng = np.random.default_rng(3)
+    p = random_net(rng, [3, 5, 4, 2])
+    want = np.concatenate([w.ravel() for w in p.weights] + list(p.biases))
+    assert np.array_equal(p.flat, want) and p.flat.size == p.num_params
+    for arr in p.weights + p.biases:
+        assert np.shares_memory(arr, p.flat)
+    p.weights[1][2, 3] = 7.5
+    p.biases[2][1] = -2.5
+    assert p.flat[3 * 5 + 2 * 5 + 3] == 7.5
+    assert p.flat[-1] == -2.5
+    with pytest.raises(TypeError):
+        p.weights[0] = np.zeros((5, 3))
+    with pytest.raises(AttributeError):
+        p.biases = [np.zeros(5), np.zeros(4), np.zeros(2)]
+    with pytest.raises(AttributeError):
+        p.flat = np.zeros(p.num_params)
+
+
+def test_params_constructor_copies_its_inputs():
+    ws, bs = [np.ones((4, 3)), np.ones((2, 4))], [np.zeros(4), np.zeros(2)]
+    p = ModelParams(ws, bs)
+    ws[0][0, 0] = 9.0
+    bs[1][0] = 9.0
+    assert p.weights[0][0, 0] == 1.0 and p.biases[1][0] == 0.0
+    assert not any(np.shares_memory(a, p.flat) for a in ws + bs)
+
+
+def test_like_builds_same_shapes_and_rejects_bad_vectors():
+    p = random_net(np.random.default_rng(4), [3, 5, 2])
+    vec = np.arange(p.num_params, dtype=np.float64)
+    q = p.like(vec)
+    assert q.dims == p.dims and q.flat is vec
+    assert np.array_equal(q.weights[0], vec[:15].reshape(5, 3))
+    assert np.array_equal(q.biases[1], vec[-2:])
+    for bad in (np.zeros(p.num_params - 1), np.zeros((1, p.num_params))):
+        with pytest.raises(ValueError, match="entries"):
+            p.like(bad)
+    for v in (np.nan, np.inf):
+        bad = vec.copy()
+        bad[7] = v
+        with pytest.raises(ValueError, match="non-finite"):
+            p.like(bad)
 
 
 def test_affine_only_net_allowed():
@@ -155,6 +201,18 @@ def test_loss_and_grads_matches_finite_differences():
         assert rel_err(flatten_params(g), g_num) < 1e-5
 
 
+def test_ce_and_dlogits_loss_is_cross_entropy_bit_for_bit():
+    rng = np.random.default_rng(12)
+    logits = np.vstack([rng.standard_normal((50, 4)) * 5,
+                        rng.standard_normal((10, 4)) + 1e3,
+                        rng.standard_normal((10, 4)) - 1e3,
+                        [[1e3, -1e3, 0.0, 1e3], [2.0, 2.0, 2.0, 2.0], [-1e3, -1e3, 1e3, 1e3]]])
+    y = rng.integers(0, 4, size=len(logits))
+    per, dlogits = _ce_and_dlogits(logits, y)
+    assert np.array_equal(per, cross_entropy(logits, y))
+    np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
+
+
 def test_cross_entropy_hand_values():
     logits = np.array([[0.0, 0.0], [2.0, 0.0]])
     y = np.array([0, 1])
@@ -225,6 +283,17 @@ def test_flatten_round_trip_and_add():
     r = add_scaled(p, q, -1.0)
     assert max_abs_diff(r, unflatten_params(p, np.zeros(p.num_params))) == 0.0
     assert max_abs_diff(p, q) == 0.0
+
+
+def test_add_scaled_matches_per_layer_loop():
+    rng = np.random.default_rng(6)
+    a, b = random_net(rng, [4, 6, 5, 3]), random_net(rng, [4, 6, 5, 3])
+    for scale in (1.0, -0.37, 1e-3):
+        got = add_scaled(a, b, scale)
+        for g, x, y in zip(got.weights + got.biases, a.weights + a.biases, b.weights + b.biases):
+            assert np.array_equal(g, x + scale * y)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        add_scaled(a, random_net(rng, [4, 6, 3]))
 
 
 def test_min_helpers():

@@ -1,7 +1,6 @@
 """Tests for the constructive surgery module and the closed-form bounds."""
 
 import inspect
-import itertools
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from advparam import mlp, theory
 from advparam.data import gen_subspace_task
+from advparam.metrics import margin_measure
 from advparam.mlp import ModelParams, classify, forward_batch
 from advparam.theory import (
     ConstructionTrace,
@@ -235,6 +235,13 @@ def test_gap_bound_covers_anchor_spread():
     assert estimate_gap_bound(net, x0, radius=0.05, n_probes=50, ascent_steps=5) >= spread
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_gap_bound_rejects_bad_radius(radius):
+    net = random_net(np.random.default_rng(9), [4, 6, 3])
+    with pytest.raises(ValueError, match="radius"):
+        estimate_gap_bound(net, np.full(4, 0.5), radius=radius)
+
+
 def _ref_gap_bound(params, anchors, radius, n_probes=200, ascent_steps=30, seed=0):
     """estimate_gap_bound as written with a separate jacobian and logit pass."""
     X = np.asarray(anchors, dtype=np.float64)
@@ -330,9 +337,9 @@ def test_single_point_one_forward_at_anchor_before_edit(monkeypatch):
     log = _forward_log(monkeypatch)
     tr = surgery_single_point(net, x0, gamma=0.5, eps=0.05, conditions=cond)
     assert tr.adversarial_found
-    # every call before the first one on another net is on the unedited net
-    before = [X for _, X in itertools.takewhile(lambda call: call[0] is net, log)]
-    assert len(before) == 1 and np.array_equal(before[0], x0[None, :])
+    on_net = [X for params, X in log if params is net]
+    assert len(on_net) == 1 and np.array_equal(on_net[0], x0[None, :])
+    assert tr.margin_before == margin_measure(net, x0, classify(net, x0))
 
 
 def test_single_point_surgery_success():
@@ -587,8 +594,7 @@ def test_inflation_architecture_refusals():
     biased.biases[0][0] = 0.1
     with pytest.raises(ValueError, match="bias"):
         gradient_inflation_attack(biased, x0, gamma=0.5)
-    rect = random_net(rng, [8, 12, 3])
-    rect.biases = [np.zeros(12), np.zeros(3)]
+    rect = ModelParams(random_net(rng, [8, 12, 3]).weights, [np.zeros(12), np.zeros(3)])
     with pytest.raises(ValueError, match="width"):
         gradient_inflation_attack(rect, x0, gamma=0.5)
 
