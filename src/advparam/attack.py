@@ -24,6 +24,8 @@ import numpy as np
 from .data import LabeledDataset
 from .mlp import (
     ModelParams,
+    Workspace,
+    _block_workspaces,
     add_scaled,
     classify,
     cross_entropy,
@@ -62,45 +64,66 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     sample set when *any* iterate was classified differently from y, and the
     CE at X_best.
 
-    The first iterate is a uniform random point of the eps-ball (clipped to
-    [0,1]^n).  Each point gets one forward pass: the gradient pass at an
-    iterate also yields its CE and prediction.  Only the clean point and the
-    last iterate are forward-only, so a run of s >= 1 steps makes s
+    The rows run in ``row_blocks``, one block after the other, each on a
+    ``Workspace`` reused for every step, so the working set is one block's
+    whatever N.  The first iterate is a uniform random point of the eps-ball
+    (clipped to [0,1]^n); each block draws its own in turn from the run's one
+    generator, which yields the numbers of one draw for all rows.  Each point
+    gets one forward pass: the gradient pass at an iterate also yields its CE
+    and prediction.  Only the clean point and the last iterate are
+    forward-only, so per block a run of s >= 1 steps makes s
     ``input_gradient`` calls and s + 2 ``forward_batch`` calls.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
+    best_X = X.copy()
+    flipped = np.empty(len(X), dtype=bool)
+    best_ce = np.empty(len(X))
+    for blk, ws in _block_workspaces(params, len(X)):
+        _pgd_block(params, X[blk], y[blk], cfg, rng, ws, best_X[blk], flipped[blk], best_ce[blk])
+    return best_X, flipped, best_ce
+
+
+def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, rng,
+               ws: Workspace, best_X: np.ndarray, flipped: np.ndarray, best_ce: np.ndarray) -> None:
+    """``_pgd_run`` on one block of rows, in ``ws``: fills best_X (which holds
+    X on entry), flipped and best_ce in place."""
+    _, _, logits = forward_batch(params, X, ws)
+    best_ce[:] = cross_entropy(logits, y)
+    np.not_equal(np.argmax(logits, axis=1), y, out=flipped)
+    if cfg.eps == 0.0 or cfg.steps == 0:
+        return
 
     lo = np.maximum(X - cfg.eps, 0.0)
     hi = np.minimum(X + cfg.eps, 1.0)
+    pred = np.empty(len(y), dtype=np.intp)
+    miss = np.empty(len(y), dtype=bool)
+    better = np.empty(len(y), dtype=bool)
 
-    def eval_point(P):
-        _, _, logits = forward_batch(params, P)
-        return cross_entropy(logits, y), logits
+    def record(ce, logits):
+        np.argmax(logits, axis=1, out=pred)
+        np.logical_or(flipped, np.not_equal(pred, y, out=miss), out=flipped)
+        np.greater(ce, best_ce, out=better)
+        np.copyto(best_ce, ce, where=better)
+        np.copyto(best_X, cur, where=better[:, None])
 
-    best_ce, logits = eval_point(X)
-    best_X = X.copy()
-    flipped = np.argmax(logits, axis=1) != y
+    def clip(P):
+        np.maximum(P, lo, out=P)
+        np.minimum(P, hi, out=P)
 
-    if cfg.eps == 0.0 or cfg.steps == 0:
-        return best_X, flipped, best_ce
-
-    def record(P, ce, logits):
-        nonlocal best_ce, flipped
-        flipped |= np.argmax(logits, axis=1) != y
-        better = ce > best_ce
-        best_ce = np.where(better, ce, best_ce)
-        best_X[better] = P[better]
-
-    cur = np.clip(X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), lo, hi)
+    cur = X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape)
+    clip(cur)
     step = cfg.resolved_step
     for _ in range(cfg.steps):
-        ce, g, logits = input_gradient(params, cur, y)
-        record(cur, ce, logits)
-        cur = np.clip(cur + step * np.sign(g), lo, hi)
-    record(cur, *eval_point(cur))
-    return best_X, flipped, best_ce
+        ce, g, logits = input_gradient(params, cur, y, ws)
+        record(ce, logits)
+        np.sign(g, out=g)
+        g *= step
+        cur += g
+        clip(cur)
+    _, _, logits = forward_batch(params, cur, ws)
+    record(cross_entropy(logits, y), logits)
 
 
 def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0) -> np.ndarray:
@@ -159,9 +182,18 @@ class PerturbBudget:
             return params.like(self.gamma * np.abs(params.flat))
 
     def check_fits(self, params: ModelParams) -> None:
-        """Raise ValueError when a swap budget names more weight matrices than the net has."""
+        """Raise ValueError when the budget cannot act on ``params``: a swap
+        budget naming more weight matrices than the net has, or an linf box
+        whose half-widths or edges theta +- box are not finite."""
+        if self.kind == "linf":
+            a = np.abs(params.flat)
+            with np.errstate(over="ignore"):
+                outer = a + self.gamma * a  # |theta| + box, the larger edge magnitude
+            if not np.isfinite(outer).all():
+                raise ValueError(f"gamma={self.gamma!r} overflows the box around the net's parameters")
+            return
         n_mats = len(params.weights)
-        if self.kind == "swap" and self.k_matrices > n_mats:
+        if self.k_matrices > n_mats:
             raise ValueError(f"k_matrices={self.k_matrices} but the net has {n_mats} weight matrices")
 
     def describe(self) -> str:

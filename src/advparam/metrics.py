@@ -27,14 +27,10 @@ import numpy as np
 
 from .attack import PgdConfig, pgd_flips_batch
 from .data import LabeledDataset
-from .mlp import ModelParams, classify_batch, logit_jacobians
+from .mlp import ModelParams, classify_batch, logit_jacobians, row_blocks
 
 INF_SENTINEL_TOL = 1e-12  # gradient-gap norms below this count as "no gradient"
 GAMMA_LOW = 0.9  # an attack keeping less than this share of clean accuracy has failed
-# Rows per logit_jacobians call.  Bounds the live jacobians (N x m x n) so the
-# measures' peak memory does not grow with the dataset; speed is flat from
-# 256 to 4096 rows.
-_BLOCK_ROWS = 1024
 
 
 def accuracy(params: ModelParams, ds: LabeledDataset) -> float:
@@ -66,8 +62,8 @@ def _jacobian_measures(params: ModelParams, X: np.ndarray, y: np.ndarray,
                        p: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (radius, squared margin, squared worst gradient gap).
 
-    Rows go through ``logit_jacobians`` in blocks of ``_BLOCK_ROWS``; each
-    block is reduced at once, so at most one block of jacobians is alive.
+    Rows go through ``logit_jacobians`` in ``row_blocks``; each block is
+    reduced at once, so at most one block of jacobians is alive.
     The radius is the first-order L_p radius of ``approx_radius``; the
     squared margin is min over other classes of the gated gap^2 and the
     squared worst gradient gap max over other classes of ||grad gap||_2^2,
@@ -76,8 +72,7 @@ def _jacobian_measures(params: ModelParams, X: np.ndarray, y: np.ndarray,
     q = _dual_exponent(p)
     N = X.shape[0]
     radii, margin2, grad2 = np.empty(N), np.empty(N), np.empty(N)
-    for lo in range(0, N, _BLOCK_ROWS):
-        blk = slice(lo, lo + _BLOCK_ROWS)
+    for blk in row_blocks(N):
         radii[blk], margin2[blk], grad2[blk] = _jacobian_terms(*logit_jacobians(params, X[blk]), y[blk], q)
     return radii, margin2, grad2
 

@@ -769,13 +769,12 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
     signs = [s[0] for s in signs]
     logits = logits[0]
     lx = int(np.argmax(logits))  # smallest index on ties, as in classify
-    if gamma == 0.0:
-        mb = margin_measure(params, x0, lx)
-        return _identity_trace("gradient_inflation", params, gamma,
-                               margin_before=mb, margin_after=mb, guarantee=True)
-
     head, tail = _layer_chains(params, signs)
     jac = head[0]
+    if gamma == 0.0:
+        mb = _squared_margin(logits[None], jac[None], lx)
+        return _identity_trace("gradient_inflation", params, gamma,
+                               margin_before=mb, margin_after=mb, guarantee=True)
 
     # target class: smallest gated first-order margin, skipping classes the
     # gradient cannot reach, mirroring the squared-margin measure

@@ -59,6 +59,58 @@ def chain_input_jacobian(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return jac
 
 
+def alloc_forward(params: ModelParams, X: np.ndarray):
+    """The forward pass as it was before workspaces: fresh arrays at every layer.
+
+    The reference for ``forward_batch``, which fills a workspace in place and
+    must agree bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    acts, signs, h = [X], [], X
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w.T + b
+        s = (z > 0).astype(np.float64)
+        h = z * s
+        acts.append(h)
+        signs.append(s)
+    return acts, signs, h @ params.weights[-1].T + params.biases[-1]
+
+
+def _alloc_ce_and_dlogits(logits, y):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    dlogits = e / s
+    dlogits[rows, y] -= 1.0
+    return np.log(s[:, 0]) - z[rows, y], dlogits
+
+
+def alloc_input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray):
+    """``input_gradient`` as it was before workspaces, allocating every array per call."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    _, signs, logits = alloc_forward(params, X)
+    per, dz = _alloc_ce_and_dlogits(logits, np.asarray(y))
+    for l in range(len(params.weights) - 1, 0, -1):
+        dz = (dz @ params.weights[l]) * signs[l - 1]
+    return per, dz @ params.weights[0], logits
+
+
+def alloc_loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, scale: float):
+    """``loss_and_grads`` as it was before workspaces: (value, per-layer weight
+    gradients, per-layer bias gradients), each product a fresh array."""
+    acts, signs, logits = alloc_forward(params, X)
+    per, dz = _alloc_ce_and_dlogits(logits, y)
+    dz *= scale
+    gw, gb = [None] * len(params.weights), [None] * len(params.weights)
+    for l in range(len(params.weights) - 1, -1, -1):
+        gw[l] = dz.T @ acts[l]
+        gb[l] = dz.sum(axis=0)
+        if l > 0:
+            dz = (dz @ params.weights[l]) * signs[l - 1]
+    return float(per.sum() * scale), gw, gb
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()

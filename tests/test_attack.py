@@ -144,12 +144,15 @@ def _two_pass_pgd(params, X, y, cfg, seed):
 
 # The "True" in the case ids of the two PGD tests below stands for the random
 # start, which every PGD run makes.
-@pytest.mark.parametrize("n", [1, 32])
+# N = 1025 and 3000 run in several row blocks; the oracle runs every row at once.
+@pytest.mark.parametrize("n,dims", [(1, [4, 10, 10, 3]), (32, [4, 10, 10, 3]), (1025, [4, 10, 10, 3]),
+                                    (3000, [4, 10, 10, 3]), (32, [4, 13, 5, 8, 3]), (1025, [4, 13, 5, 8, 3])],
+                         ids=["1", "32", "1025", "3000", "32-unequal", "1025-unequal"])
 @pytest.mark.parametrize("steps", [0, 1, 2, 7])
 @pytest.mark.parametrize("eps", [0.0, 0.15], ids=["0.0-True", "0.15-True"])
-def test_pgd_matches_two_pass_oracle(n, steps, eps):
+def test_pgd_matches_two_pass_oracle(n, dims, steps, eps):
     rng = np.random.default_rng(100 + n + steps)
-    p = random_net(rng, [4, 10, 10, 3])
+    p = random_net(rng, dims)
     X = rng.uniform(0, 1, size=(n, 4))
     y = rng.integers(0, 3, size=n)
     cfg = PgdConfig(eps=eps, steps=steps)
@@ -182,6 +185,46 @@ def test_pgd_pass_counts(monkeypatch, steps):
         assert counts == {"forward": 1, "grad": 0}
     else:
         assert counts == {"forward": steps + 2, "grad": steps}
+
+
+@pytest.mark.parametrize("n,sizes", [(5, {5}), (1025, {512, 513}), (3000, {1000})])
+def test_pgd_builds_one_workspace_per_block_size(monkeypatch, n, sizes):
+    rng = np.random.default_rng(9)
+    p = random_net(rng, [4, 6, 3])
+    X = rng.uniform(0, 1, size=(n, 4))
+    y = rng.integers(0, 3, size=n)
+    built, grads = [], []
+
+    class Counted(mlp.Workspace):
+        def __init__(self, params, n_rows):
+            built.append(n_rows)
+            super().__init__(params, n_rows)
+
+    def grad(params, X, y, ws=None):
+        grads.append(ws)
+        return input_gradient(params, X, y, ws)
+
+    monkeypatch.setattr(mlp, "Workspace", Counted)
+    monkeypatch.setattr(attack, "input_gradient", grad)
+    pgd_flips_batch(p, X, y, PgdConfig(eps=0.1, steps=3))
+    assert sorted(built) == sorted(sizes)
+    assert len(grads) == 3 * len(mlp.row_blocks(n)) and all(isinstance(ws, Counted) for ws in grads)
+
+
+def test_pgd_non_finite_iterate_raises(monkeypatch):
+    rng = np.random.default_rng(10)
+    p = random_net(rng, [4, 6, 3])
+    X = rng.uniform(0, 1, size=(8, 4))
+    y = rng.integers(0, 3, size=8)
+
+    def nan_grad(params, X, y, ws=None):
+        per, g, logits = input_gradient(params, X, y, ws)
+        g[3, 1] = np.nan
+        return per, g, logits
+
+    monkeypatch.setattr(attack, "input_gradient", nan_grad)
+    with pytest.raises(ValueError, match="non-finite input"):
+        pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=2))
 
 
 # --- budgets and projection -------------------------------------------------------
@@ -242,6 +285,12 @@ def test_budget_builds_or_raises(kind, gamma, k, fraction, floor):
         arrays = _BOX_NET.weights + _BOX_NET.biases
         with np.errstate(over="ignore"):
             want = [gamma * np.abs(arr) for arr in arrays]
+            edges = [arr + w for arr, w in zip(arrays, want)] + [arr - w for arr, w in zip(arrays, want)]
+            if all(np.isfinite(e).all() for e in edges):
+                b.check_fits(_BOX_NET)
+            else:  # the box or one of its edges overflows
+                with pytest.raises(ValueError, match="overflows the box"):
+                    b.check_fits(_BOX_NET)
             if not all(np.isfinite(w).all() for w in want):  # a huge gamma overflows
                 with pytest.raises(ValueError, match="non-finite"):
                     b.box(_BOX_NET)

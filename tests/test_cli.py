@@ -144,7 +144,9 @@ def test_nonpositive_batch_size_rejected(tmp_path, workdir, capsys, command, siz
     ("report", ["--gammas", "nan"], "gamma"),
     ("attack", ["--gamma", "inf"], "gamma"),
     ("report", ["--gammas", "0.02", "--swap-k", "9"], "k_matrices=9"),  # the net has 2 matrices
-], ids=["report-swap-fraction", "report-nan-gamma", "attack-inf-gamma", "report-swap-k-above-matrix-count"])
+    ("report", ["--gammas", "0.02,1.7e308"], "gamma=1.7e+308"),  # finite gamma, overflowing box
+], ids=["report-swap-fraction", "report-nan-gamma", "attack-inf-gamma", "report-swap-k-above-matrix-count",
+        "report-overflowing-box"])
 def test_bad_budget_rejected_before_any_output(tmp_path, workdir, capsys, command, flags, word):
     out = tmp_path / "out"
     rc = main([command, "--model", str(workdir / "model.json"),

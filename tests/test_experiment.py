@@ -165,13 +165,19 @@ def _reject_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
 
 
-def test_summary_is_strict_json_with_error_row(tmp_path, trained):
+def test_summary_is_strict_json_with_error_row(tmp_path, trained, monkeypatch):
     params, ds = trained
     mpath, dpath = str(tmp_path / "model.json"), str(tmp_path / "data.json")
     save_model(params, mpath)
     save_dataset(ds, dpath)
-    budgets = [PerturbBudget("linf", gamma=1.7e308),  # gamma * |theta| overflows
-               PerturbBudget("linf", gamma=0.0)]
+
+    def attack(params, ds, budget, cfg):  # the first sweep point fails inside the sweep
+        if budget.gamma == 0.5:
+            raise ValueError("non-finite input")
+        return attack_linf(params, ds, budget, cfg)
+
+    monkeypatch.setattr(experiment, "attack_linf", attack)
+    budgets = [PerturbBudget("linf", gamma=0.5), PerturbBudget("linf", gamma=0.0)]
     res = run_experiment(mpath, dpath, budgets, str(tmp_path / "out"), _fast_cfg(), control=False)
     with open(res.summary_path) as f:
         summary = json.loads(f.read(), parse_constant=_reject_constant)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advparam.mlp import (
+    BLOCK_ROWS,
     ModelParams,
+    Workspace,
     add_scaled,
     classify,
     classify_batch,
@@ -27,9 +29,12 @@ from advparam.mlp import (
     save_model,
     unflatten_params,
 )
-from advparam.mlp import _ce_and_dlogits
+from advparam.mlp import _ce_and_dlogits, row_blocks
 
 from common import (
+    alloc_forward,
+    alloc_input_gradient,
+    alloc_loss_and_grads,
     chain_input_jacobian,
     numeric_input_jacobian,
     numeric_param_gradient,
@@ -208,7 +213,7 @@ def test_ce_and_dlogits_loss_is_cross_entropy_bit_for_bit():
                         rng.standard_normal((10, 4)) - 1e3,
                         [[1e3, -1e3, 0.0, 1e3], [2.0, 2.0, 2.0, 2.0], [-1e3, -1e3, 1e3, 1e3]]])
     y = rng.integers(0, 4, size=len(logits))
-    per, dlogits = _ce_and_dlogits(logits, y)
+    per, dlogits = _ce_and_dlogits(logits, y, Workspace(init_params([1, 4], 0), len(logits)))
     assert np.array_equal(per, cross_entropy(logits, y))
     np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
 
@@ -262,6 +267,85 @@ def test_input_gradient_rows_are_per_sample():
     per1, g1, _ = input_gradient(p, X[2:3], y[2:3])
     np.testing.assert_allclose(g1[0], gX[2], atol=1e-14)
     np.testing.assert_allclose(per1[0], per[2], atol=1e-14)
+
+
+_WS_DIMS = [[4, 6, 5, 3], [5, 3], [8, 24, 24, 24, 3], [6, 17, 4, 9, 2]]
+
+
+def _arrays(forward_out):
+    acts, signs, logits = forward_out
+    return acts + signs + [logits]
+
+
+@pytest.mark.parametrize("dims", _WS_DIMS)
+def test_workspace_passes_match_allocating_versions(dims):
+    """forward_batch and input_gradient in a reused workspace equal the
+    allocate-per-call versions bit for bit, call after call."""
+    rng = np.random.default_rng(sum(dims))
+    p = random_net(rng, dims)
+    for n in (1, 7, 40):
+        ws = Workspace(p, n)
+        for _ in range(3):  # each pass overwrites the last one's buffers
+            X = rng.uniform(-0.5, 1.5, size=(n, dims[0]))
+            y = rng.integers(0, dims[-1], size=n)
+            got, want = forward_batch(p, X, ws), alloc_forward(p, X)
+            assert all(np.array_equal(g, w) for g, w in zip(_arrays(got), _arrays(want), strict=True))
+            for got, want in zip(input_gradient(p, X, y, ws), alloc_input_gradient(p, X, y)):
+                assert np.array_equal(got, want)
+            for got, want in zip(input_gradient(p, X, y), alloc_input_gradient(p, X, y)):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dims", _WS_DIMS)
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+def test_loss_and_grads_matches_allocating_version(dims, reduction):
+    rng = np.random.default_rng(len(dims))
+    p = random_net(rng, dims)
+    for n in (1, 32):
+        X = rng.uniform(0, 1, size=(n, dims[0]))
+        y = rng.integers(0, dims[-1], size=n)
+        value, g = loss_and_grads(p, X, y, reduction=reduction)
+        want_value, gw, gb = alloc_loss_and_grads(p, X, y, 1.0 / n if reduction == "mean" else 1.0)
+        assert value == want_value
+        assert all(np.array_equal(a, b) for a, b in zip(g.weights + g.biases, gw + gb))
+
+
+def test_forward_batch_without_workspace_returns_fresh_arrays():
+    rng = np.random.default_rng(2)
+    p = random_net(rng, [3, 5, 4, 2])
+    X = rng.uniform(0, 1, size=(6, 3))
+    first, second = _arrays(forward_batch(p, X))[1:], _arrays(forward_batch(p, X))[1:]  # [0] is X
+    assert all(np.array_equal(a, b) and not np.shares_memory(a, b) for a, b in zip(first, second))
+    ws = Workspace(p, 6)  # in a workspace, the next pass reuses the same buffers
+    assert np.shares_memory(forward_batch(p, X, ws)[2], forward_batch(p, X, ws)[2])
+
+
+def test_forward_batch_rejects_a_workspace_of_another_shape():
+    rng = np.random.default_rng(3)
+    p = random_net(rng, [3, 5, 2])
+    X = rng.uniform(0, 1, size=(4, 3))
+    for ws in (Workspace(p, 5), Workspace(random_net(rng, [3, 6, 2]), 4)):
+        with pytest.raises(ValueError, match="workspace"):
+            forward_batch(p, X, ws)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2048, 2049, 3000, 10000])
+def test_row_blocks_cover_rows_in_near_equal_blocks(n):
+    blocks = row_blocks(n)
+    assert len(blocks) == -(-n // BLOCK_ROWS)
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    if blocks:
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) <= BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+
+
+def test_classify_batch_equals_argmax_of_one_forward():
+    rng = np.random.default_rng(4)
+    p = random_net(rng, [5, 9, 7, 4])
+    X = rng.uniform(0, 1, size=(2500, 5))  # three row blocks
+    assert np.array_equal(classify_batch(p, X), np.argmax(forward_batch(p, X)[2], axis=1))
+    assert classify_batch(p, X[:0]).shape == (0,)
 
 
 def test_empty_batch_rejected():

@@ -550,6 +550,20 @@ def test_inflation_one_forward_before_the_jacobian(monkeypatch):
     assert log[0][0] is net and np.array_equal(log[0][1], x0[None, :])
 
 
+def test_inflation_zero_budget_one_forward(monkeypatch):
+    """At gamma = 0 the margin comes from the entry pass, equal to margin_measure."""
+    rng = np.random.default_rng(44)
+    for depth in (1, 2, 4):
+        net = positive_square_net(rng, 8, depth, m=3)
+        x0 = rng.uniform(0.3, 1.0, 8)
+        want = margin_measure(net, x0, classify(net, x0))
+        with monkeypatch.context() as mp:
+            log = _forward_log(mp)
+            tr = gradient_inflation_attack(net, x0, gamma=0.0)
+        assert len(log) == 1 and log[0][0] is net
+        assert tr.margin_before == tr.margin_after == want
+
+
 def test_layer_chains_match_fd_and_factors():
     rng = np.random.default_rng(5)
     for _ in range(5):
