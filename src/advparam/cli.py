@@ -199,6 +199,7 @@ def _cmd_train(opt: _Options) -> int:
 def _cmd_attack(opt: _Options) -> int:
     params = load_model(opt.get("model"))
     ds = load_dataset(opt.get("data"))
+    ds.check_labels(params.output_dim)
     seed = opt.get("seed", 0, int)
     cfg = _attack_cfg(opt, seed)
     kind = opt.get("kind", "linf")
@@ -248,6 +249,7 @@ def _cmd_attack(opt: _Options) -> int:
 def _cmd_eval(opt: _Options) -> int:
     params = load_model(opt.get("model"))
     ds = load_dataset(opt.get("data"))
+    ds.check_labels(params.output_dim)
     rep = robustness_report(params, ds, _pgd_from(opt), seed=opt.get("seed", 0, int))
     print(rep.text_summary())
     csv_out = opt.get("csv", None)
@@ -451,11 +453,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    cfg = _read_config(ns.config) if hasattr(ns, "config") else {}
-    opt = _Options(ns, cfg)
     try:
-        return _COMMANDS[ns.command](opt)
-    except (ValueError, FileNotFoundError) as exc:
+        cfg = _read_config(ns.config) if hasattr(ns, "config") else {}
+        return _COMMANDS[ns.command](_Options(ns, cfg))
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,6 +64,11 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return int(self.y.max()) + 1
 
+    def check_labels(self, n_outputs: int) -> None:
+        """Refuse labels that a model with n_outputs logits cannot predict."""
+        if self.n_classes > n_outputs:
+            raise ValueError(f"dataset has {self.n_classes} classes but the model outputs {n_outputs}")
+
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx)
         return LabeledDataset(self.X[idx], self.y[idx], name=self.name, meta=dict(self.meta))
@@ -188,12 +193,16 @@ def dataset_from_json(text: str) -> LabeledDataset:
     for key in ("X", "y"):
         if key not in doc:
             raise ValueError(f"dataset document missing {key!r}")
-    return LabeledDataset(
-        np.array(doc["X"], dtype=np.float64),
-        np.array(doc["y"], dtype=np.int64),
-        name=doc.get("name", ""),
-        meta=doc.get("meta", {}),
-    )
+    y, name, meta = doc["y"], doc.get("name", ""), doc.get("meta", {})
+    if not isinstance(y, list) or not all(type(v) is int for v in y):
+        raise ValueError("labels must be a list of integers")
+    if not isinstance(name, str) or not isinstance(meta, dict):
+        raise ValueError("dataset name must be a string and meta an object")
+    try:
+        return LabeledDataset(np.array(doc["X"], dtype=np.float64), np.array(y, dtype=np.int64),
+                              name=name, meta=meta)
+    except (TypeError, OverflowError) as e:  # a non-numeric feature, a label beyond int64
+        raise ValueError(f"malformed dataset entry: {e}") from e
 
 
 def save_dataset(ds: LabeledDataset, path: str) -> None:

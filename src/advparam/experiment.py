@@ -184,10 +184,10 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
     """Run the sweep and write report.csv + summary.json to out_dir.
 
     A budget that does not fit the loaded net (``PerturbBudget.check_fits``)
-    raises ValueError before out_dir is created.  summary.json is strict
-    JSON: a nan (undefined rate, error row) or inf (every radius an inf
-    sentinel) column is written as null there, while report.csv keeps the
-    exact ``nan``/``inf`` token.
+    or a label the net cannot output raises ValueError before out_dir is
+    created.  summary.json is strict JSON: a nan (undefined rate, error row)
+    or inf (every radius an inf sentinel) column is written as null there,
+    while report.csv keeps the exact ``nan``/``inf`` token.
     """
     for p in (model_path, dataset_path):
         if not os.path.exists(p):
@@ -195,6 +195,7 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
     cfg = cfg if cfg is not None else AttackConfig()
     params = load_model(model_path)
     ds = load_dataset(dataset_path)
+    ds.check_labels(params.output_dim)
     for budget in budgets:
         budget.check_fits(params)
     rows, errors = run_sweep(params, ds, budgets, cfg, control)

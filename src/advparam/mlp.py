@@ -395,9 +395,9 @@ def model_from_json(text: str) -> ModelParams:
             [np.array(layer["w"], dtype=np.float64) for layer in layers],
             [np.array(layer["b"], dtype=np.float64) for layer in layers],
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed layer entry: {e}") from e
-    if "dims" in doc and list(doc["dims"]) != params.dims:
+    if "dims" in doc and doc["dims"] != params.dims:
         raise ValueError(f"declared dims {doc['dims']} do not match layer shapes {params.dims}")
     return params
 

@@ -34,12 +34,13 @@ import numpy as np
 from .mlp import (
     ModelParams,
     classify,
+    classify_batch,
     forward_batch,
     logit_jacobians,
     max_abs_diff,
     min_abs_entry,
 )
-from .metrics import INF_SENTINEL_TOL, _squared_margin, margin_measure
+from .metrics import INF_SENTINEL_TOL, _squared_margin
 
 __all__ = [
     "balanced_partition",
@@ -285,6 +286,14 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
     anchor, plus a short projected gradient ascent on the spread from each
     anchor.  A probing maximum is only a lower bound on the true supremum,
     so callers add a safety factor.
+
+    All anchors ascend together: each step is one ``logit_jacobians`` pass
+    over the k x n iterates, a sign step along each row's spread gradient
+    and a clip to that row's box; one forward pass scores the last
+    iterates.  Where all logits of a row tie, its step direction is a
+    jacobian row minus itself, exactly 0, so the iterate stays and the
+    maximum is what stopping there would give.  A row of a batched pass may
+    round differently in the last bits from a one-row pass.
     """
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"probe radius must be finite and nonnegative, got {radius!r}")
@@ -299,19 +308,17 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
     _, _, logits = forward_batch(params, probes)
     best = float((logits.max(axis=1) - logits.min(axis=1)).max())
     step = radius / 8.0
-    for x0 in X:
-        x = x0.copy()
-        for _ in range(ascent_steps):
-            lg, jac = logit_jacobians(params, x[None, :])
-            hi, lo = int(np.argmax(lg[0])), int(np.argmin(lg[0]))
-            best = max(best, float(lg[0, hi] - lg[0, lo]))
-            if hi == lo:
-                break
-            d = jac[0, hi] - jac[0, lo]
-            x = np.clip(x + step * np.sign(d), x0 - radius, x0 + radius)
-        _, _, lg = forward_batch(params, x[None, :])
-        best = max(best, float(lg[0].max() - lg[0].min()))
-    return best
+    box_lo, box_hi = X - radius, X + radius
+    rows = np.arange(X.shape[0])
+    x = X.copy()
+    for _ in range(ascent_steps):
+        lg, jac = logit_jacobians(params, x)
+        hi, lo = np.argmax(lg, axis=1), np.argmin(lg, axis=1)
+        best = max(best, float((lg[rows, hi] - lg[rows, lo]).max()))
+        d = jac[rows, hi] - jac[rows, lo]
+        x = np.clip(x + step * np.sign(d), box_lo, box_hi)
+    _, _, lg = forward_batch(params, x)
+    return max(best, float((lg.max(axis=1) - lg.min(axis=1)).max()))
 
 
 _GAP_SAFETY = 1.5
@@ -424,20 +431,20 @@ def _identity_trace(kind: str, params: ModelParams, gamma: float, **kw) -> Const
 # single-point surgery on a one-hidden-layer net
 
 
-def _activation_side(params: ModelParams, x0: np.ndarray, v: np.ndarray,
-                     eps: float, floor: float) -> tuple[int, int]:
-    """How many floor-clearing units survive at x0 + eps*v and x0 - eps*v.
+def _activation_side(params: ModelParams, X: np.ndarray, v: np.ndarray,
+                     eps: float, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row x of X, how many floor-clearing units survive at x + eps*v and x - eps*v.
 
-    Counted among the units already above the floor at x0; every such unit
+    Counted among the units already above the floor at x; every such unit
     survives on at least one of the two sides, so the better side keeps at
-    least half of them.
+    least half of them.  Returns the two count vectors, one entry per row,
+    from one first-layer product per side.
     """
     w1, b1 = params.weights[0], params.biases[0]
-    z0 = w1 @ x0 + b1
-    zp = w1 @ (x0 + eps * v) + b1
-    zm = w1 @ (x0 - eps * v) + b1
-    active = z0 > floor
-    return int((active & (zp > floor)).sum()), int((active & (zm > floor)).sum())
+    active = X @ w1.T + b1 > floor
+    kept_plus = active & ((X + eps * v) @ w1.T + b1 > floor)
+    kept_minus = active & ((X - eps * v) @ w1.T + b1 > floor)
+    return kept_plus.sum(axis=1), kept_minus.sum(axis=1)
 
 
 def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps: float,
@@ -480,7 +487,8 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     l2 = int(order[1]) if int(order[0]) == lx else int(order[0])
 
     v = orthogonal_unit_vector(x0)
-    n_plus, n_minus = _activation_side(params, x0, v, eps, conditions.act_floor)
+    n_plus, n_minus = (int(c[0]) for c in _activation_side(params, x0[None, :], v, eps,
+                                                           conditions.act_floor))
     sign = 1.0 if n_plus >= n_minus else -1.0
     v = sign * v
 
@@ -491,20 +499,20 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
 
     adv = x0 + eps * v
     found = classify(attacked, adv) != lx
-    logits1 = forward_batch(attacked, x0[None, :])[2][0]
+    lg1, jac1 = logit_jacobians(attacked, x0[None, :])
     return ConstructionTrace(
         kind="single_point",
         attacked=attacked,
         budget=gamma,
         budget_used=max_abs_diff(attacked, params),
-        clean_residual=float(np.abs(logits1 - lg0[0]).max()),
+        clean_residual=float(np.abs(lg1[0] - lg0[0]).max()),
         direction=v,
         sign=sign,
         target_class=l2,
         adversarial_point=adv,
         adversarial_found=bool(found),
         margin_before=_squared_margin(lg0, jac0, lx),
-        margin_after=margin_measure(attacked, x0, lx),
+        margin_after=_squared_margin(lg1, jac1, lx),
         conditions=conditions,
         guarantee=True,
         extras={"label": lx, "kept_plus": n_plus, "kept_minus": n_minus},
@@ -568,14 +576,8 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
     # orient each v_l so the activation-friendly side is x - eps v_l for
     # most class-l samples; the attacking pre-activation shift points that way
     for l in range(m):
-        members = X[labels == l]
-        if members.shape[0] == 0:
-            continue
-        votes = 0
-        for x in members:
-            n_plus, n_minus = _activation_side(params, x, V[l], eps, conditions.act_floor)
-            votes += 1 if n_plus > n_minus else (-1 if n_minus > n_plus else 0)
-        if votes > 0:
+        n_plus, n_minus = _activation_side(params, X[labels == l], V[l], eps, conditions.act_floor)
+        if np.sign(n_plus - n_minus).sum() > 0:
             V[l] = -V[l]
 
     w2 = params.weights[-1]
@@ -589,18 +591,14 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
     logits1 = forward_batch(attacked, X)[2]
     residual = float(np.abs(logits1 - logits0).max())
 
-    hits = np.zeros(X.shape[0], dtype=bool)
-    adv_points = []
-    for i, x in enumerate(X):
-        lx = int(labels[i])
-        for s in (-1.0, 1.0):
-            candidate = x + s * eps * V[lx]
-            if classify(attacked, candidate) != lx:
-                hits[i] = True
-                adv_points.append(candidate)
-                break
-        else:
-            adv_points.append(None)
+    # each sample tries x - eps v_{lx} first, then x + eps v_{lx}
+    shift = eps * V[labels]
+    minus, plus = X - shift, X + shift
+    hit_minus = classify_batch(attacked, minus) != labels
+    hit_plus = classify_batch(attacked, plus) != labels
+    hits = hit_minus | hit_plus
+    adv_points = [a if hm else (b if hp else None)
+                  for a, b, hm, hp in zip(minus, plus, hit_minus, hit_plus)]
     return ConstructionTrace(
         kind="protected_set",
         attacked=attacked,
@@ -808,22 +806,16 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
     witnesses: list[np.ndarray | None] = [v_out]
     for i in range(L, 0, -1):
         mask = signs[i - 1]
-        xrow = (head[i][lx] - head[i][l2]) * mask
         active = np.where(mask > 0)[0]
+        v = _max_image_direction(acts[i - 1], tail[i - 1], gamma) if active.size else None
+        k = None
         ubar = np.zeros((n, n))
-        if active.size:
+        if v is not None:
+            xrow = (head[i][lx] - head[i][l2]) * mask
             k = int(active[np.argmax(np.abs(xrow[active]))])
-            v = _max_image_direction(acts[i - 1], tail[i - 1], gamma)
-            if v is not None:
-                ubar[k] = v
-                row_choices.append(k)
-                witnesses.append(v)
-            else:
-                row_choices.append(None)
-                witnesses.append(None)
-        else:
-            row_choices.append(None)
-            witnesses.append(None)
+            ubar[k] = v
+        row_choices.append(k)
+        witnesses.append(v)
         u_list.append(ubar)
 
     sign_pattern, achieved = max_product_signs(U_list, u_list)
@@ -839,11 +831,12 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
         if k is not None:
             attacked.weights[i - 1][k] += sign_pattern[slot] * witnesses[slot]
 
-    acts_a, _, logits_a = forward_batch(attacked, x0[None, :])
+    acts_a, signs_a, logits_a = forward_batch(attacked, x0[None, :])
     residual = float(np.abs(logits_a[0] - logits).max())
     for a0, a1 in zip(acts[1:], [a[0] for a in acts_a[1:]]):
         residual = max(residual, float(np.abs(a1 - a0).max()))
-    margin_after = margin_measure(attacked, x0, lx)
+    head_a, _ = _layer_chains(attacked, [s[0] for s in signs_a])
+    margin_after = _squared_margin(logits_a, head_a[0][None], lx)
     return ConstructionTrace(
         kind="gradient_inflation",
         attacked=attacked,

@@ -1,16 +1,20 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import copy
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from advparam.cli import main
-from advparam.data import LabeledDataset, gen_blobs, load_dataset, save_dataset
+from advparam.data import LabeledDataset, dataset_from_json, dataset_to_json, gen_blobs, load_dataset, save_dataset
 from advparam.experiment import parse_report_csv
-from advparam.mlp import ModelParams, init_params, load_model, max_abs_diff, save_model
+from advparam.mlp import (ModelParams, init_params, load_model, max_abs_diff, model_from_json,
+                          model_to_json, save_model)
 from advparam.train import TrainConfig, train
 
 from common import conditioned_surgery_net, positive_square_net
@@ -166,6 +170,99 @@ def test_report_with_mismatched_input_dim(tmp_path, workdir, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "input dim 5" in err and "\n" not in err
     assert not out.exists()
+
+
+def _one_error_line(capsys) -> str:
+    """The captured stderr, checked to be exactly one `error:` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("case", ["missing-config", "config-line-without-equals",
+                                  "model-is-a-directory", "out-dir-is-a-file"])
+def test_config_and_file_system_errors_exit_2(tmp_path, workdir, capsys, case):
+    model, data, out = str(workdir / "model.json"), str(workdir / "data.json"), str(tmp_path / "out")
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("epochs = 2\nhidden 8\n")
+    argv = {
+        "missing-config": ["train", "--data", data, "--config", str(tmp_path / "missing.cfg"), "--out-dir", out],
+        "config-line-without-equals": ["train", "--data", data, "--config", str(bad_cfg), "--out-dir", out],
+        "model-is-a-directory": ["eval", "--model", str(tmp_path), "--data", data],
+        "out-dir-is-a-file": ["attack", "--model", model, "--data", data, "--out-dir", model,
+                              "--n-pre", "1", "--n-main", "1"],
+    }[case]
+    assert main(argv) == 2
+    _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "attack", "report"])
+def test_labels_the_model_cannot_output_refused(tmp_path, workdir, capsys, command):
+    save_dataset(gen_blobs(30, 6, 3, seed=1), str(tmp_path / "data3.json"))  # the net has 2 outputs
+    out = tmp_path / "out"
+    argv = [command, "--model", str(workdir / "model.json"), "--data", str(tmp_path / "data3.json"),
+            "--out-dir", str(out)]
+    rc = main(argv + (["--csv", str(tmp_path / "r.csv")] if command == "eval" else []))
+    assert rc == 2
+    err = _one_error_line(capsys)
+    assert "3 classes" in err and "outputs 2" in err
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
+
+
+# malformed model and dataset files
+
+_MODEL_DOC = json.loads(model_to_json(init_params([3, 4, 3], seed=0)))
+_DATA_DOC = json.loads(dataset_to_json(gen_blobs(6, 3, 3, seed=0)))
+# wrong-type and non-finite values; finite floats stay small, so a loaded net's
+# forward pass does not overflow
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.just(10**400)
+    | st.floats(-4.0, 4.0) | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=6)
+
+
+def _slots(node) -> list:
+    """(container, key) of every entry of a JSON document, nested ones included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return [slot for k, v in items for slot in [(node, k)] + _slots(v)]
+
+
+@st.composite
+def _broken(draw, doc):
+    """The document as JSON text: intact, truncated, or with one entry deleted
+    (a ragged row, a missing field) or replaced by a wrong-type or non-finite value."""
+    doc = copy.deepcopy(doc)
+    how = draw(st.sampled_from(["intact", "truncate", "delete", "replace"]))
+    if how == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how != "intact":
+        node, key = draw(st.sampled_from(_slots(doc)))
+        if how == "delete":
+            del node[key]
+        else:
+            node[key] = draw(_JUNK)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model_text=_broken(_MODEL_DOC), data_text=_broken(_DATA_DOC))
+def test_malformed_files_load_or_exit_2(tmp_path, capsys, model_text, data_text):
+    """Each loader either loads or raises ValueError; eval exits 0 or 2 with at most one error line."""
+    for text, load in ((model_text, model_from_json), (data_text, dataset_from_json)):
+        try:
+            load(text)
+        except ValueError:
+            pass
+    (tmp_path / "m.json").write_text(model_text)
+    (tmp_path / "d.json").write_text(data_text)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.json"),
+               "--pgd-steps", "2"])
+    err = capsys.readouterr().err
+    assert rc in (0, 2) and err.count("error:") <= 1 and "Traceback" not in err
 
 
 def test_attack_status_line_with_zero_base_robustness(tmp_path, capsys):

@@ -83,6 +83,17 @@ def test_dataset_json_round_trip(tmp_path):
         dataset_from_json(json.dumps({"version": 1, "X": [[0.1]]}))  # no y
 
 
+@pytest.mark.parametrize("field,value", [
+    ("X", {"a": 1}), ("y", {"a": 1}), ("X", [[0.1], ["0.5", {}]]), ("y", [0, 10**30]),
+    ("y", [0.5, 1.7]), ("y", [True, False]), ("y", "01"), ("name", 3), ("meta", [1]),
+], ids=["X-object", "y-object", "X-entry-object", "label-beyond-int64", "float-labels",
+        "bool-labels", "y-string", "name-number", "meta-list"])
+def test_dataset_loader_refuses_wrong_types(field, value):
+    doc = {"version": 1, "X": [[0.1], [0.9]], "y": [0, 1], field: value}
+    with pytest.raises(ValueError):
+        dataset_from_json(json.dumps(doc))
+
+
 # --- IDX ------------------------------------------------------------------------
 
 

@@ -439,3 +439,18 @@ def test_model_load_errors():
     bad2["layers"] = [{"w": [[1.0, 2.0]]}]  # missing bias
     with pytest.raises(ValueError):
         model_from_json(json.dumps(bad2))
+
+
+@pytest.mark.parametrize("dims", [5, None, "3,4,2", {"a": 1}])
+def test_model_loader_refuses_malformed_dims(dims):
+    doc = json.loads(model_to_json(init_params([3, 4, 2], seed=0)))
+    doc["dims"] = dims
+    with pytest.raises(ValueError, match="dims"):
+        model_from_json(json.dumps(doc))
+
+
+def test_model_loader_refuses_an_entry_beyond_float64():
+    doc = json.loads(model_to_json(init_params([3, 4, 2], seed=0)))
+    doc["layers"][0]["w"][0][0] = 10**400
+    with pytest.raises(ValueError):
+        model_from_json(json.dumps(doc))
