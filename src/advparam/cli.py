@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, attack, eval, theory, report.  The global
-options --seed, --out-dir and --config work before or after the subcommand.
-A config file is a flat list of `key = value` lines supplying defaults for
-any long option of the active subcommand (explicit flags win).
+Subcommands: gen-data, train, attack, eval, theory, report.  Every option is
+declared once, with its type, choices and default, in ``build_parser``.  The
+global options --seed, --out-dir and --config work before or after the
+subcommand.  A config file is a flat list of `key = value` lines: each key is
+a long option of the active subcommand, its value is parsed like the flag's
+argument, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .attack import (
     attack_single,
     attack_swap,
 )
-from .data import LabeledDataset, gen_blobs, gen_subspace_task, load_dataset, save_dataset
+from .data import LabeledDataset, atomic_open, gen_blobs, gen_subspace_task, load_dataset, save_dataset
 from .experiment import run_experiment
 from .metrics import GAMMA_LOW, reports_to_csv, robustness_report
 from .mlp import load_model, save_model
@@ -40,10 +42,20 @@ from .theory import (
 from .train import TrainConfig, train
 
 SUP = argparse.SUPPRESS
+_BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
-def _read_config(path: str) -> dict:
-    """Flat `key = value` lines; blank lines and #-comments allowed."""
+def _float_list(text: str) -> list[float]:
+    return [float(t) for t in text.replace(",", " ").split()]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.replace(",", " ").split()]
+
+
+def _read_config(path: str) -> dict[str, tuple[int, str]]:
+    """Flat `key = value` lines; blank lines and #-comments allowed.  Maps
+    each key, with underscores as dashes, to its line number and value."""
     cfg = {}
     with open(path) as f:
         for ln, raw in enumerate(f, 1):
@@ -53,186 +65,133 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key = value, got {line!r}")
             key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("_", "-")
+            if key in cfg:
+                raise ValueError(f"{path}:{ln}: duplicate key {key!r}")
+            cfg[key] = (ln, val.strip())
     return cfg
 
 
-def _coerce(text: str):
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv.  The values of a --config file, parsed by their options'
+    type and choices (true/false for a store-true flag), become parser
+    defaults and argv is parsed again, so explicit flags win."""
+    parser, commands = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    sub = commands[ns.command]
+    for key, (ln, text) in _read_config(ns.config).items():
+        action = sub._option_string_actions.get(f"--{key}")
         try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
+            if action is None or action.dest in ("help", "config"):
+                raise ValueError(f"{ns.command} has no option --{key}")
+            if action.nargs == 0:
+                value = _BOOLS.get(text.lower())
+                if value is None:
+                    raise ValueError("expected true/false, yes/no or on/off")
+            else:
+                value = action.type(text) if action.type else text
+                if action.choices and value not in action.choices:
+                    raise ValueError(f"invalid choice (choose from {', '.join(action.choices)})")
+        except ValueError as exc:
+            raise ValueError(f"{ns.config}:{ln}: {key} = {text}: {exc}") from None
+        # a global option's default goes on the top-level parser (see _add_global)
+        (parser if action.default is SUP else sub).set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
 
 
-class _Options:
-    """Layered lookup: explicit CLI flag > config file > built-in default.
-
-    ``cast`` converts string values (untyped CLI flags and everything coming
-    from a config file); already-typed CLI values pass through unchanged.
-    """
-
-    def __init__(self, ns: argparse.Namespace, cfg: dict):
-        self.ns = ns
-        self.cfg = cfg
-
-    def get(self, key: str, default=None, cast=None):
-        if hasattr(self.ns, key):
-            val = getattr(self.ns, key)
-        elif key in self.cfg:
-            val = self.cfg[key]
-        else:
-            return default
-        if cast is not None and isinstance(val, str):
-            return cast(val)
-        return val
+def _attack_cfg(ns: argparse.Namespace) -> AttackConfig:
+    return AttackConfig(pgd=PgdConfig(eps=ns.eps, steps=ns.pgd_steps), n_pre=ns.n_pre,
+                        n_main=ns.n_main, alpha=ns.alpha, batch_size=ns.batch_size, seed=ns.seed)
 
 
-def _float_list(text) -> list[float]:
-    return [float(t) for t in str(text).replace(",", " ").split()]
+def _swap_budget(ns: argparse.Namespace, k: int) -> PerturbBudget:
+    return PerturbBudget("swap", k_matrices=k, pair_fraction=ns.pair_fraction, pair_floor=ns.pair_floor)
 
 
-def _int_list(text) -> list[int]:
-    return [int(t) for t in str(text).replace(",", " ").split()]
-
-
-def _pgd_from(opt: _Options) -> PgdConfig:
-    return PgdConfig(eps=opt.get("eps", 0.1, float),
-                     steps=opt.get("pgd_steps", 40, int))
-
-
-def _attack_cfg(opt: _Options, seed: int) -> AttackConfig:
-    return AttackConfig(
-        pgd=_pgd_from(opt),
-        n_pre=opt.get("n_pre", 20, int),
-        n_main=opt.get("n_main", 80, int),
-        alpha=opt.get("alpha", 1e-2, float),
-        batch_size=opt.get("batch_size", None, int),
-        seed=seed,
-    )
-
-
-def _swap_budget(opt: _Options, k: int) -> PerturbBudget:
-    return PerturbBudget("swap", k_matrices=k,
-                         pair_fraction=opt.get("pair_fraction", 0.01, float),
-                         pair_floor=opt.get("pair_floor", 400, int))
-
-
-def _out_dir(opt: _Options) -> str:
-    out = opt.get("out_dir", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _sample_index(opt: _Options, ds: LabeledDataset) -> int:
+def _sample_index(ns: argparse.Namespace, ds: LabeledDataset) -> int:
     """The --index option, checked against the dataset (no negative wrap)."""
-    idx = opt.get("index", 0, int)
-    if not 0 <= idx < len(ds):
-        raise ValueError(f"--index {idx} out of range for {len(ds)} samples")
-    return idx
+    if not 0 <= ns.index < len(ds):
+        raise ValueError(f"--index {ns.index} out of range for {len(ds)} samples")
+    return ns.index
+
+
+def _scalar(ns: argparse.Namespace, key: str) -> float:
+    """A list option that the chosen --op reads as one number."""
+    values = getattr(ns, key)
+    if len(values) != 1:
+        raise ValueError(f"--{key.replace('_', '-')} takes one number for --op {ns.op}")
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_data(opt: _Options) -> int:
-    kind = opt.get("kind", "blobs")
-    seed = opt.get("seed", 0, int)
-    n_samples = opt.get("samples", 120, int)
-    n_features = opt.get("features", 8, int)
-    n_classes = opt.get("classes", 3, int)
-    if kind == "blobs":
-        ds = gen_blobs(n_samples, n_features, n_classes, seed,
-                       spread=opt.get("spread", 0.06, float))
-    elif kind == "subspace":
-        ds = gen_subspace_task(n_samples, n_features,
-                               opt.get("intrinsic_dim", max(1, n_features // 2), int),
-                               n_classes, seed)
+def _cmd_gen_data(ns: argparse.Namespace) -> int:
+    if ns.kind == "blobs":
+        ds = gen_blobs(ns.samples, ns.features, ns.classes, ns.seed, spread=ns.spread)
     else:
-        print(f"unknown dataset kind {kind!r}", file=sys.stderr)
-        return 2
-    path = os.path.join(_out_dir(opt), opt.get("out", f"{kind}.json"))
+        dim = ns.intrinsic_dim if ns.intrinsic_dim is not None else max(1, ns.features // 2)
+        ds = gen_subspace_task(ns.samples, ns.features, dim, ns.classes, ns.seed)
+    os.makedirs(ns.out_dir, exist_ok=True)
+    path = os.path.join(ns.out_dir, ns.out if ns.out is not None else f"{ns.kind}.json")
     save_dataset(ds, path)
-    print(f"wrote {path} ({len(ds)} samples, {ds.n_features} features, "
-          f"{ds.n_classes} classes)")
+    print(f"wrote {path} ({len(ds)} samples, {ds.n_features} features, {ds.n_classes} classes)")
     return 0
 
 
-def _cmd_train(opt: _Options) -> int:
-    ds = load_dataset(opt.get("data"))
-    seed = opt.get("seed", 0, int)
-    hidden = _int_list(opt.get("hidden", "32"))
+def _cmd_train(ns: argparse.Namespace) -> int:
+    ds = load_dataset(ns.data)
     cfg = TrainConfig(
-        dims=[ds.n_features] + hidden + [ds.n_classes],
-        epochs=opt.get("epochs", 40, int),
-        lr=opt.get("lr", 0.1, float),
-        batch_size=opt.get("batch_size", 32, int),
-        seed=seed,
-        momentum=opt.get("momentum", 0.9, float),
-        lr_decay=opt.get("lr_decay", 1.0, float),
-        adversarial=opt.get("adversarial", False, _coerce),
-        pgd=PgdConfig(eps=opt.get("eps", 8.0 / 255.0, float),
-                      steps=opt.get("pgd_steps", 10, int)),
+        dims=[ds.n_features] + ns.hidden + [ds.n_classes],
+        epochs=ns.epochs, lr=ns.lr, batch_size=ns.batch_size, seed=ns.seed,
+        momentum=ns.momentum, lr_decay=ns.lr_decay, adversarial=ns.adversarial,
+        pgd=PgdConfig(eps=ns.eps, steps=ns.pgd_steps),
     )
     res = train(cfg, ds)
-    out = _out_dir(opt)
-    model_path = os.path.join(out, opt.get("model_out", "model.json"))
+    os.makedirs(ns.out_dir, exist_ok=True)
+    model_path = os.path.join(ns.out_dir, ns.model_out)
     save_model(res.params, model_path)
-    hist_path = os.path.join(out, "train_history.csv")
-    with open(hist_path, "w") as f:
+    with atomic_open(os.path.join(ns.out_dir, "train_history.csv")) as f:
         f.write("epoch,loss,acc\n")
-        for h in res.history:
-            f.write(f"{h['epoch']},{h['loss']!r},{h['acc']!r}\n")
+        f.writelines(f"{h['epoch']},{h['loss']!r},{h['acc']!r}\n" for h in res.history)
     final = res.history[-1]
-    print(f"wrote {model_path} (final loss {final['loss']:.4f}, "
-          f"accuracy {final['acc']:.4f})")
+    print(f"wrote {model_path} (final loss {final['loss']:.4f}, accuracy {final['acc']:.4f})")
     return 0
 
 
-def _cmd_attack(opt: _Options) -> int:
-    params = load_model(opt.get("model"))
-    ds = load_dataset(opt.get("data"))
+def _cmd_attack(ns: argparse.Namespace) -> int:
+    params = load_model(ns.model)
+    ds = load_dataset(ns.data)
     ds.check_labels(params.output_dim)
-    seed = opt.get("seed", 0, int)
-    cfg = _attack_cfg(opt, seed)
-    kind = opt.get("kind", "linf")
-    if kind == "swap":
-        res = attack_swap(params, ds, _swap_budget(opt, opt.get("k_matrices", 1, int)), cfg)
+    cfg = _attack_cfg(ns)
+    budget = (_swap_budget(ns, ns.k_matrices) if ns.kind == "swap"
+              else PerturbBudget("linf", gamma=ns.gamma))
+    budget.check_fits(params)
+    idx = _sample_index(ns, ds) if ns.kind == "single" else None
+    os.makedirs(ns.out_dir, exist_ok=True)
+    if ns.kind in ("linf", "swap"):
+        res = (attack_linf if ns.kind == "linf" else attack_swap)(params, ds, budget, cfg)
+    elif ns.kind == "single":
+        res = attack_single(params, ds.X[idx], int(ds.y[idx]), budget, cfg)
     else:
-        budget = PerturbBudget("linf", gamma=opt.get("gamma", 0.1, float))
-        if kind == "linf":
-            res = attack_linf(params, ds, budget, cfg)
-        elif kind == "label":
-            res = attack_label(params, ds, opt.get("target_label", 0, int), budget, cfg)
-        elif kind == "direct":
-            res = attack_direct(params, ds, opt.get("target_label", 0, int), budget, cfg)
-        elif kind == "single":
-            idx = _sample_index(opt, ds)
-            res = attack_single(params, ds.X[idx], int(ds.y[idx]), budget, cfg)
-        else:
-            print(f"unknown attack kind {kind!r}", file=sys.stderr)
-            return 2
-    out = _out_dir(opt)
-    model_path = os.path.join(out, "attacked_model.json")
+        res = (attack_label if ns.kind == "label" else attack_direct)(params, ds, ns.target_label,
+                                                                      budget, cfg)
+    model_path = os.path.join(ns.out_dir, "attacked_model.json")
     save_model(res.attacked, model_path)
     ri = res.rate_inputs
     result = {
-        "kind": kind, "budget": res.budget_desc, "seed": seed,
+        "kind": ns.kind, "budget": res.budget_desc, "seed": ns.seed,
         "rate": res.rate, "failed": res.failed,
         "base_acc": ri.base_acc, "base_rob": ri.base_rob,
         "att_acc": ri.att_acc, "att_rob": ri.att_rob, "att_aux": ri.att_aux,
         "extras": {k: v for k, v in res.extras.items() if k != "swap_log"},
         "trace": res.trace,
     }
-    result_path = os.path.join(out, "attack_result.json")
-    with open(result_path, "w") as f:
+    result_path = os.path.join(ns.out_dir, "attack_result.json")
+    with atomic_open(result_path) as f:
         json.dump(result, f, indent=2)
     if math.isnan(res.rate):
         status = "rate undefined"
@@ -240,106 +199,67 @@ def _cmd_attack(opt: _Options) -> int:
         status = "FAILED (accuracy lost)"
     else:
         status = "FAILED" if res.failed else "ok"
-    what = res.budget_desc if kind in ("linf", "swap") else f"{kind} {res.budget_desc}"
+    what = res.budget_desc if ns.kind in ("linf", "swap") else f"{ns.kind} {res.budget_desc}"
     print(f"wrote {model_path} and {result_path}")
     print(f"attack {what}: rate {res.rate:.4f} [{status}]")
     return 1 if res.failed else 0
 
 
-def _cmd_eval(opt: _Options) -> int:
-    params = load_model(opt.get("model"))
-    ds = load_dataset(opt.get("data"))
+def _cmd_eval(ns: argparse.Namespace) -> int:
+    params = load_model(ns.model)
+    ds = load_dataset(ns.data)
     ds.check_labels(params.output_dim)
-    rep = robustness_report(params, ds, _pgd_from(opt), seed=opt.get("seed", 0, int))
+    rep = robustness_report(params, ds, PgdConfig(eps=ns.eps, steps=ns.pgd_steps), seed=ns.seed)
     print(rep.text_summary())
-    csv_out = opt.get("csv", None)
-    if csv_out:
-        reports_to_csv([rep], csv_out)
-        print(f"wrote {csv_out}")
+    if ns.csv:
+        reports_to_csv([rep], ns.csv)
+        print(f"wrote {ns.csv}")
     return 0
 
 
-def _cmd_theory(opt: _Options) -> int:
-    op = opt.get("op", "point-rate")
-    gamma = opt.get("gamma", 0.1, float)
-    if op in ("surgery-point", "surgery-set", "inflate"):
-        model_path, data_path = opt.get("model"), opt.get("data")
-        if not model_path or not data_path:
-            print(f"theory op {op} needs --model and --data", file=sys.stderr)
-            return 2
-        params = load_model(model_path)
-        ds = load_dataset(data_path)
-        if op == "surgery-point":
-            idx = _sample_index(opt, ds)
-            trace = surgery_single_point(params, ds.X[idx], gamma,
-                                         opt.get("eps", 0.05, float),
-                                         radius=opt.get("radius", None, float),
-                                         seed=opt.get("seed", 0, int))
-        elif op == "surgery-set":
-            trace = surgery_protected_set(params, ds.X, gamma,
-                                          opt.get("eps", 0.05, float),
-                                          radius=opt.get("radius", None, float),
-                                          seed=opt.get("seed", 0, int))
+def _cmd_theory(ns: argparse.Namespace) -> int:
+    if ns.op in ("surgery-point", "surgery-set", "inflate"):
+        if not ns.model or not ns.data:
+            raise ValueError(f"theory --op {ns.op} needs --model and --data")
+        params = load_model(ns.model)
+        ds = load_dataset(ns.data)
+        if ns.op == "surgery-set":
+            trace = surgery_protected_set(params, ds.X, ns.gamma, ns.eps, radius=ns.radius, seed=ns.seed)
+        elif ns.op == "surgery-point":
+            trace = surgery_single_point(params, ds.X[_sample_index(ns, ds)], ns.gamma, ns.eps,
+                                         radius=ns.radius, seed=ns.seed)
         else:
-            idx = _sample_index(opt, ds)
-            trace = gradient_inflation_attack(params, ds.X[idx], gamma)
+            trace = gradient_inflation_attack(params, ds.X[_sample_index(ns, ds)], ns.gamma)
         print(trace.summary_text())
-        save_to = opt.get("save_model", None)
-        if save_to:
-            save_model(trace.attacked, save_to)
-            print(f"wrote {save_to}")
-        return 0
-    if op == "point-rate":
-        eta = point_rate_bound(gamma, opt.get("depth", 1, int),
-                               opt.get("angle", math.pi / 2, float),
-                               opt.get("row_sep", 1.0, float),
-                               opt.get("act_floor", 1.0, float),
-                               opt.get("gap_bound", 1.0, float))
+        if ns.save_model:
+            save_model(trace.attacked, ns.save_model)
+            print(f"wrote {ns.save_model}")
+    elif ns.op == "point-rate":
+        eta = point_rate_bound(ns.gamma, ns.depth, ns.angle, _scalar(ns, "row_sep"), ns.act_floor,
+                               ns.gap_bound)
         print(f"point rate bound: {eta!r}")
-        return 0
-    if op == "point-depth":
-        depth = min_depth_for_point_rate(opt.get("rho", 0.5, float), gamma,
-                                         opt.get("angle", math.pi / 2, float),
-                                         opt.get("row_sep", 1.0, float),
-                                         opt.get("act_floor", 1.0, float),
-                                         opt.get("gap_bound", 1.0, float))
+    elif ns.op == "point-depth":
+        depth = min_depth_for_point_rate(ns.rho, ns.gamma, ns.angle, _scalar(ns, "row_sep"),
+                                         ns.act_floor, ns.gap_bound)
         print(f"minimum depth: {depth}")
-        return 0
-    if op == "dist-rate":
-        rho = dist_rate_bound(gamma, opt.get("gap_bound", 1.0, float),
-                              _float_list(opt.get("row_sep", "1.0")),
-                              _float_list(opt.get("col_gain", "1.0")),
-                              _float_list(opt.get("act_prob", "1.0")),
-                              _float_list(opt.get("gain_prob", "1.0")),
-                              _float_list(opt.get("active_frac", "1.0")))
+    elif ns.op == "dist-rate":
+        rho = dist_rate_bound(ns.gamma, ns.gap_bound, ns.row_sep, ns.col_gain, ns.act_prob,
+                              ns.gain_prob, ns.active_frac)
         print(f"distribution rate bound: {rho!r}")
-        return 0
-    if op == "dist-depth":
-        depth = min_depth_for_dist_rate(opt.get("rho", 0.5, float), gamma,
-                                        opt.get("row_sep", 1.0, float),
-                                        opt.get("col_gain", 1.0, float),
-                                        opt.get("act_prob", 1.0, float),
-                                        opt.get("gain_prob", 1.0, float),
-                                        opt.get("active_floor", 1.0, float),
-                                        opt.get("gap_bound", 1.0, float))
+    else:
+        scalars = [_scalar(ns, k) for k in ("row_sep", "col_gain", "act_prob", "gain_prob")]
+        depth = min_depth_for_dist_rate(ns.rho, ns.gamma, *scalars, ns.active_floor, ns.gap_bound)
         print(f"minimum depth: {depth}")
-        return 0
-    print(f"unknown theory op {op!r}", file=sys.stderr)
-    return 2
+    return 0
 
 
-def _cmd_report(opt: _Options) -> int:
-    budgets = [PerturbBudget("linf", gamma=g)
-               for g in _float_list(opt.get("gammas", "0.02,0.04,0.06,0.08,0.10"))]
-    budgets += [_swap_budget(opt, k) for k in _int_list(opt.get("swap_k", ""))]
-    cfg = _attack_cfg(opt, opt.get("seed", 0, int))
-    res = run_experiment(opt.get("model"), opt.get("data"), budgets,
-                         opt.get("out_dir", "."), cfg,
-                         control=not opt.get("no_control", False, _coerce),
-                         name=opt.get("name", "experiment"))
+def _cmd_report(ns: argparse.Namespace) -> int:
+    budgets = [PerturbBudget("linf", gamma=g) for g in ns.gammas]
+    budgets += [_swap_budget(ns, k) for k in ns.swap_k]
+    res = run_experiment(ns.model, ns.data, budgets, ns.out_dir, _attack_cfg(ns),
+                         control=not ns.no_control, name=ns.name)
     print(f"wrote {res.csv_path} and {res.summary_path}")
-    header = f"{'attack':<8} {'budget':<22} {'ac_att':>7} {'aa_att':>7} {'ar_aa':>7} {'ar_r4':>7} fail"
-    print(header)
+    print(f"{'attack':<8} {'budget':<22} {'ac_att':>7} {'aa_att':>7} {'ar_aa':>7} {'ar_r4':>7} fail")
     for row in res.rows:
         print(f"{row.attack:<8} {row.budget:<22} {row.ac_att:>7.3f} {row.aa_att:>7.3f} "
               f"{row.ar_aa:>7.3f} {row.ar_r4:>7.3f} {'1' if row.failed else '0':>4}")
@@ -352,110 +272,119 @@ def _cmd_report(opt: _Options) -> int:
 # parser
 
 
-def _add_global(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=SUP, help="master RNG seed (default 0)")
-    p.add_argument("--out-dir", dest="out_dir", default=SUP,
-                   help="directory for output files (default .)")
-    p.add_argument("--config", default=SUP,
-                   help="file of key = value lines supplying option defaults")
+def _add_global(p: argparse.ArgumentParser, top: bool) -> None:
+    """--seed, --out-dir and --config, with defaults on the top-level parser only
+    (a subparser default would overwrite a value parsed before the subcommand)."""
+    p.add_argument("--seed", type=int, default=0 if top else SUP, help="master RNG seed")
+    p.add_argument("--out-dir", default="." if top else SUP, help="directory for output files")
+    p.add_argument("--config", default=None if top else SUP, help="file of key = value option defaults")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="advparam",
-        description="Train small ReLU classifiers, attack their parameters, "
-                    "and measure what the attacks do to robustness.")
-    _add_global(parser)
+def _add_inputs(p: argparse.ArgumentParser, model: bool = True, eps: float = 0.1, steps: int = 40) -> None:
+    """The input files, and the PGD schedule that scores (or trains) the net."""
+    if model:
+        p.add_argument("--model", required=True, help="model file")
+    p.add_argument("--data", required=True, help="dataset file")
+    p.add_argument("--eps", type=float, default=eps, help="PGD radius (L-inf) on the inputs")
+    p.add_argument("--pgd-steps", type=int, default=steps, help="PGD steps")
+
+
+def _add_attack(p: argparse.ArgumentParser) -> None:
+    """The attack loop and swap budget options that attack and report share."""
+    p.add_argument("--n-pre", type=int, default=20, help="phase-1 iterations (robust loss up)")
+    p.add_argument("--n-main", type=int, default=80, help="phase-2 iterations (clean/robust ratio)")
+    p.add_argument("--alpha", type=float, default=1e-2, help="attack step size")
+    p.add_argument("--batch-size", type=int, default=None, help="attack minibatch (None: full batch)")
+    p.add_argument("--pair-fraction", type=float, default=0.01, help="swap: pairs per matrix / entries")
+    p.add_argument("--pair-floor", type=int, default=400, help="swap: least pairs per matrix")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
+    fmt = argparse.ArgumentDefaultsHelpFormatter
+    parser = argparse.ArgumentParser(prog="advparam", formatter_class=fmt,
+                                     description="Train small ReLU classifiers and attack their parameters.")
+    _add_global(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _add_global(p)
+    def cmd(name, func, help_text):
+        p = sub.add_parser(name, help=help_text, description=help_text, formatter_class=fmt)
+        _add_global(p, top=False)
+        p.set_defaults(func=func)
         return p
 
-    p = cmd("gen-data", "generate a dataset file")
-    p.add_argument("--kind", choices=["blobs", "subspace"], default=SUP)
-    for flag in ("--samples", "--features", "--classes", "--intrinsic-dim"):
-        p.add_argument(flag, type=int, default=SUP)
-    p.add_argument("--spread", type=float, default=SUP)
-    p.add_argument("--out", default=SUP, help="output filename (inside out-dir)")
+    p = cmd("gen-data", _cmd_gen_data, "generate a dataset file")
+    p.add_argument("--kind", choices=["blobs", "subspace"], default="blobs", help="dataset family")
+    p.add_argument("--samples", type=int, default=120, help="number of samples")
+    p.add_argument("--features", type=int, default=8, help="input dimension")
+    p.add_argument("--classes", type=int, default=3, help="number of classes")
+    p.add_argument("--intrinsic-dim", type=int, default=None,
+                   help="subspace: span dimension (None: max(1, features // 2))")
+    p.add_argument("--spread", type=float, default=0.06, help="blobs: standard deviation")
+    p.add_argument("--out", default=None, help="output filename inside out-dir (None: <kind>.json)")
 
-    p = cmd("train", "train a classifier on a dataset file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--hidden", default=SUP, help="comma-separated hidden widths")
-    for flag in ("--epochs", "--batch-size", "--pgd-steps"):
-        p.add_argument(flag, type=int, default=SUP)
-    for flag in ("--lr", "--momentum", "--lr-decay", "--eps"):
-        p.add_argument(flag, type=float, default=SUP)
-    p.add_argument("--adversarial", action="store_true", default=SUP)
-    p.add_argument("--model-out", default=SUP)
+    p = cmd("train", _cmd_train, "train a classifier on a dataset file")
+    _add_inputs(p, model=False, eps=8.0 / 255.0, steps=10)
+    p.add_argument("--hidden", type=_int_list, default="32", help="comma-separated hidden widths")
+    p.add_argument("--epochs", type=int, default=40, help="training epochs")
+    p.add_argument("--batch-size", type=int, default=32, help="minibatch size")
+    p.add_argument("--lr", type=float, default=0.1, help="learning rate")
+    p.add_argument("--momentum", type=float, default=0.9, help="SGD momentum")
+    p.add_argument("--lr-decay", type=float, default=1.0, help="learning-rate factor per epoch")
+    p.add_argument("--adversarial", action="store_true", help="train on PGD points")
+    p.add_argument("--model-out", default="model.json", help="model filename inside out-dir")
 
-    p = cmd("attack", "run one parameter attack against a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--kind", choices=["linf", "swap", "label", "direct", "single"],
-                   default=SUP)
-    for flag in ("--gamma", "--pair-fraction", "--alpha", "--eps"):
-        p.add_argument(flag, type=float, default=SUP)
-    for flag in ("--k-matrices", "--pair-floor", "--target-label", "--index",
-                 "--n-pre", "--n-main", "--batch-size", "--pgd-steps"):
-        p.add_argument(flag, type=int, default=SUP)
+    p = cmd("attack", _cmd_attack, "run one parameter attack against a trained model")
+    _add_inputs(p)
+    _add_attack(p)
+    p.add_argument("--kind", choices=["linf", "swap", "label", "direct", "single"], default="linf",
+                   help="attack kind")
+    p.add_argument("--gamma", type=float, default=0.1, help="box half-width ratio |dtheta| <= gamma |theta|")
+    p.add_argument("--k-matrices", type=int, default=1, help="swap: weight matrices to edit")
+    p.add_argument("--target-label", type=int, default=0, help="label and direct: targeted class")
+    p.add_argument("--index", type=int, default=0, help="single: sample index")
 
-    p = cmd("eval", "robustness report for a model on a dataset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--eps", type=float, default=SUP)
-    p.add_argument("--pgd-steps", type=int, default=SUP)
-    p.add_argument("--csv", default=SUP, help="also write the report as CSV")
+    p = cmd("eval", _cmd_eval, "robustness report for a model on a dataset")
+    _add_inputs(p)
+    p.add_argument("--csv", default=None, help="also write the report as CSV")
 
-    p = cmd("theory", "run a constructive attack or evaluate a closed-form bound")
-    p.add_argument("--op", choices=["surgery-point", "surgery-set", "inflate",
-                                    "point-rate", "point-depth", "dist-rate",
-                                    "dist-depth"], default=SUP)
-    p.add_argument("--model", default=SUP)
-    p.add_argument("--data", default=SUP)
-    p.add_argument("--save-model", default=SUP)
-    p.add_argument("--index", type=int, default=SUP)
-    p.add_argument("--depth", type=int, default=SUP)
-    for flag in ("--gamma", "--eps", "--radius", "--angle", "--gap-bound",
-                 "--rho", "--active-floor"):
-        p.add_argument(flag, type=float, default=SUP)
-    for flag in ("--row-sep", "--col-gain", "--act-prob", "--gain-prob",
-                 "--act-floor", "--active-frac"):
-        p.add_argument(flag, default=SUP)
+    p = cmd("theory", _cmd_theory, "run a constructive attack or evaluate a closed-form bound")
+    p.add_argument("--op", default="point-rate", help="construction or bound", choices=[
+        "surgery-point", "surgery-set", "inflate", "point-rate", "point-depth", "dist-rate", "dist-depth"])
+    p.add_argument("--model", default=None, help="constructions: model file")
+    p.add_argument("--data", default=None, help="constructions: dataset file")
+    p.add_argument("--save-model", default=None, help="constructions: write the attacked model here")
+    p.add_argument("--index", type=int, default=0, help="surgery-point, inflate: sample index")
+    p.add_argument("--gamma", type=float, default=0.1, help="box half-width ratio")
+    p.add_argument("--eps", type=float, default=0.05, help="surgery: input distance of the flipped point")
+    p.add_argument("--radius", type=float, default=None, help="surgery: gap-bound probe radius (None: 1.5 eps)")
+    p.add_argument("--depth", type=int, default=1, help="point-rate: net depth")
+    p.add_argument("--angle", type=float, default=math.pi / 2, help="point bounds: angle")
+    p.add_argument("--gap-bound", type=float, default=1.0, help="bounds: logit-gap bound")
+    p.add_argument("--rho", type=float, default=0.5, help="depth ops: certify a decay rate >= 1 - rho")
+    p.add_argument("--act-floor", type=float, default=1.0, help="point bounds: activation floor")
+    p.add_argument("--active-floor", type=float, default=1.0, help="dist-depth: active share floor")
+    p.add_argument("--active-frac", type=_float_list, default="1.0", help="dist-rate: active share per layer")
+    for flag, what in (("--row-sep", "row separation"), ("--col-gain", "column gain"),
+                       ("--act-prob", "activation probability"), ("--gain-prob", "gain probability")):
+        p.add_argument(flag, type=_float_list, default="1.0",
+                       help=f"bounds: {what}, one per layer for dist-rate")
 
-    p = cmd("report", "sweep attacks over budgets and write report.csv")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--gammas", default=SUP, help="comma-separated box ratios")
-    p.add_argument("--swap-k", default=SUP, help="comma-separated swap matrix counts")
-    p.add_argument("--no-control", action="store_true", default=SUP)
-    p.add_argument("--name", default=SUP)
-    for flag in ("--n-pre", "--n-main", "--batch-size", "--pgd-steps",
-                 "--pair-floor"):
-        p.add_argument(flag, type=int, default=SUP)
-    for flag in ("--alpha", "--eps", "--pair-fraction"):
-        p.add_argument(flag, type=float, default=SUP)
+    p = cmd("report", _cmd_report, "sweep attacks over budgets and write report.csv")
+    _add_inputs(p)
+    _add_attack(p)
+    p.add_argument("--gammas", type=_float_list, default="0.02,0.04,0.06,0.08,0.10", help="box ratios")
+    p.add_argument("--swap-k", type=_int_list, default="", help="comma-separated swap matrix counts")
+    p.add_argument("--no-control", action="store_true", help="skip the random control rows")
+    p.add_argument("--name", default="experiment", help="experiment name in summary.json")
 
-    return parser
-
-
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "attack": _cmd_attack,
-    "eval": _cmd_eval,
-    "theory": _cmd_theory,
-    "report": _cmd_report,
-}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        cfg = _read_config(ns.config) if hasattr(ns, "config") else {}
-        return _COMMANDS[ns.command](_Options(ns, cfg))
+        ns = _parse(argv)
+        return ns.func(ns)
     except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,9 @@ surgery needs for its exact-preservation guarantee.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        with np.errstate(invalid="ignore"):  # a nan or huge label casts to junk, refused below
+            self.y = y.astype(np.int64)
+        if not np.array_equal(self.y, y):
+            raise ValueError("labels must be integers")
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
         if self.y.shape != (self.X.shape[0],):
@@ -205,10 +211,25 @@ def dataset_from_json(text: str) -> LabeledDataset:
         raise ValueError(f"malformed dataset entry: {e}") from e
 
 
+@contextmanager
+def atomic_open(path: str, newline: str | None = None):
+    """Open path for writing text through a temp file beside it, which
+    replaces path only when the block completes: a block that raises leaves
+    no partial or temp file, and an existing file keeps its old content."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(ds: LabeledDataset, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(dataset_to_json(ds))
-        f.write("\n")
+    with atomic_open(path) as f:
+        f.write(dataset_to_json(ds) + "\n")
 
 
 def load_dataset(path: str) -> LabeledDataset:

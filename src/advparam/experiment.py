@@ -22,7 +22,7 @@ from .attack import (
     attack_swap,
     perturb_random,
 )
-from .data import LabeledDataset, load_dataset
+from .data import LabeledDataset, atomic_open, load_dataset
 from .metrics import (
     GAMMA_LOW,
     RateInputs,
@@ -126,7 +126,7 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
 
 
 def write_report_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(SWEEP_COLUMNS)
         for row in rows:
@@ -189,9 +189,6 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
     or inf (every radius an inf sentinel) column is written as null there,
     while report.csv keeps the exact ``nan``/``inf`` token.
     """
-    for p in (model_path, dataset_path):
-        if not os.path.exists(p):
-            raise FileNotFoundError(p)
     cfg = cfg if cfg is not None else AttackConfig()
     params = load_model(model_path)
     ds = load_dataset(dataset_path)
@@ -215,6 +212,6 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
         "errors": errors,
         "any_failed": any(r.failed for r in rows),
     }
-    with open(summary_path, "w") as f:
+    with atomic_open(summary_path) as f:
         json.dump(summary, f, indent=2, allow_nan=False)
     return ExperimentResult(rows, errors, csv_path, summary_path)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import PgdConfig, pgd_flips_batch
-from .data import LabeledDataset
+from .data import LabeledDataset, atomic_open
 from .mlp import ModelParams, classify_batch, logit_jacobians, row_blocks
 
 INF_SENTINEL_TOL = 1e-12  # gradient-gap norms below this count as "no gradient"
@@ -290,7 +290,7 @@ def robustness_report(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig,
 
 
 def reports_to_csv(reports: list[RobustnessReport], path: str) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(REPORT_COLUMNS)
         for r in reports:

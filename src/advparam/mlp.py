@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 
+from .data import atomic_open
+
 MODEL_FORMAT_VERSION = 1
 
 
@@ -403,9 +405,8 @@ def model_from_json(text: str) -> ModelParams:
 
 
 def save_model(params: ModelParams, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(model_to_json(params))
-        f.write("\n")
+    with atomic_open(path) as f:
+        f.write(model_to_json(params) + "\n")
 
 
 def load_model(path: str) -> ModelParams:

@@ -1,16 +1,18 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import copy
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from advparam.cli import main
+from advparam.cli import build_parser, main
 from advparam.data import LabeledDataset, dataset_from_json, dataset_to_json, gen_blobs, load_dataset, save_dataset
 from advparam.experiment import parse_report_csv
 from advparam.mlp import (ModelParams, init_params, load_model, max_abs_diff, model_from_json,
@@ -393,3 +395,154 @@ def test_usage_errors(tmp_path, capsys):
                "--data", str(tmp_path / "missing2.json")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+# config files and argument parsing
+
+
+def _cfg(tmp_path, text: str) -> str:
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,lines,word", [
+    ("train", "adversarial = maybe", "adversarial"),
+    ("report", "no_control = maybe", "no-control"),
+    ("train", "bogus_key = 3", "bogus-key"),
+    ("attack", "kind = bogus", "kind"),
+    ("gen-data", "kind = bogus", "kind"),
+    ("theory", "op = bogus", "op"),
+    ("train", "epochs = 2.5", "epochs"),
+    ("train", "epochs = 2\nepochs = 3", "duplicate"),
+    ("train", "config = other.cfg", "config"),
+], ids=["bool-maybe", "no-control-maybe", "unknown-key", "attack-kind", "gen-data-kind", "theory-op",
+        "int-from-float", "duplicate-key", "nested-config"])
+def test_bad_config_value_exits_2(tmp_path, workdir, capsys, command, lines, word):
+    out = tmp_path / "out"
+    inputs = {"train": ["--data", str(workdir / "data.json")],
+              "report": ["--model", str(workdir / "model.json"), "--data", str(workdir / "data.json")]}
+    inputs["attack"] = inputs["report"]
+    argv = [command, "--config", _cfg(tmp_path, lines + "\n"), "--out-dir", str(out)] + inputs.get(command, [])
+    assert main(argv) == 2
+    err = _one_error_line(capsys)
+    assert "c.cfg:" in err and word in err
+    assert not out.exists()
+
+
+def test_config_values_parse_like_their_flags(tmp_path, workdir):
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, f"no-control = yes\ngammas = 0.0, 0.05\nn_pre = 1\nn-main = 2\n"
+                         f"pgd_steps = 2\nout_dir = {out}\n")
+    rc = main(["report", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+               "--config", cfg])
+    rows = parse_report_csv(str(out / "report.csv"))
+    assert [(r.attack, r.budget) for r in rows] == [("linf", "0.0"), ("linf", "0.05")]
+    assert rc == (1 if any(r.failed for r in rows) else 0)
+
+
+@pytest.mark.parametrize("where,expected", [("before", 5), ("after", 5), ("config-only", 7),
+                                            ("config-before-subcommand", 7)])
+def test_seed_precedence(tmp_path, where, expected):
+    cfg = _cfg(tmp_path, "seed = 7\n")
+    cmd = ["gen-data", "--samples", "6", "--out-dir", str(tmp_path)]
+    argv = {"before": ["--seed", "5"] + cmd + ["--config", cfg],
+            "after": cmd + ["--config", cfg, "--seed", "5"],
+            "config-only": cmd + ["--config", cfg],
+            "config-before-subcommand": ["--config", cfg] + cmd}[where]
+    assert main(argv) == 0
+    assert load_dataset(str(tmp_path / "blobs.json")).meta["seed"] == expected
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "attack", "eval", "theory", "report"])
+def test_help_prints_every_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    sub = build_parser()[1][command]
+    with_default = [a for a in sub._actions if a.option_strings and a.default is not argparse.SUPPRESS]
+    assert capsys.readouterr().out.count("(default:") == len(with_default) > 0
+
+
+@pytest.mark.parametrize("op", ["surgery-point", "surgery-set", "inflate"])
+@pytest.mark.parametrize("missing", ["--model", "--data"])
+def test_theory_construction_needs_model_and_data(construction_files, capsys, op, missing):
+    files = {"--model": str(construction_files / "net.json"), "--data": str(construction_files / "ds.json")}
+    del files[missing]
+    assert main(["theory", "--op", op, *[t for kv in files.items() for t in kv]]) == 2
+    assert "needs --model and --data" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("op", ["point-rate", "dist-depth"])
+def test_theory_scalar_bound_refuses_a_list(capsys, op):
+    assert main(["theory", "--op", op, "--row-sep", "1,1"]) == 2
+    assert "--row-sep takes one number" in _one_error_line(capsys)
+
+
+def test_attack_out_dir_checked_before_the_attack(workdir, capsys, monkeypatch):
+    def no_attack(*args, **kwargs):
+        raise AssertionError("the attack ran")
+
+    monkeypatch.setattr("advparam.cli.attack_linf", no_attack)
+    model = str(workdir / "model.json")
+    assert main(["attack", "--model", model, "--data", str(workdir / "data.json"), "--out-dir", model]) == 2
+    _one_error_line(capsys)
+
+
+# per command: option -> (values that parse, values its type or choices refuse);
+# gen-data has no --adversarial and train no --kind
+_FUZZ_OPTIONS = {
+    "gen-data": {"kind": (["blobs", "subspace"], ["bogus"]), "samples": (["8"], ["2.5", "x"]),
+                 "features": (["3", "-1"], []), "classes": (["2"], ["true"]),
+                 "spread": (["0.05", "nan"], ["wide"]), "intrinsic-dim": (["2"], [""]),
+                 "out": (["d.json", ""], []), "seed": (["3"], ["1e3"]), "adversarial": ([], ["true"])},
+    "train": {"epochs": (["1", "0"], ["2.5"]), "hidden": (["3", "3,2"], ["a"]), "lr": (["0.05"], ["fast"]),
+              "adversarial": (["true", "no"], ["maybe"]), "pgd-steps": (["1", "-1"], []),
+              "batch-size": (["16", "0"], []), "model-out": (["m.json", ""], []), "seed": (["1"], ["x"]),
+              "kind": ([], ["blobs"])},
+}
+
+
+@st.composite
+def _fuzz_case(draw):
+    """A command, config lines and flags, each line (key, value, parses)."""
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    options = _FUZZ_OPTIONS[command]
+    pair = st.sampled_from(sorted(options)).flatmap(lambda k: st.one_of(
+        *[st.tuples(st.just(k), st.sampled_from(vs), st.just(ok))
+          for vs, ok in zip(options[k], (True, False)) if vs]))
+    return (command, draw(st.lists(pair, max_size=4)), draw(st.lists(pair, max_size=3)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_case())
+def test_fuzzed_flags_and_config_exit_0_or_2(tmp_path, workdir, capsys, case):
+    """Each mix of flags and config lines (bad types, bad choices, booleans,
+    unknown and duplicate keys) exits 0 or 2 with at most one error line, and
+    every file it leaves is complete.  A line that does not parse, or a key
+    given twice, exits 2."""
+    command, config_lines, flags, config_first = case
+    root = tempfile.mkdtemp(dir=tmp_path)
+    cfg = os.path.join(root, "c.cfg")
+    with open(cfg, "w") as f:
+        f.writelines(f"{k} = {v}\n" for k, v, _ in config_lines)
+    out = os.path.join(root, "out")
+    argv = [command, "--out-dir", out] + (["--data", str(workdir / "data.json")] if command == "train" else [])
+    argv += [f"--{k}" if k == "adversarial" and v == "true" else f"--{k}={v}" for k, v, _ in flags]
+    argv = ["--config", cfg] + argv if config_first else argv + ["--config", cfg]
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 2) and err.count("error:") <= 1 and "Traceback" not in err
+    keys = [k for k, _, _ in config_lines]
+    if not all(ok for _, _, ok in config_lines + flags) or len(set(keys)) < len(keys):
+        assert rc == 2 and err.count("error:") == 1
+    for name in os.listdir(out) if os.path.isdir(out) else []:
+        text = open(os.path.join(out, name)).read()
+        assert not name.endswith(".tmp") and text.endswith("\n")
+        if name.endswith(".json"):
+            json.loads(text)

@@ -9,7 +9,9 @@ import pytest
 from advparam.data import (
     IdxFormatError,
     LabeledDataset,
+    atomic_open,
     dataset_from_json,
+    dataset_to_json,
     gen_blobs,
     gen_subspace_task,
     load_dataset,
@@ -27,6 +29,44 @@ def test_dataset_validation():
         LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
     ds = LabeledDataset(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1, 0]))
     assert len(ds) == 2 and ds.n_features == 2 and ds.n_classes == 2
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [1e30, 0.0], [0.0, -np.inf]])
+def test_dataset_refuses_non_integral_labels(labels):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        LabeledDataset([[0.1], [0.2]], labels)
+
+
+def test_dataset_accepts_integral_float_labels():
+    ds = LabeledDataset([[0.1], [0.2]], [1.0, 0.0])
+    assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_atomic_open_leaves_nothing_behind_on_error(tmp_path, existing):
+    path = tmp_path / "out.json"
+    if existing:
+        path.write_text("old content\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path)) as f:
+            f.write("partial")
+            f.flush()
+            raise RuntimeError("writer died mid-write")
+    assert [p.name for p in tmp_path.iterdir()] == (["out.json"] if existing else [])
+    if existing:
+        assert path.read_text() == "old content\n"
+
+
+def test_atomic_open_replaces_the_file_with_the_same_bytes(tmp_path):
+    path = tmp_path / "ds.json"
+    path.write_text("old")
+    ds = gen_blobs(12, 3, 2, seed=0)
+    save_dataset(ds, str(path))
+    with atomic_open(str(tmp_path / "rows.csv"), newline="") as f:
+        f.write("a,b\r\n")
+    assert [p.name for p in sorted(tmp_path.iterdir())] == ["ds.json", "rows.csv"]
+    assert path.read_bytes() == (dataset_to_json(ds) + "\n").encode()
+    assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n"
 
 
 def test_gen_blobs_basic():
