@@ -318,20 +318,30 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budget: PerturbB
 
 
 def _result(params: ModelParams, theta: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
-            cfg: AttackConfig, trace, extras, kind: str | None = None, **att) -> AttackResult:
-    """Score the base net on ds and rate theta.
+            cfg: AttackConfig, trace, extras, on=None) -> AttackResult:
+    """Score the base net and theta on ds and rate theta.
 
-    ``att`` is the attacked half of RateInputs for ``targeted_rate(kind)``;
-    an untargeted attack (kind None) scores theta on all of ds.
+    An untargeted attack (``on`` None) scores theta on all of ds; a targeted
+    one (``targeted_rate(extras["kind"])``) on the target rows ``on`` and on
+    the rest apart.
     """
-    from .metrics import RateInputs, accuracy, adversarial_accuracy, adversarial_rate, targeted_rate
+    from .metrics import RateInputs, accuracies, adversarial_rate, targeted_rate
 
-    if kind is None:
-        att = dict(att_acc=accuracy(theta, ds),
-                   att_rob=adversarial_accuracy(theta, ds, cfg.pgd, seed=cfg.seed))
-    ri = RateInputs(base_acc=accuracy(params, ds),
-                    base_rob=adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed), **att)
-    rr = adversarial_rate(ri) if kind is None else targeted_rate(kind, ri)
+    score = functools.partial(accuracies, pgd=cfg.pgd, seed=cfg.seed)
+    base = score(params, ds)
+    if on is None:
+        ri = RateInputs(*base, *score(theta, ds))
+        rr = adversarial_rate(ri)
+    else:
+        ds_on, ds_off = ds.subset(np.flatnonzero(on)), ds.subset(np.flatnonzero(~on))
+        (acc_on, rob_on), (acc_off, rob_off) = score(theta, ds_on), score(theta, ds_off)
+        if extras["kind"] == "label":
+            # theta's accuracy on all of ds, from the exact correct counts of its two parts
+            acc = (round(acc_on * len(ds_on)) + round(acc_off * len(ds_off))) / len(ds)
+            ri = RateInputs(*base, att_acc=acc, att_rob=rob_off, att_aux=rob_on)
+        else:
+            ri = RateInputs(*base, att_acc=acc_off, att_rob=rob_off, att_aux=acc_on)
+        rr = targeted_rate(extras["kind"], ri)
     return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
                         rate_inputs=ri, rate=rr.value, failed=rr.failed, extras=extras)
 
@@ -485,18 +495,7 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
         return ratio, grad, {}
 
     theta, trace = _descend(params, ds.X, ds.y, budget, cfg, 3, 0, objective)
-
-    from .metrics import accuracy, adversarial_accuracy
-
-    ds_on, ds_off = ds.subset(np.where(on)[0]), ds.subset(np.where(~on)[0])
-    att_rob = adversarial_accuracy(theta, ds_off, cfg.pgd, seed=cfg.seed)
-    if kind == "label":
-        att = dict(att_acc=accuracy(theta, ds), att_rob=att_rob,
-                   att_aux=adversarial_accuracy(theta, ds_on, cfg.pgd, seed=cfg.seed))
-    else:
-        att = dict(att_acc=accuracy(theta, ds_off), att_rob=att_rob, att_aux=accuracy(theta, ds_on))
-    return _result(params, theta, ds, budget, cfg, trace,
-                   {"target_label": target_label, "kind": kind}, kind, **att)
+    return _result(params, theta, ds, budget, cfg, trace, {"target_label": target_label, "kind": kind}, on)
 
 
 def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,

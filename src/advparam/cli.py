@@ -150,8 +150,8 @@ def _cmd_train(ns: argparse.Namespace) -> int:
         momentum=ns.momentum, lr_decay=ns.lr_decay, adversarial=ns.adversarial,
         pgd=PgdConfig(eps=ns.eps, steps=ns.pgd_steps),
     )
-    res = train(cfg, ds)
     os.makedirs(ns.out_dir, exist_ok=True)
+    res = train(cfg, ds)
     model_path = os.path.join(ns.out_dir, ns.model_out)
     save_model(res.params, model_path)
     with atomic_open(os.path.join(ns.out_dir, "train_history.csv")) as f:
@@ -165,7 +165,7 @@ def _cmd_train(ns: argparse.Namespace) -> int:
 def _cmd_attack(ns: argparse.Namespace) -> int:
     params = load_model(ns.model)
     ds = load_dataset(ns.data)
-    ds.check_labels(params.output_dim)
+    ds.check_model(params.input_dim, params.output_dim)
     cfg = _attack_cfg(ns)
     budget = (_swap_budget(ns, ns.k_matrices) if ns.kind == "swap"
               else PerturbBudget("linf", gamma=ns.gamma))
@@ -208,7 +208,7 @@ def _cmd_attack(ns: argparse.Namespace) -> int:
 def _cmd_eval(ns: argparse.Namespace) -> int:
     params = load_model(ns.model)
     ds = load_dataset(ns.data)
-    ds.check_labels(params.output_dim)
+    ds.check_model(params.input_dim, params.output_dim)
     rep = robustness_report(params, ds, PgdConfig(eps=ns.eps, steps=ns.pgd_steps), seed=ns.seed)
     print(rep.text_summary())
     if ns.csv:

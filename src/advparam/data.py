@@ -70,8 +70,10 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return int(self.y.max()) + 1
 
-    def check_labels(self, n_outputs: int) -> None:
-        """Refuse labels that a model with n_outputs logits cannot predict."""
+    def check_model(self, input_dim: int, n_outputs: int) -> None:
+        """Refuse data that a model with input_dim inputs and n_outputs logits cannot take."""
+        if self.n_features != input_dim:
+            raise ValueError(f"dataset has {self.n_features} features but the model has input dim {input_dim}")
         if self.n_classes > n_outputs:
             raise ValueError(f"dataset has {self.n_classes} classes but the model outputs {n_outputs}")
 
@@ -215,15 +217,18 @@ def dataset_from_json(text: str) -> LabeledDataset:
 def atomic_open(path: str, newline: str | None = None):
     """Open path for writing text through a temp file beside it, which
     replaces path only when the block completes: a block that raises leaves
-    no partial or temp file, and an existing file keeps its old content."""
+    no partial or temp file, and an existing file keeps its old content.
+    Failing to open or rename the temp file is reported against path."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline=newline) as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

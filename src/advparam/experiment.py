@@ -23,14 +23,7 @@ from .attack import (
     perturb_random,
 )
 from .data import LabeledDataset, atomic_open, load_dataset
-from .metrics import (
-    GAMMA_LOW,
-    RateInputs,
-    accuracy,
-    adversarial_accuracy,
-    adversarial_rate,
-    avg_approx_radius,
-)
+from .metrics import GAMMA_LOW, RateInputs, adversarial_rate, avg_approx_radius, robustness_report
 from .mlp import ModelParams, load_model
 
 SWEEP_COLUMNS = ["attack", "budget", "ac_base", "ac_att", "aa_base", "aa_att",
@@ -52,26 +45,19 @@ class SweepRow:
     failed: bool
 
     def csv_values(self) -> list[str]:
-        nums = [self.ac_base, self.ac_att, self.aa_base, self.aa_att,
-                self.r4_base, self.r4_att, self.ar_aa, self.ar_r4]
-        return [self.attack, self.budget] + [repr(float(x)) for x in nums] \
-            + ["1" if self.failed else "0"]
+        nums = [repr(float(getattr(self, c))) for c in SWEEP_COLUMNS[2:10]]
+        return [self.attack, self.budget] + nums + ["1" if self.failed else "0"]
 
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in SWEEP_COLUMNS}
-
-
-def _rate_from_columns(ac_base, rob_base, ac_att, rob_att):
-    return adversarial_rate(RateInputs(base_acc=ac_base, base_rob=rob_base,
-                                       att_acc=ac_att, att_rob=rob_att))
 
 
 def build_row(attack: str, budget: str, base_nums, att_nums) -> SweepRow:
     """Assemble one report row from (acc, adv_acc, avg_radius) triples."""
     ac_b, aa_b, r4_b = base_nums
     ac_a, aa_a, r4_a = att_nums
-    rate_aa = _rate_from_columns(ac_b, aa_b, ac_a, aa_a)
-    rate_r4 = _rate_from_columns(ac_b, r4_b, ac_a, r4_a)
+    rate_aa = adversarial_rate(RateInputs(ac_b, aa_b, ac_a, aa_a))
+    rate_r4 = adversarial_rate(RateInputs(ac_b, r4_b, ac_a, r4_a))
     return SweepRow(attack, budget, ac_b, ac_a, aa_b, aa_a, r4_b, r4_a,
                     rate_aa.value, rate_r4.value, rate_aa.failed)
 
@@ -79,12 +65,6 @@ def build_row(attack: str, budget: str, base_nums, att_nums) -> SweepRow:
 def _nan_row(attack: str, budget: str) -> SweepRow:
     nan = math.nan
     return SweepRow(attack, budget, nan, nan, nan, nan, nan, nan, nan, nan, True)
-
-
-def _eval_triple(params: ModelParams, ds: LabeledDataset, pgd, seed):
-    return (accuracy(params, ds),
-            adversarial_accuracy(params, ds, pgd, seed=seed),
-            avg_approx_radius(params, ds))
 
 
 def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudget],
@@ -97,14 +77,20 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
     swap over more matrices than the net has, or a gamma so large that the
     box or the attacked net overflows) contributes a flagged all-nan row and
     an entry in ``errors``; the sweep keeps going.  Any other exception
-    propagates.  The attacked net's accuracy and adversarial
+    propagates.  The base net and the control are scored by
+    ``robustness_report``; the attacked net's accuracy and adversarial
     accuracy come from the attack's own ``rate_inputs``, which used the same
     dataset, PGD settings and seed (``cfg.seed``).
     """
     if not budgets:
         raise ValueError("attack sweep is empty")
     cfg = cfg if cfg is not None else AttackConfig()
-    base_nums = _eval_triple(params, ds, cfg.pgd, cfg.seed)
+
+    def nums(net):
+        rep = robustness_report(net, ds, cfg.pgd, seed=cfg.seed)
+        return rep.acc, rep.adv_acc, rep.avg_r2
+
+    base_nums = nums(params)
     rows: list[SweepRow] = []
     errors: list[dict] = []
     for idx, budget in enumerate(budgets):
@@ -117,8 +103,7 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
             rows.append(build_row(budget.kind, label, base_nums, att_nums))
             if control:
                 rand = perturb_random(params, budget, seed=(cfg.seed, 7, idx))
-                rand_nums = _eval_triple(rand, ds, cfg.pgd, cfg.seed)
-                rows.append(build_row("random", label, base_nums, rand_nums))
+                rows.append(build_row("random", label, base_nums, nums(rand)))
         except ValueError as exc:  # keep sweeping, record the failure
             errors.append({"attack": budget.kind, "budget": label, "error": str(exc)})
             rows.append(_nan_row(budget.kind, label))
@@ -155,10 +140,9 @@ def _close(a: float, b: float, tol: float) -> bool:
 def row_rates_consistent(row: SweepRow, tol: float = 1e-12) -> bool:
     """Both stated rates and the failed flag (accuracy threshold ``GAMMA_LOW``)
     must reproduce from the row's own metric columns."""
-    rate_aa = _rate_from_columns(row.ac_base, row.aa_base, row.ac_att, row.aa_att)
-    rate_r4 = _rate_from_columns(row.ac_base, row.r4_base, row.ac_att, row.r4_att)
-    return (_close(rate_aa.value, row.ar_aa, tol) and _close(rate_r4.value, row.ar_r4, tol)
-            and rate_aa.failed == row.failed)
+    want = build_row(row.attack, row.budget, (row.ac_base, row.aa_base, row.r4_base),
+                     (row.ac_att, row.aa_att, row.r4_att))
+    return _close(want.ar_aa, row.ar_aa, tol) and _close(want.ar_r4, row.ar_r4, tol) and want.failed == row.failed
 
 
 def _json_number(v):
@@ -183,20 +167,21 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
                    name: str = "experiment") -> ExperimentResult:
     """Run the sweep and write report.csv + summary.json to out_dir.
 
-    A budget that does not fit the loaded net (``PerturbBudget.check_fits``)
-    or a label the net cannot output raises ValueError before out_dir is
-    created.  summary.json is strict JSON: a nan (undefined rate, error row)
-    or inf (every radius an inf sentinel) column is written as null there,
-    while report.csv keeps the exact ``nan``/``inf`` token.
+    Data the loaded net cannot take (``LabeledDataset.check_model``) or a
+    budget that does not fit it (``PerturbBudget.check_fits``) raises
+    ValueError before out_dir is created, and out_dir is created before the
+    sweep runs.  summary.json is strict JSON: a nan (undefined rate, error
+    row) or inf (every radius an inf sentinel) column is written as null
+    there, while report.csv keeps the exact ``nan``/``inf`` token.
     """
     cfg = cfg if cfg is not None else AttackConfig()
     params = load_model(model_path)
     ds = load_dataset(dataset_path)
-    ds.check_labels(params.output_dim)
+    ds.check_model(params.input_dim, params.output_dim)
     for budget in budgets:
         budget.check_fits(params)
-    rows, errors = run_sweep(params, ds, budgets, cfg, control)
     os.makedirs(out_dir, exist_ok=True)
+    rows, errors = run_sweep(params, ds, budgets, cfg, control)
     csv_path = os.path.join(out_dir, "report.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     write_report_csv(rows, csv_path)

@@ -5,6 +5,11 @@ Three views of robustness:
   * adversarial accuracy at a fixed budget (PGD),
   * a distributional gap/gradient ratio over a whole dataset.
 
+Every net scored in ``eval``, the sweep and the attacks goes through
+``accuracies``: one ``classify_batch`` and one PGD run per net.  A sweep over
+k budgets with the random control scores 1 + 3k nets: the base net, then per
+budget the base and attacked nets (in the attack's result) and the control.
+
 The two jacobian measures (radius, distributional ratio) come from one
 batched pass, ``_jacobian_measures``: ``mlp.logit_jacobians`` over blocks of
 rows, each block reduced straight to per-sample terms (``_jacobian_terms``).
@@ -37,15 +42,20 @@ def accuracy(params: ModelParams, ds: LabeledDataset) -> float:
     return float((classify_batch(params, ds.X) == ds.y).mean())
 
 
-def adversarial_accuracy(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0) -> float:
-    """Fraction of samples that are clean-correct and survive PGD at pgd.eps.
+def accuracies(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0) -> tuple[float, float]:
+    """Clean and PGD adversarial accuracy from one ``classify_batch`` and one PGD run.
 
-    A sample counts as robust only if no PGD iterate (the clean point
-    included) changes its label, so eps = 0 reproduces clean accuracy.
+    A sample is robust when it is clean-correct and no PGD iterate (the
+    clean point included) changes its label; eps = 0 gives clean accuracy.
     """
-    flipped = pgd_flips_batch(params, ds.X, ds.y, pgd, seed=seed)
     correct = classify_batch(params, ds.X) == ds.y
-    return float((correct & ~flipped).mean())
+    flipped = pgd_flips_batch(params, ds.X, ds.y, pgd, seed=seed)
+    return float(correct.mean()), float((correct & ~flipped).mean())
+
+
+def adversarial_accuracy(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0) -> float:
+    """The adversarial half of ``accuracies``."""
+    return accuracies(params, ds, pgd, seed)[1]
 
 
 def _dual_exponent(p: float) -> float:
@@ -271,15 +281,16 @@ def robustness_report(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig,
                       seed: int = 0) -> RobustnessReport:
     """Accuracy, PGD accuracy and both jacobian measures of ``params`` on ``ds``.
 
-    ``avg_r2`` and ``dist_measure`` come from one batched jacobian pass and
-    equal ``avg_approx_radius`` and ``dist_robust_measure`` exactly.
+    ``acc`` and ``adv_acc`` come from one ``accuracies`` call; ``avg_r2`` and
+    ``dist_measure`` from one batched jacobian pass, equal to
+    ``avg_approx_radius`` and ``dist_robust_measure`` exactly.
     """
+    acc, adv_acc = accuracies(params, ds, pgd, seed)
     radii, margin2, grad2 = _jacobian_measures(params, ds.X, ds.y)
     return RobustnessReport(
         dataset=ds.name or "dataset",
         n_samples=len(ds),
-        acc=accuracy(params, ds),
-        adv_acc=adversarial_accuracy(params, ds, pgd, seed=seed),
+        acc=acc, adv_acc=adv_acc,
         eps=pgd.eps,
         avg_r2=_mean_finite(radii),
         dist_measure=_ratio_of_means(margin2, grad2),

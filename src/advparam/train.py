@@ -43,9 +43,7 @@ class TrainResult:
 
 def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
     """Train a fresh net on ds; deterministic for a fixed config."""
-    if cfg.dims[0] != ds.n_features:
-        raise ValueError(f"dims[0]={cfg.dims[0]} but data has {ds.n_features} features")
-    ds.check_labels(cfg.dims[-1])
+    ds.check_model(cfg.dims[0], cfg.dims[-1])
     params = init_params(cfg.dims, seed=cfg.seed)
     shuffle_rng = np.random.default_rng((cfg.seed, 1))
     velocity = np.zeros(params.num_params)

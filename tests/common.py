@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from advparam import metrics
 from advparam.mlp import ModelParams, flatten_params, forward_batch, unflatten_params
 
 
@@ -147,3 +148,16 @@ def positive_square_net(rng: np.random.Generator, n: int, depth: int, m: int) ->
     ws = [rng.uniform(0.5, 1.5, (n, n)) / n for _ in range(depth)]
     ws.append(rng.standard_normal((m, n)) / np.sqrt(n))
     return ModelParams(ws, [np.zeros(n)] * depth + [np.zeros(m)])
+
+
+def count_scoring_passes(monkeypatch) -> dict:
+    """Count the scorer's passes: the classify_batch and pgd_flips_batch calls
+    made through the names bound in ``metrics`` (the attacks' own PGD runs
+    go through ``attack`` and are not counted)."""
+    counts = {"classify_batch": 0, "pgd_flips_batch": 0}
+    for name in counts:
+        def wrapped(*a, _fn=getattr(metrics, name), _name=name, **k):
+            counts[_name] += 1
+            return _fn(*a, **k)
+        monkeypatch.setattr(metrics, name, wrapped)
+    return counts

@@ -34,7 +34,7 @@ from advparam.mlp import (
 )
 from advparam.train import TrainConfig, train
 
-from common import random_net
+from common import count_scoring_passes, random_net
 
 
 def _ce(params, X, y):
@@ -812,3 +812,32 @@ def test_attack_swap_skipped_slots_match_reference(three_class):
     assert res.extras["skipped_pairs"] > 0
     assert any(entry["matrix"] == 1 for entry in res.extras["swap_log"])
     _assert_same_result(res, _ref_attack_swap(net, ds, budget, cfg))
+
+
+@pytest.mark.parametrize("kind, nets", [("linf", 2), ("swap", 2), ("label", 3), ("direct", 3)])
+def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets):
+    """The base net and theta are scored once each; a targeted attack scores
+    theta on the target rows and on the rest apart."""
+    params, ds = three_class
+    cfg = _oracle_cfg(None, (1, 1))
+    counts = count_scoring_passes(monkeypatch)
+    if kind == "swap":
+        attack_swap(params, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=2), cfg)
+    elif kind == "linf":
+        attack_linf(params, ds, PerturbBudget("linf", gamma=0.1), cfg)
+    else:
+        (attack_label if kind == "label" else attack_direct)(params, ds, 0, PerturbBudget("linf", gamma=0.1), cfg)
+    assert counts == {"classify_batch": nets, "pgd_flips_batch": nets}
+
+
+def test_label_attack_overall_accuracy_is_exact():
+    """theta's accuracy on all of ds is pooled from the target rows and the
+    rest; on this split (c_on/n_on)*n_on + (c_off/n_off)*n_off is off in the
+    last bit, and the pooled value must still equal ``accuracy`` exactly."""
+    net = ModelParams([np.eye(2)], [np.zeros(2)])  # logits = x
+    to_1, to_0 = [0.2, 0.8], [0.8, 0.2]
+    X = np.array([to_1] * 2 + [to_1] * 15 + [to_0] * 7)
+    ds = LabeledDataset(X, np.array([0] * 2 + [1] * 22))  # target 0: 0 of 2 correct; the rest: 15 of 22
+    cfg = AttackConfig(pgd=PgdConfig(eps=0.05, steps=2), n_pre=0, n_main=1, alpha=0.01)
+    res = attack_label(net, ds, 0, PerturbBudget("linf", gamma=0.0), cfg)
+    assert res.rate_inputs.att_acc == metrics.accuracy(net, ds) == 15 / 24

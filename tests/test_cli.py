@@ -489,6 +489,46 @@ def test_attack_out_dir_checked_before_the_attack(workdir, capsys, monkeypatch):
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command, work", [("report", "advparam.experiment.run_sweep"),
+                                           ("train", "advparam.cli.train")])
+def test_out_dir_made_before_the_sweep_or_training(workdir, capsys, monkeypatch, command, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(work, no_work)
+    model, data = str(workdir / "model.json"), str(workdir / "data.json")
+    argv = ["report", "--model", model] if command == "report" else ["train"]
+    assert main(argv + ["--data", data, "--out-dir", model]) == 2
+    assert "File exists" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["attack", "eval"])
+def test_data_of_another_input_dim_refused_before_any_output(tmp_path, workdir, capsys, command):
+    save_model(init_params([5, 4, 2], 0), str(tmp_path / "model5.json"))  # the data has 6 features
+    out = tmp_path / "out"
+    argv = [command, "--model", str(tmp_path / "model5.json"), "--data", str(workdir / "data.json"),
+            "--out-dir", str(out)]
+    assert main(argv + (["--csv", str(tmp_path / "r.csv")] if command == "eval" else [])) == 2
+    assert "6 features" in _one_error_line(capsys)
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["rename-onto-a-directory", "open-in-a-missing-directory"])
+def test_unwritable_output_names_the_target_not_the_temp_file(tmp_path, workdir, capsys, case):
+    out = tmp_path / "o"
+    if case == "rename-onto-a-directory":  # the target is the directory o/ itself
+        target = os.path.join(str(out), "")
+        argv = ["gen-data", "--out", "", "--out-dir", str(out)]
+    else:
+        target = str(tmp_path / "missing" / "r.csv")
+        argv = ["eval", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+                "--pgd-steps", "1", "--csv", target]
+    assert main(argv) == 2
+    err = _one_error_line(capsys)
+    assert repr(target) in err and ".tmp" not in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 # per command: option -> (values that parse, values its type or choices refuse);
 # gen-data has no --adversarial and train no --kind
 _FUZZ_OPTIONS = {

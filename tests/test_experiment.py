@@ -23,6 +23,8 @@ from advparam.experiment import (
 from advparam.mlp import save_model
 from advparam.train import TrainConfig, train
 
+from common import count_scoring_passes
+
 
 @pytest.fixture(scope="module")
 def trained():
@@ -106,6 +108,18 @@ def test_sweep_seed_comes_from_cfg(trained):
     assert rows[1].r4_att == avg_approx_radius(rand, ds)
     assert rows[1].aa_base == adversarial_accuracy(params, ds, pgd, seed=5)
     assert rows[1].aa_base != adversarial_accuracy(params, ds, pgd, seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sweep_scores_each_net_once(trained, monkeypatch, k):
+    """1 + 3k scored nets, one classify_batch and one PGD run each: the base
+    net up front, and per budget the base and attacked nets in the attack's
+    result and the random control."""
+    params, ds = trained
+    counts = count_scoring_passes(monkeypatch)
+    rows, _ = run_sweep(params, ds, _linf(*[0.02 * (i + 1) for i in range(k)]), _fast_cfg())
+    assert len(rows) == 2 * k
+    assert counts == {"classify_batch": 1 + 3 * k, "pgd_flips_batch": 1 + 3 * k}
 
 
 def test_sweep_empty_rejected(trained):

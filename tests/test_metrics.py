@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from advparam import metrics, mlp
-from advparam.attack import PgdConfig
+from advparam.attack import PgdConfig, pgd_flips_batch
 from advparam.data import LabeledDataset
 from advparam.metrics import (
     RateInputs,
@@ -24,7 +24,7 @@ from advparam.metrics import (
 )
 from advparam.mlp import ModelParams, forward_batch
 
-from common import chain_input_jacobian, conditioned_surgery_net, random_net
+from common import chain_input_jacobian, conditioned_surgery_net, count_scoring_passes, random_net
 
 # identity-logits net: F(x) = x, two classes
 IDNET = ModelParams([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
@@ -250,11 +250,34 @@ def test_robustness_report_pass_counts(monkeypatch, n):
 
     for name in counts:
         monkeypatch.setattr(mlp, name, counting(name))
-    # accuracy and PGD have their own forwards; leave only the jacobian measures
-    monkeypatch.setattr(metrics, "accuracy", lambda *a, **k: 1.0)
-    monkeypatch.setattr(metrics, "adversarial_accuracy", lambda *a, **k: 1.0)
+    # the scorer (classify_batch and PGD) has its own forwards; leave only the jacobian measures
+    monkeypatch.setattr(metrics, "accuracies", lambda *a, **k: (1.0, 1.0))
     robustness_report(params, ds, PgdConfig(eps=0.05, steps=2))
     assert counts == {"forward_batch": math.ceil(n / 1024)}
+
+
+def test_accuracies_match_their_definitions():
+    rng = np.random.default_rng(8)
+    params = random_net(rng, [4, 12, 3])
+    ds = LabeledDataset(rng.uniform(0.0, 1.0, (50, 4)), rng.integers(0, 3, 50))
+    pgd = PgdConfig(eps=0.1, steps=3)
+    correct = mlp.classify_batch(params, ds.X) == ds.y
+    flipped = pgd_flips_batch(params, ds.X, ds.y, pgd, seed=4)
+    acc, adv_acc = metrics.accuracies(params, ds, pgd, seed=4)
+    assert acc == float(correct.mean()) == accuracy(params, ds)
+    assert adv_acc == float((correct & ~flipped).mean()) == adversarial_accuracy(params, ds, pgd, seed=4)
+    assert 0.0 < adv_acc < acc  # the case tells a robust sample from a merely correct one
+
+
+@pytest.mark.parametrize("score", [metrics.accuracies, adversarial_accuracy, robustness_report],
+                         ids=["accuracies", "adversarial_accuracy", "robustness_report"])
+def test_scoring_a_net_is_one_classify_and_one_pgd(monkeypatch, score):
+    rng = np.random.default_rng(9)
+    params = random_net(rng, [4, 12, 3])
+    ds = LabeledDataset(rng.uniform(0.0, 1.0, (40, 4)), rng.integers(0, 3, 40))
+    counts = count_scoring_passes(monkeypatch)
+    score(params, ds, PgdConfig(eps=0.1, steps=2))
+    assert counts == {"classify_batch": 1, "pgd_flips_batch": 1}
 
 
 # --- rate arithmetic: frozen against the worked examples -----------------------
