@@ -46,8 +46,8 @@ class PgdConfig:
     steps: int = 20
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not math.isfinite(self.eps) or self.eps < 0:
+            raise ValueError(f"eps must be a finite number >= 0, got {self.eps}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
 
@@ -56,42 +56,51 @@ class PgdConfig:
         return 2.5 * self.eps / max(1, self.steps)
 
 
-def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed):
+def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed,
+             best: bool = True, flips: bool = True):
     """Batched PGD ascent on per-sample cross-entropy.
 
     Returns (X_best, flipped, ce_best): the highest-CE iterate per sample
     (the clean point counts as an iterate, so CE never decreases), a flag per
     sample set when *any* iterate was classified differently from y, and the
-    CE at X_best.
+    CE at X_best.  A caller that reads no X_best / ce_best (``best`` False)
+    or no flipped (``flips`` False) gets None in their place, and the run
+    skips the work that only they need.
 
     The rows run in ``row_blocks``, one block after the other, each on a
-    ``Workspace`` reused for every step, so the working set is one block's
-    whatever N.  The first iterate is a uniform random point of the eps-ball
-    (clipped to [0,1]^n); each block draws its own in turn from the run's one
-    generator, which yields the numbers of one draw for all rows.  Each point
-    gets one forward pass: the gradient pass at an iterate also yields its CE
-    and prediction.  Only the clean point and the last iterate are
-    forward-only, so per block a run of s >= 1 steps makes s
-    ``input_gradient`` calls and s + 2 ``forward_batch`` calls.
+    ``Workspace`` reused for every step and bound to the block's labels, so
+    the working set is one block's whatever N.  The first iterate is a
+    uniform random point of the eps-ball (clipped to [0,1]^n); each block
+    draws its own in turn from the run's one generator, which yields the
+    numbers of one draw for all rows.  Each point gets one forward pass: the
+    gradient pass at an iterate also yields its CE and prediction.  Only the
+    clean point and the last iterate are forward-only, so per block a run of
+    s >= 1 steps makes s ``input_gradient`` calls and s + 2 ``forward_batch``
+    calls.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
-    best_X = X.copy()
-    flipped = np.empty(len(X), dtype=bool)
-    best_ce = np.empty(len(X))
+    best_X = X.copy() if best else None
+    best_ce = np.empty(len(X)) if best else None
+    flipped = np.empty(len(X), dtype=bool) if flips else None
     for blk, ws in _block_workspaces(params, len(X)):
-        _pgd_block(params, X[blk], y[blk], cfg, rng, ws, best_X[blk], flipped[blk], best_ce[blk])
+        part = [None if out is None else out[blk] for out in (best_X, flipped, best_ce)]
+        _pgd_block(params, X[blk], y[blk], cfg, rng, ws, *part)
     return best_X, flipped, best_ce
 
 
 def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, rng,
-               ws: Workspace, best_X: np.ndarray, flipped: np.ndarray, best_ce: np.ndarray) -> None:
+               ws: Workspace, best_X, flipped, best_ce) -> None:
     """``_pgd_run`` on one block of rows, in ``ws``: fills best_X (which holds
-    X on entry), flipped and best_ce in place."""
+    X on entry), flipped and best_ce in place.  best_X and best_ce are both
+    None when the caller reads neither, flipped is None when it is not read."""
+    ws.bind(params, y)
     _, _, logits = forward_batch(params, X, ws)
-    best_ce[:] = cross_entropy(logits, y)
-    np.not_equal(np.argmax(logits, axis=1), y, out=flipped)
+    if best_ce is not None:
+        best_ce[:] = cross_entropy(logits, y)
+    if flipped is not None:
+        np.not_equal(np.argmax(logits, axis=1), y, out=flipped)
     if cfg.eps == 0.0 or cfg.steps == 0:
         return
 
@@ -102,11 +111,13 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
     better = np.empty(len(y), dtype=bool)
 
     def record(ce, logits):
-        np.argmax(logits, axis=1, out=pred)
-        np.logical_or(flipped, np.not_equal(pred, y, out=miss), out=flipped)
-        np.greater(ce, best_ce, out=better)
-        np.copyto(best_ce, ce, where=better)
-        np.copyto(best_X, cur, where=better[:, None])
+        if flipped is not None:
+            np.argmax(logits, axis=1, out=pred)
+            np.logical_or(flipped, np.not_equal(pred, y, out=miss), out=flipped)
+        if best_ce is not None:
+            np.greater(ce, best_ce, out=better)
+            np.copyto(best_ce, ce, where=better)
+            np.copyto(best_X, cur, where=better[:, None])
 
     def clip(P):
         np.maximum(P, lo, out=P)
@@ -123,12 +134,12 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
         cur += g
         clip(cur)
     _, _, logits = forward_batch(params, cur, ws)
-    record(cross_entropy(logits, y), logits)
+    record(None if best_ce is None else cross_entropy(logits, y), logits)
 
 
 def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0) -> np.ndarray:
     """Highest-CE PGD point for each sample (CE(x') >= CE(x) guaranteed)."""
-    best_X, _, _ = _pgd_run(params, X, y, cfg, seed)
+    best_X, _, _ = _pgd_run(params, X, y, cfg, seed, flips=False)
     return best_X
 
 
@@ -137,7 +148,7 @@ def pgd_flips_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdC
 
     The clean point is checked too, so a misclassified sample always flips.
     """
-    _, flipped, _ = _pgd_run(params, X, y, cfg, seed)
+    _, flipped, _ = _pgd_run(params, X, y, cfg, seed, best=False)
     return flipped
 
 
@@ -323,9 +334,10 @@ def _result(params: ModelParams, theta: ModelParams, ds: LabeledDataset, budget:
 
     An untargeted attack (``on`` None) scores theta on all of ds; a targeted
     one (``targeted_rate(extras["kind"])``) on the target rows ``on`` and on
-    the rest apart.
+    the rest apart (the direct attack's target rows only for their clean
+    accuracy).
     """
-    from .metrics import RateInputs, accuracies, adversarial_rate, targeted_rate
+    from .metrics import RateInputs, accuracies, accuracy, adversarial_rate, targeted_rate
 
     score = functools.partial(accuracies, pgd=cfg.pgd, seed=cfg.seed)
     base = score(params, ds)
@@ -334,12 +346,13 @@ def _result(params: ModelParams, theta: ModelParams, ds: LabeledDataset, budget:
         rr = adversarial_rate(ri)
     else:
         ds_on, ds_off = ds.subset(np.flatnonzero(on)), ds.subset(np.flatnonzero(~on))
-        (acc_on, rob_on), (acc_off, rob_off) = score(theta, ds_on), score(theta, ds_off)
         if extras["kind"] == "label":
+            (acc_on, rob_on), (acc_off, rob_off) = score(theta, ds_on), score(theta, ds_off)
             # theta's accuracy on all of ds, from the exact correct counts of its two parts
             acc = (round(acc_on * len(ds_on)) + round(acc_off * len(ds_off))) / len(ds)
             ri = RateInputs(*base, att_acc=acc, att_rob=rob_off, att_aux=rob_on)
-        else:
+        else:  # the direct attack reads only the clean accuracy of the target rows
+            acc_on, (acc_off, rob_off) = accuracy(theta, ds_on), score(theta, ds_off)
             ri = RateInputs(*base, att_acc=acc_off, att_rob=rob_off, att_aux=acc_on)
         rr = targeted_rate(extras["kind"], ri)
     return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,

@@ -121,13 +121,21 @@ def row_blocks(n_rows: int) -> list[slice]:
 
 
 class Workspace:
-    """Preallocated buffers for ``forward_batch`` and ``input_gradient`` on
-    ``n_rows`` rows of a net with ``params``' layer widths.
+    """Preallocated buffers for ``forward_batch``, ``input_gradient`` and
+    ``loss_and_grads`` on ``n_rows`` rows of a net with ``params``' layer widths.
 
     Per hidden layer one activation buffer (the pre-activation is computed in
-    place) and one 0/1 mask; the logits; the softmax / cross-entropy scratch;
-    two backward buffers the layers take in turn; the input gradient.  A pass
-    in a workspace overwrites what the previous pass in it returned.
+    place), one 0/1 mask and one backward output, a view into one of two flat
+    buffers the layers take in turn; the logits; the softmax / cross-entropy
+    scratch; the input gradient.  A pass in a workspace overwrites what the
+    previous pass in it returned.
+
+    ``bind(params, y)`` adds the constants of a run of passes on one net and
+    one set of labels (PGD on a block of rows).  A pass uses them only when it
+    is given that very ``params`` object (for the biases) or ``y`` object (for
+    the labels), and otherwise computes from what it is given, with the same
+    result bit for bit.  Neither may be edited in place while bound, so a
+    bound workspace lives no longer than the run that bound it.
     """
 
     def __init__(self, params: ModelParams, n_rows: int):
@@ -144,8 +152,30 @@ class Workspace:
         self.ce = np.empty(n_rows)
         self.rows = np.arange(n_rows)
         size = n_rows * max(hidden, default=0)
-        self.back = (np.empty(size), np.empty(size))
+        flat = (np.empty(size), np.empty(size))
+        # the backward pass runs from the last hidden layer down, alternating buffers
+        self.back = [flat[(len(hidden) - 1 - i) % 2][:n_rows * w].reshape(n_rows, w)
+                     for i, w in enumerate(hidden)]
         self.grad = np.empty((n_rows, dims[0]))
+        self.params = self.y = self.grads = None
+
+    def bind(self, params: ModelParams, y: np.ndarray) -> None:
+        """Build the constants of passes on ``params`` and labels ``y``: every
+        bias tiled to its layer's (n_rows, width) shape, so the bias add is
+        not a broadcast; the one-hot of y; and y's flat indices into the
+        (n_rows, classes) logits.  The tiles are rebuilt only for a new set."""
+        if self.spans != params._spans:
+            raise ValueError(f"workspace of a {self.dims} net cannot bind a {params.dims} net")
+        if params is not self.params:
+            self.bias_rows = [np.repeat(b[None, :], self.n_rows, axis=0) for b in params.biases]
+            self.params = params
+        m = self.dims[-1]
+        if y.shape != (self.n_rows,) or y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= m:
+            raise ValueError(f"expected {self.n_rows} integer labels in 0..{m - 1}")
+        self.targets = self.rows * m + y.astype(np.intp)
+        self.onehot = np.zeros((self.n_rows, m))
+        self.onehot.flat[self.targets] = 1.0
+        self.y = y
 
 
 def _block_workspaces(params: ModelParams, n_rows: int):
@@ -184,15 +214,16 @@ def forward_batch(params: ModelParams, X: np.ndarray,
     elif ws.n_rows != X.shape[0] or ws.spans != params._spans:  # spans: the layer shapes
         raise ValueError(f"workspace for {ws.n_rows} rows of a {ws.dims} net does not fit "
                          f"{X.shape[0]} rows of a {params.dims} net")
+    biases = ws.bias_rows if ws.params is params else params.biases
     h = X
-    for w, b, a, s in zip(params.weights[:-1], params.biases[:-1], ws.acts, ws.signs):
+    for w, b, a, s in zip(params.weights[:-1], biases, ws.acts, ws.signs):
         np.matmul(h, w.T, out=a)
         a += b
         np.greater(a, 0.0, out=s)
         a *= s
         h = a
     np.matmul(h, params.weights[-1].T, out=ws.logits)
-    ws.logits += params.biases[-1]
+    ws.logits += biases[-1]
     return [X, *ws.acts], list(ws.signs), ws.logits
 
 
@@ -237,32 +268,48 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _ce_and_dlogits(logits: np.ndarray, y: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample cross-entropy (bit for bit ``cross_entropy``) and its gradient
-    w.r.t. the logits (softmax - onehot), from one softmax pass in ws's scratch."""
-    z, d, rows = ws.shifted, ws.dlogits, ws.rows
-    logits.max(axis=1, keepdims=True, out=ws.row_max)
+    w.r.t. the logits (softmax - onehot), from one softmax pass in ws's scratch.
+
+    The row max is taken column by column (a max is exact in any order); the
+    row sum stays the one reduction ``sum`` makes, as its order fixes the
+    rounding.  With ws bound to this ``y``, the label terms use its one-hot
+    and flat indices.
+    """
+    z, d, row_max = ws.shifted, ws.dlogits, ws.row_max[:, 0]
+    np.maximum(logits[:, 0], logits[:, 1], out=row_max)
+    for j in range(2, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
     np.subtract(logits, ws.row_max, out=z)
     np.exp(z, out=d)
-    d.sum(axis=1, keepdims=True, out=ws.row_sum)
+    np.add.reduce(d, axis=1, keepdims=True, out=ws.row_sum)  # d.sum without its Python wrapper
     d /= ws.row_sum
-    d[rows, y] -= 1.0
     np.log(ws.row_sum[:, 0], out=ws.ce)
-    ws.ce -= z[rows, y]
+    if ws.y is y:
+        d -= ws.onehot
+        ws.ce -= z.take(ws.targets)
+    else:
+        d[ws.rows, y] -= 1.0
+        ws.ce -= z[ws.rows, y]
     return ws.ce, d
 
 
-def _backprop(dz: np.ndarray, w: np.ndarray, s: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """(dz @ w) * s, written to the front of the flat buffer buf."""
-    out = np.matmul(dz, w, out=buf[:s.size].reshape(s.shape))
+def _backprop(dz: np.ndarray, w: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(dz @ w) * s, written to out (one of ``Workspace.back``)."""
+    np.matmul(dz, w, out=out)
     out *= s
     return out
 
 
-def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction: str = "mean"):
+def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction: str = "mean",
+                   ws: Workspace | None = None):
     """Cross-entropy loss value plus gradients from one reverse pass.
 
     Returns (value, grads), where ``grads`` is a ModelParams-shaped container
     holding dL/dW and dL/db for the integer labels ``y``; reduction averages
-    or sums the per-sample losses over the batch.
+    or sums the per-sample losses over the batch.  The pass runs in ``ws``
+    (see ``forward_batch``), and ``grads`` is then the workspace's own set,
+    which the next ``loss_and_grads`` in ws overwrites; without ``ws`` it
+    fills a fresh ``Workspace``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
@@ -270,7 +317,8 @@ def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction:
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
     N = X.shape[0]
-    ws = Workspace(params, N)
+    if ws is None:
+        ws = Workspace(params, N)
     acts, signs, logits = forward_batch(params, X, ws)
     scale = 1.0 / N if reduction == "mean" else 1.0
     y = np.asarray(y)
@@ -282,15 +330,17 @@ def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction:
     dz *= scale
     value = float(per.sum() * scale)
 
-    flat = np.empty(params.num_params)
-    views = params._views(flat)  # every weight gradient, then every bias gradient
-    n = len(params.weights)
-    for k, l in enumerate(range(n - 1, -1, -1)):
-        np.matmul(dz.T, acts[l], out=views[l])
-        dz.sum(axis=0, out=views[n + l])
+    if ws.grads is None:
+        ws.grads = params.like(np.zeros(params.num_params))
+    grads = ws.grads
+    for l in range(len(params.weights) - 1, -1, -1):
+        np.matmul(dz.T, acts[l], out=grads.weights[l])
+        dz.sum(axis=0, out=grads.biases[l])
         if l > 0:
-            dz = _backprop(dz, params.weights[l], signs[l - 1], ws.back[k % 2])
-    return value, params.like(flat)
+            dz = _backprop(dz, params.weights[l], signs[l - 1], ws.back[l - 1])
+    if not np.isfinite(grads.flat).all():
+        raise ValueError("non-finite parameter entries")
+    return value, grads
 
 
 def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray,
@@ -310,8 +360,8 @@ def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray,
         ws = Workspace(params, X.shape[0])
     _, signs, logits = forward_batch(params, X, ws)
     per, dz = _ce_and_dlogits(logits, np.asarray(y), ws)
-    for k, l in enumerate(range(len(params.weights) - 1, 0, -1)):
-        dz = _backprop(dz, params.weights[l], signs[l - 1], ws.back[k % 2])
+    for l in range(len(params.weights) - 1, 0, -1):
+        dz = _backprop(dz, params.weights[l], signs[l - 1], ws.back[l - 1])
     return per, np.matmul(dz, params.weights[0], out=ws.grad), logits
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .attack import PgdConfig, pgd_adversary_batch
 from .data import LabeledDataset
 from .metrics import accuracy
-from .mlp import ModelParams, init_params, loss_and_grads
+from .mlp import ModelParams, Workspace, init_params, loss_and_grads
 
 
 @dataclass
@@ -42,7 +42,8 @@ class TrainResult:
 
 
 def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
-    """Train a fresh net on ds; deterministic for a fixed config."""
+    """Train a fresh net on ds; deterministic for a fixed config.  Each batch
+    size (the last batch may be short) keeps one ``Workspace`` for its steps."""
     ds.check_model(cfg.dims[0], cfg.dims[-1])
     params = init_params(cfg.dims, seed=cfg.seed)
     shuffle_rng = np.random.default_rng((cfg.seed, 1))
@@ -51,6 +52,7 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
     history = []
     n = len(ds)
     step_idx = 0
+    spaces = {}
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
@@ -59,7 +61,9 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
             Xb, yb = ds.X[idx], ds.y[idx]
             if cfg.adversarial:
                 Xb = pgd_adversary_batch(params, Xb, yb, cfg.pgd, seed=(cfg.seed, 2, step_idx))
-            val, g = loss_and_grads(params, Xb, yb, reduction="mean")
+            if len(idx) not in spaces:
+                spaces[len(idx)] = Workspace(params, len(idx))
+            val, g = loss_and_grads(params, Xb, yb, reduction="mean", ws=spaces[len(idx)])
             velocity = cfg.momentum * velocity - lr * g.flat
             params = params.like(params.flat + velocity)
             epoch_loss += val * len(idx)

@@ -77,7 +77,9 @@ def alloc_forward(params: ModelParams, X: np.ndarray):
     return acts, signs, h @ params.weights[-1].T + params.biases[-1]
 
 
-def _alloc_ce_and_dlogits(logits, y):
+def alloc_ce_and_dlogits(logits, y):
+    """Per-sample CE and dCE/dlogits as ``_ce_and_dlogits`` was first written:
+    a row max by reduction, fresh arrays, the labels' terms by fancy index."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e.sum(axis=1, keepdims=True)
@@ -91,7 +93,7 @@ def alloc_input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray):
     """``input_gradient`` as it was before workspaces, allocating every array per call."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     _, signs, logits = alloc_forward(params, X)
-    per, dz = _alloc_ce_and_dlogits(logits, np.asarray(y))
+    per, dz = alloc_ce_and_dlogits(logits, np.asarray(y))
     for l in range(len(params.weights) - 1, 0, -1):
         dz = (dz @ params.weights[l]) * signs[l - 1]
     return per, dz @ params.weights[0], logits
@@ -101,7 +103,7 @@ def alloc_loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, scal
     """``loss_and_grads`` as it was before workspaces: (value, per-layer weight
     gradients, per-layer bias gradients), each product a fresh array."""
     acts, signs, logits = alloc_forward(params, X)
-    per, dz = _alloc_ce_and_dlogits(logits, y)
+    per, dz = alloc_ce_and_dlogits(logits, y)
     dz *= scale
     gw, gb = [None] * len(params.weights), [None] * len(params.weights)
     for l in range(len(params.weights) - 1, -1, -1):

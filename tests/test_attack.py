@@ -144,30 +144,38 @@ def _two_pass_pgd(params, X, y, cfg, seed):
 
 # The "True" in the case ids of the two PGD tests below stands for the random
 # start, which every PGD run makes.
-# N = 1025 and 3000 run in several row blocks; the oracle runs every row at once.
-@pytest.mark.parametrize("n,dims", [(1, [4, 10, 10, 3]), (32, [4, 10, 10, 3]), (1025, [4, 10, 10, 3]),
-                                    (3000, [4, 10, 10, 3]), (32, [4, 13, 5, 8, 3]), (1025, [4, 13, 5, 8, 3])],
-                         ids=["1", "32", "1025", "3000", "32-unequal", "1025-unequal"])
+# N = 1023 runs as one block of odd size, 1025 and 3000 in several row blocks;
+# the oracle runs every row at once.
+_ORACLE_CASES = {"1": (1, [4, 10, 10, 3]), "32": (32, [4, 10, 10, 3]), "1025": (1025, [4, 10, 10, 3]),
+                 "3000": (3000, [4, 10, 10, 3]), "32-unequal": (32, [4, 13, 5, 8, 3]),
+                 "1025-unequal": (1025, [4, 13, 5, 8, 3]), "160": (160, [4, 10, 10, 3]),
+                 "1023": (1023, [4, 10, 10, 3]), "160-2-classes": (160, [4, 9, 2]),
+                 "160-10-classes": (160, [4, 12, 7, 10]), "32-no-hidden": (32, [4, 3]),
+                 "1025-no-hidden-10-classes": (1025, [4, 10])}
+
+
+@pytest.mark.parametrize("n,dims", list(_ORACLE_CASES.values()), ids=list(_ORACLE_CASES))
 @pytest.mark.parametrize("steps", [0, 1, 2, 7])
 @pytest.mark.parametrize("eps", [0.0, 0.15], ids=["0.0-True", "0.15-True"])
 def test_pgd_matches_two_pass_oracle(n, dims, steps, eps):
     rng = np.random.default_rng(100 + n + steps)
     p = random_net(rng, dims)
     X = rng.uniform(0, 1, size=(n, 4))
-    y = rng.integers(0, 3, size=n)
+    y = rng.integers(0, dims[-1], size=n)
     cfg = PgdConfig(eps=eps, steps=steps)
-    best_X, flipped, ce = _two_pass_pgd(p, X, y, cfg, seed=3)
-    assert np.array_equal(pgd_adversary_batch(p, X, y, cfg, seed=3), best_X)
-    assert np.array_equal(pgd_flips_batch(p, X, y, cfg, seed=3), flipped)
-    assert np.array_equal(attack._pgd_run(p, X, y, cfg, seed=3)[2], ce)
+    want = _two_pass_pgd(p, X, y, cfg, seed=3)
+    assert pgd_adversary_batch(p, X, y, cfg, seed=3).tobytes() == want[0].tobytes()
+    assert pgd_flips_batch(p, X, y, cfg, seed=3).tobytes() == want[1].tobytes()
+    got = attack._pgd_run(p, X, y, cfg, seed=3)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 7], ids=lambda s: f"True-{s}")
 def test_pgd_pass_counts(monkeypatch, steps):
+    """Per row block, both PGD paths make s input_gradient calls and s + 2
+    forwards (one forward when there is no step)."""
     rng = np.random.default_rng(8)
     p = random_net(rng, [4, 6, 3])
-    X = rng.uniform(0, 1, size=(5, 4))
-    y = rng.integers(0, 3, size=5)
     counts = {"forward": 0, "grad": 0}
 
     def counted(key, fn):
@@ -180,11 +188,29 @@ def test_pgd_pass_counts(monkeypatch, steps):
     monkeypatch.setattr(attack, "forward_batch", fwd)
     monkeypatch.setattr(mlp, "forward_batch", fwd)  # the pass inside input_gradient
     monkeypatch.setattr(attack, "input_gradient", counted("grad", mlp.input_gradient))
-    pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=steps))
-    if steps == 0:
-        assert counts == {"forward": 1, "grad": 0}
-    else:
-        assert counts == {"forward": steps + 2, "grad": steps}
+    for n in (5, 1025):
+        X = rng.uniform(0, 1, size=(n, 4))
+        y = rng.integers(0, 3, size=n)
+        blocks = len(mlp.row_blocks(n))
+        for run in (pgd_adversary_batch, pgd_flips_batch):
+            counts.update(forward=0, grad=0)
+            run(p, X, y, PgdConfig(eps=0.1, steps=steps))
+            if steps == 0:
+                assert counts == {"forward": blocks, "grad": 0}
+            else:
+                assert counts == {"forward": blocks * (steps + 2), "grad": blocks * steps}
+
+
+def test_pgd_paths_keep_only_what_they_return():
+    rng = np.random.default_rng(12)
+    p = random_net(rng, [4, 6, 3])
+    X = rng.uniform(0, 1, size=(40, 4))
+    y = rng.integers(0, 3, size=40)
+    cfg = PgdConfig(eps=0.1, steps=3)
+    best_X, flipped, best_ce = attack._pgd_run(p, X, y, cfg, seed=1, flips=False)
+    assert flipped is None and best_X.shape == X.shape and best_ce.shape == (40,)
+    best_X, flipped, best_ce = attack._pgd_run(p, X, y, cfg, seed=1, best=False)
+    assert best_X is None and best_ce is None and flipped.shape == (40,)
 
 
 @pytest.mark.parametrize("n,sizes", [(5, {5}), (1025, {512, 513}), (3000, {1000})])
@@ -817,7 +843,8 @@ def test_attack_swap_skipped_slots_match_reference(three_class):
 @pytest.mark.parametrize("kind, nets", [("linf", 2), ("swap", 2), ("label", 3), ("direct", 3)])
 def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets):
     """The base net and theta are scored once each; a targeted attack scores
-    theta on the target rows and on the rest apart."""
+    theta on the target rows and on the rest apart.  The direct attack reads
+    only the clean accuracy of the target rows, so they get no PGD run."""
     params, ds = three_class
     cfg = _oracle_cfg(None, (1, 1))
     counts = count_scoring_passes(monkeypatch)
@@ -827,7 +854,7 @@ def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets
         attack_linf(params, ds, PerturbBudget("linf", gamma=0.1), cfg)
     else:
         (attack_label if kind == "label" else attack_direct)(params, ds, 0, PerturbBudget("linf", gamma=0.1), cfg)
-    assert counts == {"classify_batch": nets, "pgd_flips_batch": nets}
+    assert counts == {"classify_batch": nets, "pgd_flips_batch": nets - (kind == "direct")}
 
 
 def test_label_attack_overall_accuracy_is_exact():

@@ -163,6 +163,25 @@ def test_bad_budget_rejected_before_any_output(tmp_path, workdir, capsys, comman
     assert not out.exists()
 
 
+_PGD_COMMANDS = {"report": ["--gammas", "0.02"], "train": ["--adversarial"], "attack": ["--gamma", "0.02"],
+                 "eval": []}
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("command", list(_PGD_COMMANDS))
+def test_non_finite_eps_rejected_before_any_output(tmp_path, workdir, capsys, command, eps):
+    """PgdConfig refuses the radius itself: the error names eps, not the data."""
+    out = tmp_path / "out"
+    inputs = ["--data", str(workdir / "data.json")]
+    if command != "train":
+        inputs += ["--model", str(workdir / "model.json")]
+    rc = main([command, *inputs, "--out-dir", str(out), f"--eps={eps}", *_PGD_COMMANDS[command]])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "eps" in err and "\n" not in err
+    assert not out.exists()
+
+
 def test_report_with_mismatched_input_dim(tmp_path, workdir, capsys):
     save_model(init_params([5, 4, 2], 0), str(tmp_path / "model5.json"))  # the data has 6 features
     out = tmp_path / "out"

@@ -32,6 +32,7 @@ from advparam.mlp import (
 from advparam.mlp import _ce_and_dlogits, row_blocks
 
 from common import (
+    alloc_ce_and_dlogits,
     alloc_forward,
     alloc_input_gradient,
     alloc_loss_and_grads,
@@ -218,6 +219,34 @@ def test_ce_and_dlogits_loss_is_cross_entropy_bit_for_bit():
     np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
 
 
+def _logits_with_ties(rng, m):
+    """Random rows, rows of all-equal logits, rows whose first and last logits
+    tie for the max, and rows of huge logits."""
+    top = rng.standard_normal((6, m))
+    top[:, 0] = top[:, -1] = top.max(axis=1) + 1.0
+    return np.vstack([rng.standard_normal((40, m)) * 5, np.full((4, m), 1.5), np.zeros((2, m)), top,
+                      rng.standard_normal((4, m)) + 1e3, [[1e3] * (m - 1) + [-1e3]]])
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["fancy-index", "bound-labels"])
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_ce_and_dlogits_matches_cross_entropy_and_fancy_index_gradient(m, bound):
+    """The column-wise row max, and with bound labels the one-hot and flat
+    indices, give the values of a reduction max and fancy indexing bit for bit."""
+    rng = np.random.default_rng(30 + m)
+    logits = _logits_with_ties(rng, m)
+    y = rng.integers(0, m, size=len(logits))
+    y[-13:] = np.arange(13) % m  # every label on the tied rows
+    net = init_params([1, m], 0)
+    ws = Workspace(net, len(logits))
+    if bound:
+        ws.bind(net, y)
+    per, dlogits = _ce_and_dlogits(logits, y, ws)
+    want_per, want_dlogits = alloc_ce_and_dlogits(logits, y)
+    assert per.tobytes() == cross_entropy(logits, y).tobytes() == want_per.tobytes()
+    assert dlogits.tobytes() == want_dlogits.tobytes()
+
+
 def test_cross_entropy_hand_values():
     logits = np.array([[0.0, 0.0], [2.0, 0.0]])
     y = np.array([0, 1])
@@ -308,6 +337,55 @@ def test_loss_and_grads_matches_allocating_version(dims, reduction):
         want_value, gw, gb = alloc_loss_and_grads(p, X, y, 1.0 / n if reduction == "mean" else 1.0)
         assert value == want_value
         assert all(np.array_equal(a, b) for a, b in zip(g.weights + g.biases, gw + gb))
+
+
+def test_loss_and_grads_in_a_reused_workspace_matches_allocating_version():
+    """One workspace serves calls on other nets, data and reductions, as in
+    training; it returns its own gradient set, refilled by each call."""
+    dims = [8, 24, 24, 24, 3]
+    rng = np.random.default_rng(14)
+    ws = Workspace(random_net(rng, dims), 32)
+    sets = []
+    for reduction in ("mean", "sum", "mean"):
+        p = random_net(rng, dims)
+        X = rng.uniform(0, 1, size=(32, dims[0]))
+        y = rng.integers(0, dims[-1], size=32)
+        value, g = loss_and_grads(p, X, y, reduction=reduction, ws=ws)
+        want_value, gw, gb = alloc_loss_and_grads(p, X, y, 1.0 / 32 if reduction == "mean" else 1.0)
+        assert value == want_value
+        assert [a.tobytes() for a in g.weights + g.biases] == [a.tobytes() for a in gw + gb]
+        sets.append(g)
+    assert all(g is sets[0] for g in sets)
+
+
+def test_workspace_bound_to_one_net_serves_another_bit_for_bit():
+    """A workspace bound to net A and labels y computes from what it is given:
+    net B of the same shapes, or other labels, get their own values bit for
+    bit.  Binding a net of other shapes, or labels the net cannot output, raises."""
+    rng = np.random.default_rng(15)
+    dims = [5, 7, 6, 3]
+    a, b = random_net(rng, dims), random_net(rng, dims)
+    X = rng.uniform(0, 1, size=(9, 5))
+    y = rng.integers(0, 3, size=9)
+    ws = Workspace(a, 9)
+    ws.bind(a, y)
+    for net, labels in ((a, y), (b, y), (a, y.copy()), (b, rng.integers(0, 3, size=9)), (a, y)):
+        assert forward_batch(net, X, ws)[2].tobytes() == alloc_forward(net, X)[2].tobytes()
+        got, want = input_gradient(net, X, labels, ws), alloc_input_gradient(net, X, labels)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    ws.bind(b, y)  # rebinding to another net retiles its biases
+    for net in (b, a):
+        assert forward_batch(net, X, ws)[2].tobytes() == alloc_forward(net, X)[2].tobytes()
+    with pytest.raises(ValueError, match="bind"):
+        ws.bind(random_net(rng, [5, 8, 6, 3]), y)
+    with pytest.raises(ValueError, match="labels"):
+        ws.bind(a, np.full(9, 3))
+    with pytest.raises(ValueError, match="labels"):
+        ws.bind(a, y[:4])
+    with pytest.raises(ValueError, match="labels"):
+        ws.bind(a, y.astype(np.float64))
+    ws.bind(a, y.astype(np.uint64))
+    assert input_gradient(a, X, ws.y, ws)[0].tobytes() == alloc_input_gradient(a, X, y)[0].tobytes()
 
 
 def test_forward_batch_without_workspace_returns_fresh_arrays():

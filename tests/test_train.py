@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from advparam import train as train_mod
 from advparam.attack import PgdConfig
 from advparam.data import gen_blobs
 from advparam.metrics import accuracy, adversarial_accuracy
-from advparam.mlp import max_abs_diff
+from advparam.mlp import loss_and_grads, max_abs_diff
 from advparam.train import TrainConfig, train
 
 
@@ -26,6 +27,27 @@ def test_train_deterministic():
     assert max_abs_diff(a, b) == 0.0
     c = train(TrainConfig(dims=[4, 8, 2], epochs=5, lr=0.1, batch_size=8, seed=4), ds).params
     assert max_abs_diff(a, c) > 0.0
+
+
+def test_train_keeps_one_workspace_per_batch_size(monkeypatch):
+    """40 samples in batches of 16 take two batch sizes (16 and 8), so two
+    workspaces; the trained net is bit for bit the one from a fresh
+    workspace per step."""
+    ds = gen_blobs(40, 4, 2, seed=1)
+    cfg = TrainConfig(dims=[4, 8, 2], epochs=3, lr=0.1, batch_size=16, seed=3)
+    built = []
+
+    class Counted(train_mod.Workspace):
+        def __init__(self, params, n_rows):
+            built.append(n_rows)
+            super().__init__(params, n_rows)
+
+    monkeypatch.setattr(train_mod, "Workspace", Counted)
+    reused = train(cfg, ds).params
+    assert sorted(built) == [8, 16]
+    monkeypatch.setattr(train_mod, "loss_and_grads",
+                        lambda params, X, y, reduction, ws: loss_and_grads(params, X, y, reduction))
+    assert train(cfg, ds).params.flat.tobytes() == reused.flat.tobytes()
 
 
 def test_train_validates_dims():
