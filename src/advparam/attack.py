@@ -26,9 +26,9 @@ from .mlp import (
     ModelParams,
     Workspace,
     _block_workspaces,
+    _ce_and_dlogits,
     add_scaled,
     classify,
-    cross_entropy,
     forward_batch,
     input_gradient,
     loss_and_grads,
@@ -65,28 +65,34 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     sample set when *any* iterate was classified differently from y, and the
     CE at X_best.  A caller that reads no X_best / ce_best (``best`` False)
     or no flipped (``flips`` False) gets None in their place, and the run
-    skips the work that only they need.
+    skips the work that only they need.  On a stack of K nets the outputs
+    gain a leading K axis, and each net gets what a run on it alone gives.
 
     The rows run in ``row_blocks``, one block after the other, each on a
     ``Workspace`` reused for every step and bound to the block's labels, so
     the working set is one block's whatever N.  The first iterate is a
     uniform random point of the eps-ball (clipped to [0,1]^n); each block
     draws its own in turn from the run's one generator, which yields the
-    numbers of one draw for all rows.  Each point gets one forward pass: the
-    gradient pass at an iterate also yields its CE and prediction.  Only the
-    clean point and the last iterate are forward-only, so per block a run of
-    s >= 1 steps makes s ``input_gradient`` calls and s + 2 ``forward_batch``
-    calls.
+    numbers of one draw for all rows, and every net of a stack starts from
+    it.  Each point gets one forward pass: the gradient pass at an iterate
+    also yields its CE and prediction.  Only the clean point and the last
+    iterate are forward-only, so per block a run of s >= 1 steps makes s
+    ``input_gradient`` calls and s + 2 ``forward_batch`` calls.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
-    best_X = X.copy() if best else None
-    best_ce = np.empty(len(X)) if best else None
-    flipped = np.empty(len(X), dtype=bool) if flips else None
+    lead = params.stack_shape
+    best_X = np.empty(lead + X.shape) if best else None
+    if best:
+        best_X[...] = X
+    best_ce = np.empty(lead + y.shape) if best else None
+    flipped = np.empty(lead + y.shape, dtype=bool) if flips else None
     for blk, ws in _block_workspaces(params, len(X)):
-        part = [None if out is None else out[blk] for out in (best_X, flipped, best_ce)]
-        _pgd_block(params, X[blk], y[blk], cfg, rng, ws, *part)
+        _pgd_block(params, X[blk], y[blk], cfg, rng, ws,
+                   None if best_X is None else best_X[..., blk, :],
+                   None if flipped is None else flipped[..., blk],
+                   None if best_ce is None else best_ce[..., blk])
     return best_X, flipped, best_ce
 
 
@@ -98,32 +104,33 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
     ws.bind(params, y)
     _, _, logits = forward_batch(params, X, ws)
     if best_ce is not None:
-        best_ce[:] = cross_entropy(logits, y)
+        np.copyto(best_ce, _ce_and_dlogits(logits, y, ws)[0])
     if flipped is not None:
-        np.not_equal(np.argmax(logits, axis=1), y, out=flipped)
+        np.not_equal(np.argmax(logits, axis=-1), y, out=flipped)
     if cfg.eps == 0.0 or cfg.steps == 0:
         return
 
     lo = np.maximum(X - cfg.eps, 0.0)
     hi = np.minimum(X + cfg.eps, 1.0)
-    pred = np.empty(len(y), dtype=np.intp)
-    miss = np.empty(len(y), dtype=bool)
-    better = np.empty(len(y), dtype=bool)
+    pred = np.empty(ws.ce.shape, dtype=np.intp)
+    miss = np.empty(ws.ce.shape, dtype=bool)
+    better = np.empty(ws.ce.shape, dtype=bool)
 
     def record(ce, logits):
         if flipped is not None:
-            np.argmax(logits, axis=1, out=pred)
+            np.argmax(logits, axis=-1, out=pred)
             np.logical_or(flipped, np.not_equal(pred, y, out=miss), out=flipped)
         if best_ce is not None:
             np.greater(ce, best_ce, out=better)
             np.copyto(best_ce, ce, where=better)
-            np.copyto(best_X, cur, where=better[:, None])
+            np.copyto(best_X, cur, where=better[..., None])
 
     def clip(P):
         np.maximum(P, lo, out=P)
         np.minimum(P, hi, out=P)
 
-    cur = X + cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape)
+    cur = np.empty(ws.grad.shape)  # one start for every net of a stack
+    np.add(X, cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), out=cur)
     clip(cur)
     step = cfg.resolved_step
     for _ in range(cfg.steps):
@@ -134,7 +141,7 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
         cur += g
         clip(cur)
     _, _, logits = forward_batch(params, cur, ws)
-    record(None if best_ce is None else cross_entropy(logits, y), logits)
+    record(None if best_ce is None else _ce_and_dlogits(logits, y, ws)[0], logits)
 
 
 def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0) -> np.ndarray:
@@ -222,11 +229,12 @@ class PerturbBudget:
 def proj_box(candidate: ModelParams, center: ModelParams, delta: ModelParams) -> ModelParams:
     """Elementwise projection of candidate onto [center-delta, center+delta].
 
-    A candidate already inside the box comes back unchanged.
+    A candidate already inside the box comes back unchanged.  A stack of
+    candidates takes a stack of boxes, around one center or a stack of them.
     """
     if candidate.dims != center.dims or center.dims != delta.dims:
         raise ValueError("candidate, center and delta must share shapes")
-    return center.like(np.clip(candidate.flat, center.flat - delta.flat, center.flat + delta.flat))
+    return candidate.like(np.clip(candidate.flat, center.flat - delta.flat, center.flat + delta.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -277,70 +285,93 @@ def _batch(rng: np.random.Generator, X: np.ndarray, y: np.ndarray, size: int | N
     return X[idx], y[idx]
 
 
-def _ratio_grad(theta: ModelParams, num_terms, den_term):
+def _loss_grads(spaces: dict, i: int, theta: ModelParams, X, y, reduction: str):
+    """``loss_and_grads`` in spaces[i], a workspace kept by the caller; made,
+    or made again, when theta's shape or X's row count no longer fit it."""
+    ws = spaces.get(i)
+    if ws is None or not ws.fits(theta, np.shape(X)[-2]):
+        ws = spaces[i] = Workspace(theta, np.shape(X)[-2])
+    return loss_and_grads(theta, X, y, reduction=reduction, ws=ws)
+
+
+def _ratio_grad(theta: ModelParams, num_terms, den_term, spaces: dict):
     """Ratio of summed cross-entropies and its quotient-rule gradient.
 
     The numerator is the CE sum over each (X, y) of ``num_terms``, added in
     order; the denominator is the CE sum over the (X, y) ``den_term``, floored
-    at _DENOM_FLOOR.  Returns (ratio, unfloored denominator, gradient).
+    at _DENOM_FLOOR.  Returns (ratio, unfloored denominator, gradient), one
+    ratio and denominator per net of a stack.  Term i runs in ``spaces[i]``
+    (see ``_loss_grads``).
     """
-    terms = [loss_and_grads(theta, X, y, reduction="sum") for X, y in num_terms]
+    terms = [_loss_grads(spaces, i, theta, X, y, "sum") for i, (X, y) in enumerate([*num_terms, den_term])]
+    (den_raw, g_den), terms = terms[-1], terms[:-1]
     num = sum(v for v, _ in terms)
     g_num = functools.reduce(add_scaled, [g for _, g in terms])
-    den_raw, g_den = loss_and_grads(theta, *den_term, reduction="sum")
-    den = max(den_raw, _DENOM_FLOOR)
+    den = np.maximum(den_raw, _DENOM_FLOOR)
     ratio = num / den
-    grad = add_scaled(g_num, g_den, -ratio)
-    return ratio, den_raw, grad.like(grad.flat / den)
+    grad = add_scaled(g_num, g_den, -np.expand_dims(ratio, -1))
+    return ratio, den_raw, grad.like(grad.flat / np.expand_dims(den, -1))
 
 
-def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budget: PerturbBudget,
+def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[PerturbBudget],
              cfg: AttackConfig, tag: int, n_pre: int, objective):
-    """Projected descent on ``objective`` inside the box of an linf budget.
+    """Projected descent on ``objective`` inside the box of each linf budget,
+    all in lockstep on one stack of nets, one per budget.
 
     Runs n_pre phase-1 and then cfg.n_main phase-2 iterations.  Iteration
     ``it`` draws a minibatch of (X, y) from one default_rng(cfg.seed) and
-    calls ``objective(theta, phase, Xb, yb, seed)`` with the PGD seed
-    ``_iter_seed(cfg.seed, tag, it)``.  The objective returns (value, grad,
-    extra trace fields), or None to skip a degenerate minibatch: no step, no
-    step decay and a nan objective in the trace.  A step is theta - alpha *
-    grad projected onto the box; see AttackConfig.alpha for the schedule.
-    Returns (theta, trace).
+    calls ``objective(theta, phase, Xb, yb, seed)`` on the stack with the PGD
+    seed ``_iter_seed(cfg.seed, tag, it)``.  The objective returns (value,
+    grad, extra trace fields), a value and each field holding one entry per
+    net, or None to skip a degenerate minibatch: no step, no step decay and a
+    nan objective in the trace.  A step is theta - alpha * grad projected onto
+    the box; see AttackConfig.alpha for the schedule.  The minibatches, seeds
+    and schedule depend on no net, so each net gets the bits a descent on it
+    alone gives.  Returns (thetas, traces), one per budget.
     """
-    delta = budget.box(params)
-    theta = params.copy()
+    delta = ModelParams.stack([b.box(params) for b in budgets])
+    theta = ModelParams.stack([params] * len(budgets))
     rng = np.random.default_rng(cfg.seed)
     alpha = cfg.alpha
     decay_every = max(1, cfg.n_main // 4)
-    trace = []
+    traces = [[] for _ in budgets]
     for it in range(n_pre + cfg.n_main):
         phase = 1 if it < n_pre else 2
         Xb, yb = _batch(rng, X, y, cfg.batch_size)
         out = objective(theta, phase, Xb, yb, _iter_seed(cfg.seed, tag, it))
         if out is None:
-            trace.append({"iter": it, "phase": phase, "objective": float("nan")})
+            for trace in traces:
+                trace.append({"iter": it, "phase": phase, "objective": float("nan")})
             continue
         value, grad, fields = out
         theta = proj_box(add_scaled(theta, grad, -alpha), params, delta)
-        trace.append({"iter": it, "phase": phase, "objective": float(value), **fields})
+        for k, trace in enumerate(traces):
+            trace.append({"iter": it, "phase": phase, "objective": float(value[k]),
+                          **{name: float(v[k]) for name, v in fields.items()}})
         if phase == 2 and (it - n_pre + 1) % decay_every == 0:
             alpha *= _ALPHA_DECAY
-    return theta, trace
+    return [params.like(th.copy()) for th in theta.flat], traces
 
 
-def _result(params: ModelParams, theta: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
+def _score(net: ModelParams, ds: LabeledDataset, cfg: AttackConfig) -> tuple[float, float]:
+    """Clean and adversarial accuracy of net on ds, at cfg's PGD settings and seed."""
+    from .metrics import accuracies
+
+    return accuracies(net, ds, cfg.pgd, cfg.seed)
+
+
+def _result(base, theta: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
             cfg: AttackConfig, trace, extras, on=None) -> AttackResult:
-    """Score the base net and theta on ds and rate theta.
+    """Score theta on ds and rate it against ``base``, the base net's ``_score``.
 
     An untargeted attack (``on`` None) scores theta on all of ds; a targeted
     one (``targeted_rate(extras["kind"])``) on the target rows ``on`` and on
     the rest apart (the direct attack's target rows only for their clean
     accuracy).
     """
-    from .metrics import RateInputs, accuracies, accuracy, adversarial_rate, targeted_rate
+    from .metrics import RateInputs, accuracy, adversarial_rate, targeted_rate
 
-    score = functools.partial(accuracies, pgd=cfg.pgd, seed=cfg.seed)
-    base = score(params, ds)
+    score = functools.partial(_score, cfg=cfg)
     if on is None:
         ri = RateInputs(*base, *score(theta, ds))
         rr = adversarial_rate(ri)
@@ -369,27 +400,44 @@ def _robust_objective(pgd: PgdConfig):
     Phase 1: minus the mean robust loss.  Phase 2: clean CE sum / robust CE
     sum.  Both record the mean robust loss in the trace.
     """
+    spaces = {}
+
     def objective(theta, phase, Xb, yb, seed):
         Xadv = pgd_adversary_batch(theta, Xb, yb, pgd, seed=seed)
         if phase == 1:
-            adv_mean, g = loss_and_grads(theta, Xadv, yb, reduction="mean")
+            adv_mean, g = _loss_grads(spaces, 0, theta, Xadv, yb, "mean")
             return -adv_mean, g.like(-g.flat), {"robust_loss": adv_mean}
-        ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb))
+        ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
         return ratio, g, {"robust_loss": den / len(yb)}
 
     return objective
 
 
-def attack_linf(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
-                cfg: AttackConfig) -> AttackResult:
-    """Two-phase projected gradient attack inside an elementwise parameter box.
+def linf_attacks(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudget],
+                 cfg: AttackConfig) -> list[AttackResult]:
+    """Two-phase projected gradient attack inside an elementwise parameter box,
+    at each of the linf ``budgets``.
 
     Phase 1 (n_pre steps) raises the mean robust loss; phase 2 (n_main steps)
     minimizes clean-loss / robust-loss, trading a bounded clean-accuracy hit
     for a large robustness drop.  Every step is projected back onto the box.
+    The budgets run in lockstep, one descent on a stack of nets, and the base
+    net is scored once; each result is bit for bit ``attack_linf`` at its
+    budget.  A ValueError at any budget (its box, its attacked net) fails
+    the whole call.
     """
-    theta, trace = _descend(params, ds.X, ds.y, budget, cfg, 1, cfg.n_pre, _robust_objective(cfg.pgd))
-    return _result(params, theta, ds, budget, cfg, trace, {})
+    if not budgets:
+        raise ValueError("no budgets to attack")
+    thetas, traces = _descend(params, ds.X, ds.y, budgets, cfg, 1, cfg.n_pre, _robust_objective(cfg.pgd))
+    base = _score(params, ds, cfg)
+    return [_result(base, theta, ds, budget, cfg, trace, {})
+            for theta, budget, trace in zip(thetas, budgets, traces)]
+
+
+def attack_linf(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
+                cfg: AttackConfig) -> AttackResult:
+    """``linf_attacks`` at one budget."""
+    return linf_attacks(params, ds, [budget], cfg)[0]
 
 
 def perturb_random(params: ModelParams, budget: PerturbBudget, seed=0) -> ModelParams:
@@ -450,7 +498,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
     rng = np.random.default_rng(cfg.seed)
     sel = _pick_matrices(rng, theta, budget)
     trace = []  # one entry per gradient
-    swap_log = []
+    swap_log, spaces = [], {}
     skipped = 0
 
     for l in sel:
@@ -461,7 +509,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
             if stale:
                 Xb, yb = _batch(rng, ds.X, ds.y, cfg.batch_size)
                 Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_iter_seed(cfg.seed, 2, len(trace)))
-                ratio, _, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb))
+                ratio, _, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
                 gflat = g.weights[l].ravel()
                 stale = False
                 trace.append({"iter": len(trace), "phase": 2, "objective": float(ratio)})
@@ -479,7 +527,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
 
     extras = {"matrices": sel, "swaps": len(swap_log), "skipped_pairs": skipped,
               "swap_log": swap_log}
-    return _result(params, theta, ds, budget, cfg, trace, extras)
+    return _result(_score(params, ds, cfg), theta, ds, budget, cfg, trace, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +538,10 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
               cfg: AttackConfig, kind: str, ratio_terms) -> AttackResult:
     """Phase-2 descent on a targeted ratio, then the targeted rate ``kind``.
 
-    ``ratio_terms(theta, Xb, yb, on, seed)`` returns what _ratio_grad does,
-    with ``on`` marking the minibatch's target-label rows.  A minibatch that
-    is all on or all off the target is skipped.
+    ``ratio_terms(theta, Xb, yb, on, seed)`` returns what _ratio_grad does
+    for theta, a stack of one net, with ``on`` marking the minibatch's
+    target-label rows.  A minibatch that is all on or all off the target is
+    skipped.
     """
     on = ds.y == target_label
     if not on.any():
@@ -507,8 +556,9 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
         ratio, _, grad = ratio_terms(theta, Xb, yb, on_b, seed)
         return ratio, grad, {}
 
-    theta, trace = _descend(params, ds.X, ds.y, budget, cfg, 3, 0, objective)
-    return _result(params, theta, ds, budget, cfg, trace, {"target_label": target_label, "kind": kind}, on)
+    (theta,), (trace,) = _descend(params, ds.X, ds.y, [budget], cfg, 3, 0, objective)
+    extras = {"target_label": target_label, "kind": kind}
+    return _result(_score(params, ds, cfg), theta, ds, budget, cfg, trace, extras, on)
 
 
 def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,
@@ -520,9 +570,12 @@ def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,
     accuracy, unchanged off-target robustness, and collapsed robustness on
     the target label.
     """
+    spaces = {}
+
     def ratio_terms(theta, Xb, yb, on, seed):
         Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=seed)
-        return _ratio_grad(theta, [(Xb, yb), (Xadv[~on], yb[~on])], (Xadv[on], yb[on]))
+        Xoff, Xon = Xadv[..., ~on, :], Xadv[..., on, :]
+        return _ratio_grad(theta, [(Xb, yb), (Xoff, yb[~on])], (Xon, yb[on]), spaces)
 
     return _targeted(params, ds, target_label, budget, cfg, "label", ratio_terms)
 
@@ -534,10 +587,12 @@ def attack_direct(params: ModelParams, ds: LabeledDataset, target_label: int,
     Objective (minimized): [robust + clean loss off the target] / [clean CE
     on the target].  Drives the target's clean accuracy to zero.
     """
+    spaces = {}
+
     def ratio_terms(theta, Xb, yb, on, seed):
         Xoff, yoff = Xb[~on], yb[~on]
         Xadv = pgd_adversary_batch(theta, Xoff, yoff, cfg.pgd, seed=seed)
-        return _ratio_grad(theta, [(Xadv, yoff), (Xoff, yoff)], (Xb[on], yb[on]))
+        return _ratio_grad(theta, [(Xadv, yoff), (Xoff, yoff)], (Xb[on], yb[on]), spaces)
 
     return _targeted(params, ds, target_label, budget, cfg, "direct", ratio_terms)
 
@@ -555,7 +610,7 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     if classify(params, x) != label:
         raise ValueError("x must be correctly classified by the base net")
     X1, y1 = x[None, :], np.array([label])
-    theta, trace = _descend(params, X1, y1, budget, cfg, 4, cfg.n_pre, _robust_objective(cfg.pgd))
+    (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective(cfg.pgd))
 
     from .metrics import RateInputs, approx_radius, targeted_rate
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .attack import (
     AttackConfig,
     PerturbBudget,
-    attack_linf,
     attack_swap,
+    linf_attacks,
     perturb_random,
 )
 from .data import LabeledDataset, atomic_open, load_dataset
@@ -71,14 +71,16 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
               cfg: AttackConfig | None = None, control: bool = True):
     """Attack at every budget and return (rows, errors).
 
-    Each budget gives one guided row (``attack_linf`` or ``attack_swap``),
+    Each budget gives one guided row (``linf_attacks`` or ``attack_swap``),
     followed, with ``control`` set, by a random perturbation row at the same
-    budget.  A sweep point whose attack is invalid (``ValueError``, e.g. a
-    swap over more matrices than the net has, or a gamma so large that the
-    box or the attacked net overflows) contributes a flagged all-nan row and
-    an entry in ``errors``; the sweep keeps going.  Any other exception
-    propagates.  The base net and the control are scored by
-    ``robustness_report``; the attacked net's accuracy and adversarial
+    budget.  The linf budgets run in one ``linf_attacks`` call, in lockstep.
+    A sweep point whose attack is invalid (``ValueError``, e.g. a swap over
+    more matrices than the net has, or a gamma so large that the box or the
+    attacked net overflows) contributes a flagged all-nan row and an entry in
+    ``errors``; the sweep keeps going.  When the lockstep call fails, each
+    linf budget runs again alone, so only the failing ones get such rows.
+    Any other exception propagates.  The base net and the control are scored
+    by ``robustness_report``; the attacked net's accuracy and adversarial
     accuracy come from the attack's own ``rate_inputs``, which used the same
     dataset, PGD settings and seed (``cfg.seed``).
     """
@@ -91,13 +93,22 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
         return rep.acc, rep.adv_acc, rep.avg_r2
 
     base_nums = nums(params)
+    linf = [i for i, b in enumerate(budgets) if b.kind == "linf"]
+    try:
+        done = dict(zip(linf, linf_attacks(params, ds, [budgets[i] for i in linf], cfg))) if linf else {}
+    except ValueError:  # some budget fails: each runs alone below, to find which
+        done = {}
     rows: list[SweepRow] = []
     errors: list[dict] = []
     for idx, budget in enumerate(budgets):
         label = budget.label()
         try:
-            runner = attack_linf if budget.kind == "linf" else attack_swap
-            res = runner(params, ds, budget, cfg)
+            if idx in done:
+                res = done[idx]
+            elif budget.kind == "linf":
+                res = linf_attacks(params, ds, [budget], cfg)[0]
+            else:
+                res = attack_swap(params, ds, budget, cfg)
             ri = res.rate_inputs
             att_nums = (ri.att_acc, ri.att_rob, avg_approx_radius(res.attacked, ds))
             rows.append(build_row(budget.kind, label, base_nums, att_nums))

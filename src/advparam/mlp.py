@@ -4,8 +4,11 @@ Everything downstream (training, attacks, weight surgery) manipulates the
 ``ModelParams`` container directly.  Its entries live in one float64 vector,
 ``flat``: all weight matrices (row-major, in layer order), then all biases.
 An elementwise parameter operation is thus one array operation, whose result
-``like(vec)`` wraps as a set.  The last layer is affine (raw logits); softmax
-appears only inside the cross-entropy loss.
+``like(vec)`` wraps as a set.  ``ModelParams.stack`` holds K nets of one shape
+in a (K, P) ``flat``; the passes below take such a stack as they take one net,
+indexing from the trailing axes, and give each net the bits it gets alone.
+The last layer is affine (raw logits); softmax appears only inside the
+cross-entropy loss.
 """
 
 from __future__ import annotations
@@ -57,13 +60,23 @@ class ModelParams:
         self._set_flat(np.concatenate([a.ravel() for a in arrays]))
 
     def _views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Every weight matrix, then every bias, as views into flat."""
-        return tuple(flat[a:b].reshape(shape) for a, b, shape in self._spans)
+        """Every weight matrix, then every bias, as views into flat (one net per leading index)."""
+        lead = flat.shape[:-1]
+        return tuple(flat[..., a:b].reshape(lead + shape) for a, b, shape in self._spans)
 
     def _set_flat(self, flat: np.ndarray) -> None:
         views = self._views(flat)
         n = len(views) // 2
         self._flat, self._weights, self._biases = flat, views[:n], views[n:]
+        self._ops = None
+
+    def _operands(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The weights transposed and the biases with a row axis, as the
+        passes apply them: views into ``flat``, made on first use."""
+        if self._ops is None:
+            self._ops = ([w.swapaxes(-1, -2) for w in self._weights],
+                         [b[..., None, :] for b in self._biases])
+        return self._ops
 
     def like(self, vec) -> "ModelParams":
         """A set with these shapes whose ``flat`` is vec, not copied: vec must
@@ -73,27 +86,40 @@ class ModelParams:
             raise ValueError(f"expected {self._flat.size} entries, got {vec.shape}")
         if not np.isfinite(vec).all():
             raise ValueError("non-finite parameter entries")
+        return self._wrap(vec)
+
+    def _wrap(self, flat: np.ndarray) -> "ModelParams":
         out = object.__new__(ModelParams)
         out._spans = self._spans
-        out._set_flat(vec)
+        out._set_flat(flat)
         return out
+
+    @staticmethod
+    def stack(nets) -> "ModelParams":
+        """K >= 1 single nets of one shape as one set: ``flat`` is (K, P), each
+        weight (K, out, in) and each bias (K, out), copied from the nets."""
+        nets = list(nets)
+        if not nets or any(n._spans != nets[0]._spans or n.stack_shape for n in nets):
+            raise ValueError("stack needs one or more single nets of one shape")
+        return nets[0]._wrap(np.stack([n.flat for n in nets]))
 
     flat = property(lambda self: self._flat, doc="Every weight matrix row-major, then every bias.")
     weights = property(lambda self: self._weights, doc="Weight matrices, views into ``flat``.")
     biases = property(lambda self: self._biases, doc="Bias vectors, views into ``flat``.")
+    stack_shape = property(lambda self: self._flat.shape[:-1], doc="() for one net, (K,) for a stack.")
 
     @property
     def dims(self) -> list[int]:
         """Layer widths [n_in, n_1, ..., n_out]."""
-        return [self._weights[0].shape[1]] + [w.shape[0] for w in self._weights]
+        return [self._weights[0].shape[-1]] + [w.shape[-2] for w in self._weights]
 
     @property
     def input_dim(self) -> int:
-        return self._weights[0].shape[1]
+        return self._weights[0].shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self._weights[-1].shape[0]
+        return self._weights[-1].shape[-2]
 
     @property
     def hidden_count(self) -> int:
@@ -101,7 +127,8 @@ class ModelParams:
 
     @property
     def num_params(self) -> int:
-        return self._flat.size
+        """Entries per net."""
+        return self._flat.shape[-1]
 
     def copy(self) -> "ModelParams":
         return self.like(self._flat.copy())
@@ -130,50 +157,60 @@ class Workspace:
     scratch; the input gradient.  A pass in a workspace overwrites what the
     previous pass in it returned.
 
-    ``bind(params, y)`` adds the constants of a run of passes on one net and
-    one set of labels (PGD on a block of rows).  A pass uses them only when it
-    is given that very ``params`` object (for the biases) or ``y`` object (for
-    the labels), and otherwise computes from what it is given, with the same
-    result bit for bit.  Neither may be edited in place while bound, so a
-    bound workspace lives no longer than the run that bound it.
+    For a stack of K nets every buffer has a leading axis of K.
+
+    ``bind(params, y)`` adds the constants of a run of passes on one net (or
+    stack) and one set of labels (PGD on a block of rows).  A pass uses them
+    only when it is given that very ``params`` object (for the biases) or
+    ``y`` object (for the labels), and otherwise computes from what it is
+    given, with the same result bit for bit.  Neither may be edited in place
+    while bound, so a bound workspace lives no longer than the run that
+    bound it.
     """
 
     def __init__(self, params: ModelParams, n_rows: int):
         dims = params.dims
         hidden = dims[1:-1]
         self.dims, self.n_rows, self.spans = dims, n_rows, params._spans
-        self.acts = [np.empty((n_rows, w)) for w in hidden]
-        self.signs = [np.empty((n_rows, w)) for w in hidden]
-        self.logits = np.empty((n_rows, dims[-1]))
+        self.stack_shape = lead = params.stack_shape
+        self.acts = [np.empty(lead + (n_rows, w)) for w in hidden]
+        self.signs = [np.empty(lead + (n_rows, w)) for w in hidden]
+        self.logits = np.empty(lead + (n_rows, dims[-1]))
         self.shifted = np.empty_like(self.logits)  # logits minus their row max
         self.dlogits = np.empty_like(self.logits)
-        self.row_max = np.empty((n_rows, 1))
-        self.row_sum = np.empty((n_rows, 1))
-        self.ce = np.empty(n_rows)
+        self.row_max = np.empty(lead + (n_rows, 1))
+        self.row_sum = np.empty(lead + (n_rows, 1))
+        self.ce = np.empty(lead + (n_rows,))
         self.rows = np.arange(n_rows)
-        size = n_rows * max(hidden, default=0)
+        size = self.ce.size * max(hidden, default=0)
         flat = (np.empty(size), np.empty(size))
         # the backward pass runs from the last hidden layer down, alternating buffers
-        self.back = [flat[(len(hidden) - 1 - i) % 2][:n_rows * w].reshape(n_rows, w)
+        self.back = [flat[(len(hidden) - 1 - i) % 2][:self.ce.size * w].reshape(lead + (n_rows, w))
                      for i, w in enumerate(hidden)]
-        self.grad = np.empty((n_rows, dims[0]))
+        self.grad = np.empty(lead + (n_rows, dims[0]))
         self.params = self.y = self.grads = None
+
+    def fits(self, params: ModelParams, n_rows: int) -> bool:
+        """True when passes over n_rows rows of params can run here."""
+        return (n_rows == self.n_rows and params._spans == self.spans
+                and params._flat.shape[:-1] == self.stack_shape)
 
     def bind(self, params: ModelParams, y: np.ndarray) -> None:
         """Build the constants of passes on ``params`` and labels ``y``: every
         bias tiled to its layer's (n_rows, width) shape, so the bias add is
         not a broadcast; the one-hot of y; and y's flat indices into the
-        (n_rows, classes) logits.  The tiles are rebuilt only for a new set."""
-        if self.spans != params._spans:
+        logits of every net.  The tiles are rebuilt only for a new set."""
+        if not self.fits(params, self.n_rows):
             raise ValueError(f"workspace of a {self.dims} net cannot bind a {params.dims} net")
         if params is not self.params:
-            self.bias_rows = [np.repeat(b[None, :], self.n_rows, axis=0) for b in params.biases]
+            self.bias_rows = [np.repeat(b, self.n_rows, axis=-2) for b in params._operands()[1]]
             self.params = params
         m = self.dims[-1]
         if y.shape != (self.n_rows,) or y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= m:
             raise ValueError(f"expected {self.n_rows} integer labels in 0..{m - 1}")
-        self.targets = self.rows * m + y.astype(np.intp)
-        self.onehot = np.zeros((self.n_rows, m))
+        row_starts = np.arange(0, self.logits.size, m).reshape(self.ce.shape)
+        self.targets = row_starts + y.astype(np.intp)
+        self.onehot = np.zeros(self.logits.shape)
         self.onehot.flat[self.targets] = 1.0
         self.y = y
 
@@ -196,33 +233,37 @@ def forward_batch(params: ModelParams, X: np.ndarray,
     l >= 1 the post-ReLU activations of hidden layer l, and signs[l-1] the
     0/1 mask of hidden layer l (1 where the pre-activation was strictly
     positive).  X must be 2-D with ``params.input_dim`` columns; a single
-    point x goes in as ``np.reshape(x, (1, -1))``.  Inputs only need to be
-    finite; values outside [0,1] are fine (surgery evaluates points off the
-    data domain).
+    point x goes in as ``np.reshape(x, (1, -1))``.  For a stack of K nets X is
+    either that, shared by every net, or (K, rows, input_dim), and each
+    output gains a leading K axis.  Inputs only need to be finite; values
+    outside [0,1] are fine (surgery evaluates points off the data domain).
 
     The pass fills ``ws``, a ``Workspace`` for X's row count and these layer
     widths, and returns views into it, which the next pass in ``ws``
     overwrites; without ``ws`` it fills a fresh one.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
+    bad_lead = X.ndim != 2 and (X.ndim < 2 or X.shape[:-2] != params.stack_shape)
+    if bad_lead or X.shape[-1] != params.input_dim:
         raise ValueError(f"input shape {X.shape} does not match model input dim {params.input_dim}")
     if not np.isfinite(X).all():
         raise ValueError("non-finite input")
     if ws is None:
-        ws = Workspace(params, X.shape[0])
-    elif ws.n_rows != X.shape[0] or ws.spans != params._spans:  # spans: the layer shapes
+        ws = Workspace(params, X.shape[-2])
+    elif not ws.fits(params, X.shape[-2]):
         raise ValueError(f"workspace for {ws.n_rows} rows of a {ws.dims} net does not fit "
-                         f"{X.shape[0]} rows of a {params.dims} net")
-    biases = ws.bias_rows if ws.params is params else params.biases
+                         f"{X.shape[-2]} rows of a {params.dims} net")
+    weights_t, biases = params._operands()
+    if ws.params is params:
+        biases = ws.bias_rows
     h = X
-    for w, b, a, s in zip(params.weights[:-1], biases, ws.acts, ws.signs):
-        np.matmul(h, w.T, out=a)
+    for wt, b, a, s in zip(weights_t, biases, ws.acts, ws.signs):
+        np.matmul(h, wt, out=a)
         a += b
         np.greater(a, 0.0, out=s)
         a *= s
         h = a
-    np.matmul(h, params.weights[-1].T, out=ws.logits)
+    np.matmul(h, weights_t[-1], out=ws.logits)
     ws.logits += biases[-1]
     return [X, *ws.acts], list(ws.signs), ws.logits
 
@@ -275,21 +316,21 @@ def _ce_and_dlogits(logits: np.ndarray, y: np.ndarray, ws: Workspace) -> tuple[n
     rounding.  With ws bound to this ``y``, the label terms use its one-hot
     and flat indices.
     """
-    z, d, row_max = ws.shifted, ws.dlogits, ws.row_max[:, 0]
-    np.maximum(logits[:, 0], logits[:, 1], out=row_max)
-    for j in range(2, logits.shape[1]):
-        np.maximum(row_max, logits[:, j], out=row_max)
+    z, d, row_max = ws.shifted, ws.dlogits, ws.row_max[..., 0]
+    np.maximum(logits[..., 0], logits[..., 1], out=row_max)
+    for j in range(2, logits.shape[-1]):
+        np.maximum(row_max, logits[..., j], out=row_max)
     np.subtract(logits, ws.row_max, out=z)
     np.exp(z, out=d)
-    np.add.reduce(d, axis=1, keepdims=True, out=ws.row_sum)  # d.sum without its Python wrapper
+    np.add.reduce(d, axis=-1, keepdims=True, out=ws.row_sum)  # d.sum without its Python wrapper
     d /= ws.row_sum
-    np.log(ws.row_sum[:, 0], out=ws.ce)
+    np.log(ws.row_sum[..., 0], out=ws.ce)
     if ws.y is y:
         d -= ws.onehot
         ws.ce -= z.take(ws.targets)
     else:
-        d[ws.rows, y] -= 1.0
-        ws.ce -= z[ws.rows, y]
+        d[..., ws.rows, y] -= 1.0
+        ws.ce -= z[..., ws.rows, y]
     return ws.ce, d
 
 
@@ -306,17 +347,18 @@ def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction:
 
     Returns (value, grads), where ``grads`` is a ModelParams-shaped container
     holding dL/dW and dL/db for the integer labels ``y``; reduction averages
-    or sums the per-sample losses over the batch.  The pass runs in ``ws``
+    or sums the per-sample losses over the batch.  For a stack, value holds
+    one loss per net and grads is a stack.  The pass runs in ``ws``
     (see ``forward_batch``), and ``grads`` is then the workspace's own set,
     which the next ``loss_and_grads`` in ws overwrites; without ``ws`` it
     fills a fresh ``Workspace``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
+    if X.shape[-2] == 0:
         raise ValueError("empty batch")
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    N = X.shape[0]
+    N = X.shape[-2]
     if ws is None:
         ws = Workspace(params, N)
     acts, signs, logits = forward_batch(params, X, ws)
@@ -328,19 +370,19 @@ def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction:
         raise ValueError("label out of range")
     per, dz = _ce_and_dlogits(logits, y, ws)
     dz *= scale
-    value = float(per.sum() * scale)
+    value = per.sum(axis=-1) * scale
 
     if ws.grads is None:
-        ws.grads = params.like(np.zeros(params.num_params))
+        ws.grads = params.like(np.zeros(params.flat.shape))
     grads = ws.grads
     for l in range(len(params.weights) - 1, -1, -1):
-        np.matmul(dz.T, acts[l], out=grads.weights[l])
-        dz.sum(axis=0, out=grads.biases[l])
+        np.matmul(dz.swapaxes(-1, -2), acts[l], out=grads.weights[l])
+        dz.sum(axis=-2, out=grads.biases[l])
         if l > 0:
             dz = _backprop(dz, params.weights[l], signs[l - 1], ws.back[l - 1])
     if not np.isfinite(grads.flat).all():
         raise ValueError("non-finite parameter entries")
-    return value, grads
+    return (float(value) if value.ndim == 0 else value), grads
 
 
 def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray,
@@ -357,7 +399,7 @@ def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray,
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if ws is None:
-        ws = Workspace(params, X.shape[0])
+        ws = Workspace(params, X.shape[-2])
     _, signs, logits = forward_batch(params, X, ws)
     per, dz = _ce_and_dlogits(logits, np.asarray(y), ws)
     for l in range(len(params.weights) - 1, 0, -1):
@@ -369,8 +411,9 @@ def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray,
 # parameter arithmetic
 
 
-def add_scaled(a: ModelParams, b: ModelParams, scale: float = 1.0) -> ModelParams:
-    """a + scale * b, elementwise over all layers."""
+def add_scaled(a: ModelParams, b: ModelParams, scale=1.0) -> ModelParams:
+    """a + scale * b, elementwise over all layers; on a stack, scale may be
+    one factor per net, shape (K, 1)."""
     if a.dims != b.dims:
         raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
     return a.like(a.flat + scale * b.flat)

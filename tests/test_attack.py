@@ -18,6 +18,7 @@ from advparam.attack import (
     attack_linf,
     attack_single,
     attack_swap,
+    linf_attacks,
     perturb_random,
     pgd_adversary_batch,
     pgd_flips_batch,
@@ -237,6 +238,25 @@ def test_pgd_builds_one_workspace_per_block_size(monkeypatch, n, sizes):
     assert len(grads) == 3 * len(mlp.row_blocks(n)) and all(isinstance(ws, Counted) for ws in grads)
 
 
+@pytest.mark.parametrize("n", [1, 2, 160, 1025])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("dims", [[4, 6, 5, 2], [8, 24, 24, 3], [5, 10], [3, 7, 10]])
+def test_stacked_pgd_equals_per_net_runs_bit_for_bit(dims, k, n):
+    """Both PGD paths on a stack of k nets give each net the bytes of a run
+    on it alone: every net starts from the same random point."""
+    rng = np.random.default_rng([dims[-1], len(dims), k, n])
+    nets = [random_net(rng, dims) for _ in range(k)]
+    stack = ModelParams.stack(nets)
+    X = rng.uniform(0, 1, size=(n, dims[0]))
+    y = rng.integers(0, dims[-1], size=n)
+    cfg = PgdConfig(eps=0.1, steps=3)
+    best_X, flipped = pgd_adversary_batch(stack, X, y, cfg, seed=4), pgd_flips_batch(stack, X, y, cfg, seed=4)
+    assert best_X.shape == (k, n, dims[0]) and flipped.shape == (k, n)
+    for i, net in enumerate(nets):
+        assert best_X[i].tobytes() == pgd_adversary_batch(net, X, y, cfg, seed=4).tobytes()
+        assert flipped[i].tobytes() == pgd_flips_batch(net, X, y, cfg, seed=4).tobytes()
+
+
 def test_pgd_non_finite_iterate_raises(monkeypatch):
     rng = np.random.default_rng(10)
     p = random_net(rng, [4, 6, 3])
@@ -434,6 +454,8 @@ def test_attack_linf_budget_kind_checked():
         attack_linf(params, ds, PerturbBudget("swap"), CFG)
     with pytest.raises(ValueError):
         attack_swap(params, ds, PerturbBudget("linf", gamma=0.1), CFG)
+    with pytest.raises(ValueError, match="no budgets"):
+        linf_attacks(params, ds, [], CFG)
 
 
 def test_attack_swap_preserves_multiset():
@@ -778,6 +800,18 @@ def test_attack_linf_matches_reference_loop(three_class, batch_size, schedule, g
                         _ref_attack_linf(params, ds, budget, cfg))
 
 
+@pytest.mark.parametrize("schedule", [(4, 10), (3, 8)])
+@pytest.mark.parametrize("batch_size", [None, 7])
+def test_linf_attacks_in_lockstep_match_the_reference_loop_per_budget(three_class, batch_size, schedule):
+    """One lockstep descent over three budgets gives each the bytes of the
+    one-net reference loop at that budget alone."""
+    params, ds = three_class
+    cfg = _oracle_cfg(batch_size, schedule)
+    budgets = [PerturbBudget("linf", gamma=g) for g in (0.0, 0.05, 0.1)]
+    for res, budget in zip(linf_attacks(params, ds, budgets, cfg), budgets, strict=True):
+        _assert_same_result(res, _ref_attack_linf(params, ds, budget, cfg))
+
+
 @pytest.mark.parametrize("target", [0, 2])
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 @pytest.mark.parametrize("schedule", SCHEDULES)
@@ -840,11 +874,12 @@ def test_attack_swap_skipped_slots_match_reference(three_class):
     _assert_same_result(res, _ref_attack_swap(net, ds, budget, cfg))
 
 
-@pytest.mark.parametrize("kind, nets", [("linf", 2), ("swap", 2), ("label", 3), ("direct", 3)])
+@pytest.mark.parametrize("kind, nets", [("linf", 2), ("lockstep", 4), ("swap", 2), ("label", 3), ("direct", 3)])
 def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets):
-    """The base net and theta are scored once each; a targeted attack scores
-    theta on the target rows and on the rest apart.  The direct attack reads
-    only the clean accuracy of the target rows, so they get no PGD run."""
+    """The base net and theta are scored once each, and lockstep attacks at
+    three budgets score the base net once; a targeted attack scores theta on
+    the target rows and on the rest apart.  The direct attack reads only the
+    clean accuracy of the target rows, so they get no PGD run."""
     params, ds = three_class
     cfg = _oracle_cfg(None, (1, 1))
     counts = count_scoring_passes(monkeypatch)
@@ -852,6 +887,8 @@ def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets
         attack_swap(params, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=2), cfg)
     elif kind == "linf":
         attack_linf(params, ds, PerturbBudget("linf", gamma=0.1), cfg)
+    elif kind == "lockstep":
+        linf_attacks(params, ds, [PerturbBudget("linf", gamma=g) for g in (0.0, 0.05, 0.1)], cfg)
     else:
         (attack_label if kind == "label" else attack_direct)(params, ds, 0, PerturbBudget("linf", gamma=0.1), cfg)
     assert counts == {"classify_batch": nets, "pgd_flips_batch": nets - (kind == "direct")}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from advparam import experiment
-from advparam.attack import AttackConfig, PerturbBudget, PgdConfig, attack_linf, perturb_random
+from advparam.attack import AttackConfig, PerturbBudget, PgdConfig, attack_linf, linf_attacks, perturb_random
 from advparam.data import gen_blobs, save_dataset
 from advparam.metrics import GAMMA_LOW, adversarial_accuracy, avg_approx_radius
 from advparam.experiment import (
@@ -74,13 +74,70 @@ def test_sweep_error_recorded_and_continues(trained):
     assert not rows[1].failed
 
 
+def _spy_linf(monkeypatch, alone=False):
+    """Record each ``linf_attacks`` call of the sweep as [budgets, results],
+    results None if it raised; with ``alone``, run each budget by itself."""
+    calls = []
+
+    def spy(params, ds, budgets, cfg):
+        calls.append([list(budgets), None])
+        if alone:
+            calls[-1][1] = [r for b in budgets for r in linf_attacks(params, ds, [b], cfg)]
+        else:
+            calls[-1][1] = linf_attacks(params, ds, budgets, cfg)
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiment, "linf_attacks", spy)
+    return calls
+
+
+def _same_rows(a, b):
+    return [r.csv_values() for r in a] == [r.csv_values() for r in b]
+
+
+def test_sweep_runs_its_linf_budgets_in_lockstep_bit_for_bit(trained, monkeypatch):
+    """One lockstep call for every linf budget; its rows and each budget's
+    attacked net, trace and rate inputs equal runs of each budget alone."""
+    params, ds = trained
+    cfg = _fast_cfg(seed=1)
+    budgets = _linf(0.0, 0.03, 0.07)
+    calls = _spy_linf(monkeypatch)
+    rows, errors = run_sweep(params, ds, budgets, cfg)
+    assert errors == [] and len(calls) == 1 and calls[0][0] == budgets
+    for res, budget in zip(calls[0][1], budgets, strict=True):
+        alone = attack_linf(params, ds, budget, cfg)
+        assert res.attacked.flat.tobytes() == alone.attacked.flat.tobytes()
+        assert json.dumps(res.trace) == json.dumps(alone.trace)
+        assert repr(res.rate_inputs) == repr(alone.rate_inputs)
+    _spy_linf(monkeypatch, alone=True)
+    assert _same_rows(rows, run_sweep(params, ds, budgets, cfg)[0])
+
+
+def test_sweep_isolates_a_budget_that_fails_in_the_lockstep_run(trained, monkeypatch):
+    """A gamma whose box overflows fails the lockstep call; each budget then
+    runs alone, so only it gets a flagged nan row and an error entry."""
+    params, ds = trained
+    assert np.abs(params.flat).max() > 1.06  # so 1.7e308 * |theta| overflows
+    cfg = _fast_cfg(seed=2)
+    budgets = _linf(0.0, 1.7e308, 0.05)
+    calls = _spy_linf(monkeypatch)
+    rows, errors = run_sweep(params, ds, budgets, cfg)
+    assert [b for b, _ in calls] == [budgets, budgets[:1], budgets[1:2], budgets[2:]]
+    assert [out is None for _, out in calls] == [True, False, True, False]
+    assert errors == [{"attack": "linf", "budget": "1.7e+308", "error": "non-finite parameter entries"}]
+    assert [r.attack for r in rows] == ["linf", "random", "linf", "linf", "random"]
+    assert rows[2].failed and all(math.isnan(getattr(rows[2], c)) for c in SWEEP_COLUMNS[2:10])
+    ok_rows, _ = run_sweep(params, ds, _linf(0.0, 0.01, 0.05), cfg)  # its middle budget does not fail
+    assert _same_rows(rows[:2] + rows[3:], ok_rows[:2] + ok_rows[4:])
+
+
 def test_sweep_programming_error_propagates(trained, monkeypatch):
     params, ds = trained
 
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the attack")
 
-    monkeypatch.setattr(experiment, "attack_linf", broken)
+    monkeypatch.setattr(experiment, "linf_attacks", broken)
     with pytest.raises(RuntimeError, match="bug in the attack"):
         run_sweep(params, ds, _linf(0.05), _fast_cfg())
 
@@ -112,14 +169,14 @@ def test_sweep_seed_comes_from_cfg(trained):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_sweep_scores_each_net_once(trained, monkeypatch, k):
-    """1 + 3k scored nets, one classify_batch and one PGD run each: the base
-    net up front, and per budget the base and attacked nets in the attack's
-    result and the random control."""
+    """2 + 2k scored nets, one classify_batch and one PGD run each: the base
+    net up front and once in the lockstep attacks' results, and per budget
+    the attacked net and the random control."""
     params, ds = trained
     counts = count_scoring_passes(monkeypatch)
     rows, _ = run_sweep(params, ds, _linf(*[0.02 * (i + 1) for i in range(k)]), _fast_cfg())
     assert len(rows) == 2 * k
-    assert counts == {"classify_batch": 1 + 3 * k, "pgd_flips_batch": 1 + 3 * k}
+    assert counts == {"classify_batch": 2 + 2 * k, "pgd_flips_batch": 2 + 2 * k}
 
 
 def test_sweep_empty_rejected(trained):
@@ -185,12 +242,12 @@ def test_summary_is_strict_json_with_error_row(tmp_path, trained, monkeypatch):
     save_model(params, mpath)
     save_dataset(ds, dpath)
 
-    def attack(params, ds, budget, cfg):  # the first sweep point fails inside the sweep
-        if budget.gamma == 0.5:
+    def attack(params, ds, budgets, cfg):  # the first sweep point fails inside the sweep
+        if any(budget.gamma == 0.5 for budget in budgets):
             raise ValueError("non-finite input")
-        return attack_linf(params, ds, budget, cfg)
+        return linf_attacks(params, ds, budgets, cfg)
 
-    monkeypatch.setattr(experiment, "attack_linf", attack)
+    monkeypatch.setattr(experiment, "linf_attacks", attack)
     budgets = [PerturbBudget("linf", gamma=0.5), PerturbBudget("linf", gamma=0.0)]
     res = run_experiment(mpath, dpath, budgets, str(tmp_path / "out"), _fast_cfg(), control=False)
     with open(res.summary_path) as f:

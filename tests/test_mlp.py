@@ -407,6 +407,58 @@ def test_forward_batch_rejects_a_workspace_of_another_shape():
             forward_batch(p, X, ws)
 
 
+# 2, 3 and 10 classes; [5, 10] has no hidden layer
+STACK_DIMS = [[4, 6, 5, 2], [8, 24, 24, 3], [5, 10], [3, 7, 10]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 160, 1025])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("dims", STACK_DIMS)
+def test_stacked_passes_equal_per_net_passes_bit_for_bit(dims, k, n):
+    """forward_batch, input_gradient and loss_and_grads on a stack of k nets
+    give each net the bytes it gets alone: for an input shared by the stack
+    or one per net, in a fresh workspace or a bound one."""
+    rng = np.random.default_rng([dims[-1], len(dims), k, n])
+    nets = [random_net(rng, dims) for _ in range(k)]
+    stack = ModelParams.stack(nets)
+    assert stack.stack_shape == (k,) and stack.dims == dims and stack.num_params == nets[0].num_params
+    assert stack.flat.tobytes() == b"".join(net.flat.tobytes() for net in nets)
+    X = rng.uniform(-0.2, 1.2, size=(k, n, dims[0]))
+    y = rng.integers(0, dims[-1], size=n)
+    bound = Workspace(stack, n)
+    bound.bind(stack, y)
+    for Xs in (X[0], X):  # shared by the stack, one per net
+        alone = [Xs if Xs.ndim == 2 else Xs[i] for i in range(k)]
+        for ws in (None, bound):
+            got = _arrays(forward_batch(stack, Xs, ws))[1:]  # [0] is Xs
+            for i, net in enumerate(nets):
+                want = _arrays(forward_batch(net, alone[i]))[1:]
+                assert [a[i].tobytes() for a in got] == [a.tobytes() for a in want]
+            got = input_gradient(stack, Xs, y, ws)
+            for i, net in enumerate(nets):
+                want = input_gradient(net, alone[i], y)
+                assert [a[i].tobytes() for a in got] == [a.tobytes() for a in want]
+        for reduction in ("mean", "sum"):
+            values, grads = loss_and_grads(stack, Xs, y, reduction=reduction)
+            for i, net in enumerate(nets):
+                value, g = loss_and_grads(net, alone[i], y, reduction=reduction)
+                assert values[i].tobytes() == np.float64(value).tobytes()
+                assert grads.flat[i].tobytes() == g.flat.tobytes()
+
+
+def test_stack_refuses_what_it_cannot_hold():
+    rng = np.random.default_rng(16)
+    a, b = random_net(rng, [3, 4, 2]), random_net(rng, [3, 5, 2])
+    for nets in ([], [a, b], [ModelParams.stack([a])]):
+        with pytest.raises(ValueError, match="stack"):
+            ModelParams.stack(nets)
+    stack = ModelParams.stack([a, a])
+    with pytest.raises(ValueError, match="does not match"):
+        forward_batch(stack, np.zeros((3, 2, 3)))  # three inputs for two nets
+    with pytest.raises(ValueError, match="workspace"):
+        forward_batch(stack, np.zeros((2, 3)), Workspace(a, 2))
+
+
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2048, 2049, 3000, 10000])
 def test_row_blocks_cover_rows_in_near_equal_blocks(n):
     blocks = row_blocks(n)
