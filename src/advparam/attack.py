@@ -353,41 +353,25 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
     return [params.like(th.copy()) for th in theta.flat], traces
 
 
-def _score(net: ModelParams, ds: LabeledDataset, cfg: AttackConfig) -> tuple[float, float]:
-    """Clean and adversarial accuracy of net on ds, at cfg's PGD settings and seed."""
-    from .metrics import accuracies
+def _untargeted(params: ModelParams, thetas: list[ModelParams], ds: LabeledDataset,
+                budgets: list[PerturbBudget], traces: list, cfg: AttackConfig,
+                extras: dict | None = None) -> list[AttackResult]:
+    """Rate each attacked net of ``thetas`` against ``params`` (``adversarial_rate``).
 
-    return accuracies(net, ds, cfg.pgd, cfg.seed)
-
-
-def _result(base, theta: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
-            cfg: AttackConfig, trace, extras, on=None) -> AttackResult:
-    """Score theta on ds and rate it against ``base``, the base net's ``_score``.
-
-    An untargeted attack (``on`` None) scores theta on all of ds; a targeted
-    one (``targeted_rate(extras["kind"])``) on the target rows ``on`` and on
-    the rest apart (the direct attack's target rows only for their clean
-    accuracy).
+    The base net and every theta are scored on all of ds, at cfg's PGD
+    settings and seed, in one ``accuracies`` call on one stack, so each net
+    gets the bits it gets alone.
     """
-    from .metrics import RateInputs, accuracy, adversarial_rate, targeted_rate
+    from .metrics import RateInputs, accuracies, adversarial_rate
 
-    score = functools.partial(_score, cfg=cfg)
-    if on is None:
-        ri = RateInputs(*base, *score(theta, ds))
+    acc, rob = accuracies(ModelParams.stack([params, *thetas]), ds, cfg.pgd, cfg.seed)
+    results = []
+    for k, (theta, budget, trace) in enumerate(zip(thetas, budgets, traces), 1):
+        ri = RateInputs(acc[0], rob[0], acc[k], rob[k])
         rr = adversarial_rate(ri)
-    else:
-        ds_on, ds_off = ds.subset(np.flatnonzero(on)), ds.subset(np.flatnonzero(~on))
-        if extras["kind"] == "label":
-            (acc_on, rob_on), (acc_off, rob_off) = score(theta, ds_on), score(theta, ds_off)
-            # theta's accuracy on all of ds, from the exact correct counts of its two parts
-            acc = (round(acc_on * len(ds_on)) + round(acc_off * len(ds_off))) / len(ds)
-            ri = RateInputs(*base, att_acc=acc, att_rob=rob_off, att_aux=rob_on)
-        else:  # the direct attack reads only the clean accuracy of the target rows
-            acc_on, (acc_off, rob_off) = accuracy(theta, ds_on), score(theta, ds_off)
-            ri = RateInputs(*base, att_acc=acc_off, att_rob=rob_off, att_aux=acc_on)
-        rr = targeted_rate(extras["kind"], ri)
-    return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
-                        rate_inputs=ri, rate=rr.value, failed=rr.failed, extras=extras)
+        results.append(AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed,
+                                    {} if extras is None else extras))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +406,14 @@ def linf_attacks(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbB
     minimizes clean-loss / robust-loss, trading a bounded clean-accuracy hit
     for a large robustness drop.  Every step is projected back onto the box.
     The budgets run in lockstep, one descent on a stack of nets, and the base
-    net is scored once; each result is bit for bit ``attack_linf`` at its
-    budget.  A ValueError at any budget (its box, its attacked net) fails
-    the whole call.
+    net and the attacked nets are scored as one stack; each result is bit for
+    bit ``attack_linf`` at its budget.  A ValueError at any budget (its box,
+    its attacked net) fails the whole call.
     """
     if not budgets:
         raise ValueError("no budgets to attack")
     thetas, traces = _descend(params, ds.X, ds.y, budgets, cfg, 1, cfg.n_pre, _robust_objective(cfg.pgd))
-    base = _score(params, ds, cfg)
-    return [_result(base, theta, ds, budget, cfg, trace, {})
-            for theta, budget, trace in zip(thetas, budgets, traces)]
+    return _untargeted(params, thetas, ds, budgets, traces, cfg)
 
 
 def attack_linf(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
@@ -527,7 +509,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
 
     extras = {"matrices": sel, "swaps": len(swap_log), "skipped_pairs": skipped,
               "swap_log": swap_log}
-    return _result(_score(params, ds, cfg), theta, ds, budget, cfg, trace, extras)
+    return _untargeted(params, [theta], ds, [budget], [trace], cfg, extras)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +523,9 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
     ``ratio_terms(theta, Xb, yb, on, seed)`` returns what _ratio_grad does
     for theta, a stack of one net, with ``on`` marking the minibatch's
     target-label rows.  A minibatch that is all on or all off the target is
-    skipped.
+    skipped.  The attacked net is scored on the target rows and on the rest
+    apart (the direct attack's target rows only for their clean accuracy),
+    at cfg's PGD settings and seed.
     """
     on = ds.y == target_label
     if not on.any():
@@ -557,8 +541,23 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
         return ratio, grad, {}
 
     (theta,), (trace,) = _descend(params, ds.X, ds.y, [budget], cfg, 3, 0, objective)
-    extras = {"target_label": target_label, "kind": kind}
-    return _result(_score(params, ds, cfg), theta, ds, budget, cfg, trace, extras, on)
+
+    from .metrics import RateInputs, accuracies, accuracy, targeted_rate
+
+    score = functools.partial(accuracies, pgd=cfg.pgd, seed=cfg.seed)
+    base = score(params, ds)
+    ds_on, ds_off = ds.subset(np.flatnonzero(on)), ds.subset(np.flatnonzero(~on))
+    acc_off, rob_off = score(theta, ds_off)
+    if kind == "label":
+        acc_on, rob_on = score(theta, ds_on)
+        # theta's accuracy on all of ds, from the exact correct counts of its two parts
+        acc = (round(acc_on * len(ds_on)) + round(acc_off * len(ds_off))) / len(ds)
+        ri = RateInputs(*base, att_acc=acc, att_rob=rob_off, att_aux=rob_on)
+    else:
+        ri = RateInputs(*base, att_acc=acc_off, att_rob=rob_off, att_aux=accuracy(theta, ds_on))
+    rr = targeted_rate(kind, ri)
+    return AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed,
+                        {"target_label": target_label, "kind": kind})
 
 
 def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,

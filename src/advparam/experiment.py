@@ -74,25 +74,21 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
     Each budget gives one guided row (``linf_attacks`` or ``attack_swap``),
     followed, with ``control`` set, by a random perturbation row at the same
     budget.  The linf budgets run in one ``linf_attacks`` call, in lockstep.
-    A sweep point whose attack is invalid (``ValueError``, e.g. a swap over
-    more matrices than the net has, or a gamma so large that the box or the
-    attacked net overflows) contributes a flagged all-nan row and an entry in
-    ``errors``; the sweep keeps going.  When the lockstep call fails, each
-    linf budget runs again alone, so only the failing ones get such rows.
-    Any other exception propagates.  The base net and the control are scored
-    by ``robustness_report``; the attacked net's accuracy and adversarial
-    accuracy come from the attack's own ``rate_inputs``, which used the same
-    dataset, PGD settings and seed (``cfg.seed``).
+    A guided attack or a control that is invalid (``ValueError``, e.g. a swap
+    over more matrices than the net has, or a gamma so large that the box or
+    the perturbed net overflows) gets a flagged all-nan row of its own kind
+    and an entry in ``errors`` (a failed attack gets no control); the sweep
+    keeps going.  When the lockstep call fails, each linf budget runs again
+    alone, so only the failing ones get such rows.  Any other exception
+    propagates.  Every attack result scores the base net on the same dataset,
+    PGD settings and seed (``cfg.seed``), so the base accuracies come from the
+    first result; the attacked net's from its own ``rate_inputs``.  A control
+    is scored by ``robustness_report``.
     """
     if not budgets:
         raise ValueError("attack sweep is empty")
     cfg = cfg if cfg is not None else AttackConfig()
-
-    def nums(net):
-        rep = robustness_report(net, ds, cfg.pgd, seed=cfg.seed)
-        return rep.acc, rep.adv_acc, rep.avg_r2
-
-    base_nums = nums(params)
+    base, base_r4 = None, avg_approx_radius(params, ds)
     linf = [i for i, b in enumerate(budgets) if b.kind == "linf"]
     try:
         done = dict(zip(linf, linf_attacks(params, ds, [budgets[i] for i in linf], cfg))) if linf else {}
@@ -100,6 +96,11 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
         done = {}
     rows: list[SweepRow] = []
     errors: list[dict] = []
+
+    def fail(attack: str, label: str, exc: ValueError) -> None:  # keep sweeping, record the failure
+        errors.append({"attack": attack, "budget": label, "error": str(exc)})
+        rows.append(_nan_row(attack, label))
+
     for idx, budget in enumerate(budgets):
         label = budget.label()
         try:
@@ -111,13 +112,19 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
                 res = attack_swap(params, ds, budget, cfg)
             ri = res.rate_inputs
             att_nums = (ri.att_acc, ri.att_rob, avg_approx_radius(res.attacked, ds))
-            rows.append(build_row(budget.kind, label, base_nums, att_nums))
-            if control:
+        except ValueError as exc:
+            fail(budget.kind, label, exc)
+            continue
+        base = base or (ri.base_acc, ri.base_rob, base_r4)
+        rows.append(build_row(budget.kind, label, base, att_nums))
+        if control:
+            try:
                 rand = perturb_random(params, budget, seed=(cfg.seed, 7, idx))
-                rows.append(build_row("random", label, base_nums, nums(rand)))
-        except ValueError as exc:  # keep sweeping, record the failure
-            errors.append({"attack": budget.kind, "budget": label, "error": str(exc)})
-            rows.append(_nan_row(budget.kind, label))
+                rep = robustness_report(rand, ds, cfg.pgd, cfg.seed)
+            except ValueError as exc:
+                fail("random", label, exc)
+            else:
+                rows.append(build_row("random", label, base, (rep.acc, rep.adv_acc, rep.avg_r2)))
     return rows, errors
 
 

@@ -6,9 +6,11 @@ Three views of robustness:
   * a distributional gap/gradient ratio over a whole dataset.
 
 Every net scored in ``eval``, the sweep and the attacks goes through
-``accuracies``: one ``classify_batch`` and one PGD run per net.  A sweep over
-k budgets with the random control scores 1 + 3k nets: the base net, then per
-budget the base and attacked nets (in the attack's result) and the control.
+``accuracies``: one ``classify_batch`` and one PGD run per net or stack of
+nets.  A sweep over k linf budgets with the random control makes 1 + k
+scorer calls: the base and attacked nets as one stack inside
+``linf_attacks``, then one per control.  A swap budget scores the base net
+and its attacked net as a stack of its own.
 
 The two jacobian measures (radius, distributional ratio) come from one
 batched pass, ``_jacobian_measures``: ``mlp.logit_jacobians`` over blocks of
@@ -42,15 +44,17 @@ def accuracy(params: ModelParams, ds: LabeledDataset) -> float:
     return float((classify_batch(params, ds.X) == ds.y).mean())
 
 
-def accuracies(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0) -> tuple[float, float]:
+def accuracies(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0):
     """Clean and PGD adversarial accuracy from one ``classify_batch`` and one PGD run.
 
     A sample is robust when it is clean-correct and no PGD iterate (the
     clean point included) changes its label; eps = 0 gives clean accuracy.
+    One net gives two floats; a stack gives two lists with one value per
+    net, each the value the net gets alone.
     """
     correct = classify_batch(params, ds.X) == ds.y
     flipped = pgd_flips_batch(params, ds.X, ds.y, pgd, seed=seed)
-    return float(correct.mean()), float((correct & ~flipped).mean())
+    return correct.mean(axis=-1).tolist(), (correct & ~flipped).mean(axis=-1).tolist()
 
 
 def adversarial_accuracy(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0) -> float:
@@ -58,32 +62,22 @@ def adversarial_accuracy(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig
     return accuracies(params, ds, pgd, seed)[1]
 
 
-def _dual_exponent(p: float) -> float:
-    if p == math.inf:
-        return 1.0
-    if p == 1.0:
-        return math.inf
-    if p <= 1.0:
-        raise ValueError("p must be in [1, inf]")
-    return p / (p - 1.0)
-
-
-def _jacobian_measures(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                       p: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobian_measures(params: ModelParams, X: np.ndarray,
+                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (radius, squared margin, squared worst gradient gap).
 
     Rows go through ``logit_jacobians`` in ``row_blocks``; each block is
     reduced at once, so at most one block of jacobians is alive.
-    The radius is the first-order L_p radius of ``approx_radius``; the
-    squared margin is min over other classes of the gated gap^2 and the
-    squared worst gradient gap max over other classes of ||grad gap||_2^2,
-    the two terms of ``dist_robust_measure``.
+    The radius is the first-order L-infinity radius of ``approx_radius``
+    (the gradient gap in the dual L1 norm); the squared margin is min over
+    other classes of the gated gap^2 and the squared worst gradient gap max
+    over other classes of ||grad gap||_2^2, the two terms of
+    ``dist_robust_measure``.
     """
-    q = _dual_exponent(p)
     N = X.shape[0]
     radii, margin2, grad2 = np.empty(N), np.empty(N), np.empty(N)
     for blk in row_blocks(N):
-        radii[blk], margin2[blk], grad2[blk] = _jacobian_terms(*logit_jacobians(params, X[blk]), y[blk], q)
+        radii[blk], margin2[blk], grad2[blk] = _jacobian_terms(*logit_jacobians(params, X[blk]), y[blk], 1.0)
     return radii, margin2, grad2
 
 
@@ -112,8 +106,8 @@ def _ratio_of_means(margin2: np.ndarray, grad2: np.ndarray) -> float:
     return float(np.mean(margin2)) / den if den != 0.0 else math.nan
 
 
-def approx_radius(params: ModelParams, x: np.ndarray, label: int, p: float = math.inf) -> float:
-    """First-order robustness radius for an L_p input adversary.
+def approx_radius(params: ModelParams, x: np.ndarray, label: int) -> float:
+    """First-order robustness radius for an L-infinity input adversary.
 
     min over other classes of (logit gap) / (dual-norm gradient gap), gated
     to 0 when the gap is not positive; a misclassified sample scores 0.  A
@@ -124,7 +118,7 @@ def approx_radius(params: ModelParams, x: np.ndarray, label: int, p: float = mat
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise ValueError(f"input shape {x.shape} != ({params.input_dim},)")
-    radii, _, _ = _jacobian_measures(params, x[None, :], np.array([label]), p)
+    radii, _, _ = _jacobian_measures(params, x[None, :], np.array([label]))
     return float(radii[0])
 
 
@@ -139,16 +133,16 @@ def _squared_margin(logits: np.ndarray, J: np.ndarray, label: int) -> float:
     return r * r if math.isfinite(r) else math.inf
 
 
-def radius_profile(params: ModelParams, ds: LabeledDataset, p: float = math.inf):
+def radius_profile(params: ModelParams, ds: LabeledDataset):
     """Per-sample linearized radii plus the count of inf sentinels."""
-    radii, _, _ = _jacobian_measures(params, ds.X, ds.y, p)
+    radii, _, _ = _jacobian_measures(params, ds.X, ds.y)
     return radii, int(np.isinf(radii).sum())
 
 
-def avg_approx_radius(params: ModelParams, ds: LabeledDataset, p: float = math.inf) -> float:
+def avg_approx_radius(params: ModelParams, ds: LabeledDataset) -> float:
     """Mean linearized radius; misclassified samples contribute 0, inf
     sentinels are left out of the mean (inf if every sample is a sentinel)."""
-    radii, _ = radius_profile(params, ds, p=p)
+    radii, _ = radius_profile(params, ds)
     return _mean_finite(radii)
 
 

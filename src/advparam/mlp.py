@@ -275,11 +275,12 @@ def classify(params: ModelParams, x: np.ndarray) -> int:
 
 
 def classify_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Predicted label of every row of X, ``row_blocks`` at a time."""
+    """Predicted label of every row of X, ``row_blocks`` at a time; a stack
+    gives one row of labels per net."""
     X = np.asarray(X, dtype=np.float64)
-    labels = np.empty(len(X), dtype=np.intp)
+    labels = np.empty(params.stack_shape + (len(X),), dtype=np.intp)
     for blk, ws in _block_workspaces(params, len(X)):
-        np.argmax(forward_batch(params, X[blk], ws)[2], axis=1, out=labels[blk])
+        np.argmax(forward_batch(params, X[blk], ws)[2], axis=-1, out=labels[..., blk])
     return labels
 
 
@@ -300,16 +301,10 @@ def logit_jacobians(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.
     return logits, J if signs else J.copy()  # no hidden layer: J is still a read-only view
 
 
-def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample softmax cross-entropy, numerically stable."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return lse - z[np.arange(len(y)), y]
-
-
 def _ce_and_dlogits(logits: np.ndarray, y: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample cross-entropy (bit for bit ``cross_entropy``) and its gradient
-    w.r.t. the logits (softmax - onehot), from one softmax pass in ws's scratch.
+    """Per-sample softmax cross-entropy, stable (log-sum-exp of the logits less
+    their row max), and its gradient w.r.t. the logits (softmax - onehot),
+    from one softmax pass in ws's scratch.
 
     The row max is taken column by column (a max is exact in any order); the
     row sum stays the one reduction ``sum`` makes, as its order fixes the
@@ -390,7 +385,7 @@ def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray,
     """Per-sample CE values, dCE/dx for each sample (sum reduction) and logits.
 
     Returns (per, grad, logits), all from one forward pass: ``per`` is
-    ``cross_entropy(logits, y)`` and ``logits`` are the ``forward_batch``
+    the per-sample cross-entropy and ``logits`` are the ``forward_batch``
     logits at X, so a caller also needing the loss or the prediction at X
     runs no second forward.  With sum reduction the rows of the input
     gradient are the independent per-sample gradients, which is what PGD

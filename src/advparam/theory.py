@@ -279,13 +279,13 @@ def _best_activation_floor(acts: np.ndarray, budget_shift: float) -> tuple[float
 
 
 def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
-                       n_probes: int = 200, ascent_steps: int = 30, seed: int = 0) -> float:
+                       ascent_steps: int = 30, seed: int = 0) -> float:
     """Largest spread max_i F_i - min_i F_i found near the anchor points.
 
     Random probes in the max-norm ball of the given radius around every
-    anchor, plus a short projected gradient ascent on the spread from each
-    anchor.  A probing maximum is only a lower bound on the true supremum,
-    so callers add a safety factor.
+    anchor (_GAP_PROBES in all), plus a short projected gradient ascent on
+    the spread from each anchor.  A probing maximum is only a lower bound
+    on the true supremum, so callers add a safety factor.
 
     All anchors ascend together: each step is one ``logit_jacobians`` pass
     over the k x n iterates, a sign step along each row's spread gradient
@@ -302,7 +302,7 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
         X = X[None, :]
     rng = np.random.default_rng(seed)
     n = X.shape[1]
-    per = max(1, n_probes // X.shape[0])
+    per = max(1, _GAP_PROBES // X.shape[0])
     probes = np.repeat(X, per, axis=0) + rng.uniform(-radius, radius, (X.shape[0] * per, n))
     probes = np.vstack([X, probes])
     _, _, logits = forward_batch(params, probes)
@@ -321,6 +321,7 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
     return max(best, float((lg.max(axis=1) - lg.min(axis=1)).max()))
 
 
+_GAP_PROBES = 200  # random probes of estimate_gap_bound, split among the anchors
 _GAP_SAFETY = 1.5
 
 

@@ -28,14 +28,13 @@ from advparam.data import LabeledDataset, gen_blobs
 from advparam.mlp import (
     ModelParams,
     classify,
-    cross_entropy,
     forward_batch,
     input_gradient,
     max_abs_diff,
 )
 from advparam.train import TrainConfig, train
 
-from common import count_scoring_passes, random_net
+from common import count_scoring_passes, cross_entropy, random_net
 
 
 def _ce(params, X, y):
@@ -876,13 +875,21 @@ def test_attack_swap_skipped_slots_match_reference(three_class):
 
 @pytest.mark.parametrize("kind, nets", [("linf", 2), ("lockstep", 4), ("swap", 2), ("label", 3), ("direct", 3)])
 def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets):
-    """The base net and theta are scored once each, and lockstep attacks at
-    three budgets score the base net once; a targeted attack scores theta on
-    the target rows and on the rest apart.  The direct attack reads only the
-    clean accuracy of the target rows, so they get no PGD run."""
+    """An attack scores ``nets`` nets.  An untargeted attack scores the base
+    net and every theta (three for lockstep attacks at three budgets) in one
+    stacked call; a targeted attack scores the base net, and theta on the
+    target rows and on the rest apart, one net per call.  The direct attack
+    reads only the clean accuracy of the target rows, so they get no PGD run."""
     params, ds = three_class
     cfg = _oracle_cfg(None, (1, 1))
     counts = count_scoring_passes(monkeypatch)
+    stacks, counted = [], metrics.classify_batch
+
+    def classify_batch(net, X):
+        stacks.append(net.stack_shape)
+        return counted(net, X)
+
+    monkeypatch.setattr(metrics, "classify_batch", classify_batch)
     if kind == "swap":
         attack_swap(params, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=2), cfg)
     elif kind == "linf":
@@ -891,7 +898,9 @@ def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets
         linf_attacks(params, ds, [PerturbBudget("linf", gamma=g) for g in (0.0, 0.05, 0.1)], cfg)
     else:
         (attack_label if kind == "label" else attack_direct)(params, ds, 0, PerturbBudget("linf", gamma=0.1), cfg)
-    assert counts == {"classify_batch": nets, "pgd_flips_batch": nets - (kind == "direct")}
+    calls = nets if kind in ("label", "direct") else 1
+    assert counts == {"classify_batch": calls, "pgd_flips_batch": calls - (kind == "direct")}
+    assert stacks == ([()] * nets if calls == nets else [(nets,)])
 
 
 def test_label_attack_overall_accuracy_is_exact():

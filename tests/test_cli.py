@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from advparam.cli import build_parser, main
 from advparam.data import LabeledDataset, dataset_from_json, dataset_to_json, gen_blobs, load_dataset, save_dataset
-from advparam.experiment import parse_report_csv
+from advparam.experiment import SWEEP_COLUMNS, parse_report_csv
 from advparam.mlp import (ModelParams, init_params, load_model, max_abs_diff, model_from_json,
                           model_to_json, save_model)
 from advparam.train import TrainConfig, train
@@ -403,6 +403,26 @@ def test_report_command(tmp_path, workdir):
     assert rc == (1 if any(r.failed for r in rows) else 0)
     with open(tmp_path / "summary.json") as f:
         assert json.load(f)["seed"] == 2
+
+
+def test_report_files_a_failing_control_as_its_own_row(tmp_path):
+    """At gamma 1.7e308 the guided attack on this net runs, while its random
+    control's logits overflow: the guided row stands, and the control gets
+    one ``random`` all-nan row and one error entry of its own."""
+    model, data, out = str(tmp_path / "model.json"), str(tmp_path / "data.json"), tmp_path / "out"
+    save_model(init_params([6, 16, 2], 0), model)
+    save_dataset(gen_blobs(40, 6, 2, seed=0), data)
+    with pytest.warns(RuntimeWarning):  # the control's overflow
+        rc = main(["report", "--model", model, "--data", data, "--gammas", "1.7e308",
+                   "--n-pre", "2", "--n-main", "2", "--out-dir", str(out)])
+    assert rc == 1
+    guided, control = parse_report_csv(str(out / "report.csv"))
+    assert (guided.attack, guided.budget, guided.failed) == ("linf", "1.7e+308", False)
+    assert (control.attack, control.budget, control.failed) == ("random", "1.7e+308", True)
+    assert all(math.isnan(getattr(control, c)) for c in SWEEP_COLUMNS[2:10])
+    with open(out / "summary.json") as f:
+        assert json.load(f)["errors"] == [{"attack": "random", "budget": "1.7e+308",
+                                           "error": "non-finite input"}]
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from advparam import experiment
 from advparam.attack import AttackConfig, PerturbBudget, PgdConfig, attack_linf, linf_attacks, perturb_random
 from advparam.data import gen_blobs, save_dataset
-from advparam.metrics import GAMMA_LOW, adversarial_accuracy, avg_approx_radius
+from advparam.metrics import GAMMA_LOW, adversarial_accuracy, avg_approx_radius, robustness_report
 from advparam.experiment import (
     SWEEP_COLUMNS,
     build_row,
@@ -169,14 +169,36 @@ def test_sweep_seed_comes_from_cfg(trained):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_sweep_scores_each_net_once(trained, monkeypatch, k):
-    """2 + 2k scored nets, one classify_batch and one PGD run each: the base
-    net up front and once in the lockstep attacks' results, and per budget
-    the attacked net and the random control."""
+    """1 + k scorer calls, one classify_batch and one PGD run each: the base
+    and attacked nets as one stack in the lockstep attacks' results, then
+    one per random control."""
     params, ds = trained
     counts = count_scoring_passes(monkeypatch)
     rows, _ = run_sweep(params, ds, _linf(*[0.02 * (i + 1) for i in range(k)]), _fast_cfg())
     assert len(rows) == 2 * k
-    assert counts == {"classify_batch": 2 + 2 * k, "pgd_flips_batch": 2 + 2 * k}
+    assert counts == {"classify_batch": 1 + k, "pgd_flips_batch": 1 + k}
+
+
+_SWAP = PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=4)
+
+
+@pytest.mark.parametrize("budgets, n_errors", [
+    (_linf(0.03, 0.06), 0),
+    ([_SWAP], 0),
+    ([_linf(0.03)[0], _SWAP, _linf(0.06)[0]], 0),
+    ([PerturbBudget("swap", k_matrices=9)] + _linf(0.03, 0.06), 1),  # the net has 2 matrices
+], ids=["linf", "swap", "mixed", "first-fails"])
+def test_sweep_base_columns_are_the_base_nets_report(trained, budgets, n_errors):
+    """Every row that is not an error row holds the base net's
+    ``robustness_report`` values bit for bit, whichever result they come from."""
+    params, ds = trained
+    cfg = _fast_cfg(seed=1)
+    rows, errors = run_sweep(params, ds, budgets, cfg)
+    assert len(errors) == n_errors and len(rows) == 2 * len(budgets) - n_errors
+    rep = robustness_report(params, ds, cfg.pgd, seed=cfg.seed)
+    scored = [(r.ac_base, r.aa_base, r.r4_base) for r in rows if not math.isnan(r.ac_base)]
+    assert len(scored) == len(rows) - n_errors
+    assert {repr(base) for base in scored} == {repr((rep.acc, rep.adv_acc, rep.avg_r2))}
 
 
 def test_sweep_empty_rejected(trained):

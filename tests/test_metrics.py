@@ -34,8 +34,6 @@ def test_approx_radius_hand_case():
     x = np.array([0.8, 0.2])
     # gap 0.6, grad diff (1,-1): L1 norm 2 -> 0.3 for the linf adversary
     assert approx_radius(IDNET, x, 0) == pytest.approx(0.3, rel=1e-12)
-    # L2 adversary: 0.6/sqrt(2)
-    assert approx_radius(IDNET, x, 0, p=2.0) == pytest.approx(0.6 / np.sqrt(2), rel=1e-12)
     assert margin_measure(IDNET, x, 0) == pytest.approx(0.36 / 2.0, rel=1e-12)
     # misclassified sample scores 0
     assert approx_radius(IDNET, x, 1) == 0.0
@@ -97,12 +95,11 @@ def test_adversarial_accuracy_monotone_in_eps():
 # --- batched jacobian pass against the per-sample loop it replaced ------------
 
 
-def _loop_approx_radius(params, x, label, p=math.inf):
+def _loop_approx_radius(params, x, label):
     """The per-sample approx_radius: one forward and one chain-product jacobian."""
     F = forward_batch(params, x[None, :])[2][0]
     if int(np.argmax(F)) != label:
         return 0.0
-    q = 1.0 if p == math.inf else (math.inf if p == 1.0 else p / (p - 1.0))
     jac = chain_input_jacobian(params, x)
     best = math.inf
     for l in range(params.output_dim):
@@ -112,7 +109,7 @@ def _loop_approx_radius(params, x, label, p=math.inf):
         if gap <= 0.0:
             return 0.0
         gd = jac[label] - jac[l]
-        denom = float(np.linalg.norm(gd, ord=q)) if q != math.inf else float(np.abs(gd).max())
+        denom = float(np.linalg.norm(gd, ord=1))  # the dual norm of the L-inf adversary
         if denom < metrics.INF_SENTINEL_TOL:
             continue
         best = min(best, gap / denom)
@@ -163,21 +160,19 @@ ORACLE_SIZES = [1, 1023, 1024, 1025, 2051]  # both sides of the block edges
 
 @pytest.fixture(scope="module")
 def oracle_case():
-    """Per net: (params, X, y, {p: loop radii}, loop dist terms), built lazily."""
+    """Per net: (params, X, y, loop radii, loop dist terms), built lazily."""
     cache = {}
 
-    def get(name, p):
+    def get(name):
         if name not in cache:
             rng = np.random.default_rng(sum(map(ord, name)))
             params = ORACLE_NETS[name](rng)
             X = rng.uniform(0.0, 1.0, (ORACLE_SIZES[-1], params.input_dim))
             y = mlp.classify_batch(params, X)
             y[::7] = (y[::7] + 1) % params.output_dim  # misclassified samples
-            cache[name] = (params, X, y, {}, _loop_dist_terms(params, X, y))
-        params, X, y, radii, terms = cache[name]
-        if p not in radii:
-            radii[p] = np.array([_loop_approx_radius(params, x, int(t), p) for x, t in zip(X, y)])
-        return params, X, y, radii[p], terms
+            radii = np.array([_loop_approx_radius(params, x, int(t)) for x, t in zip(X, y)])
+            cache[name] = (params, X, y, radii, _loop_dist_terms(params, X, y))
+        return cache[name]
 
     return get
 
@@ -188,24 +183,23 @@ def _assert_same_radii(got, ref):
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("p", [math.inf, 2.0, 1.0])
-@pytest.mark.parametrize("name", list(ORACLE_NETS))
-def test_batched_radii_match_loop(oracle_case, name, p):
-    params, X, y, ref, _ = oracle_case(name, p)
+@pytest.mark.parametrize("name", list(ORACLE_NETS), ids=lambda name: f"{name}-inf")  # the L-inf radius
+def test_batched_radii_match_loop(oracle_case, name):
+    params, X, y, ref, _ = oracle_case(name)
     for n in ORACLE_SIZES:
-        radii, n_inf = radius_profile(params, LabeledDataset(X[:n], y[:n]), p=p)
+        radii, n_inf = radius_profile(params, LabeledDataset(X[:n], y[:n]))
         _assert_same_radii(radii, ref[:n])
         assert n_inf == int(np.isinf(ref[:n]).sum())
     # the one-row case
     for i in (0, 1, 7):
-        _assert_same_radii(np.array([approx_radius(params, X[i], int(y[i]), p=p)]), ref[i:i + 1])
+        _assert_same_radii(np.array([approx_radius(params, X[i], int(y[i]))]), ref[i:i + 1])
     assert (ref == 0.0).any() and (np.isfinite(ref) & (ref > 0.0)).any()
     assert np.isinf(ref).any() == (name == "flat")
 
 
 @pytest.mark.parametrize("name", list(ORACLE_NETS))
 def test_batched_dist_measure_matches_loop(oracle_case, name):
-    params, X, y, _, (nums, dens) = oracle_case(name, math.inf)
+    params, X, y, _, (nums, dens) = oracle_case(name)
     for n in ORACLE_SIZES:
         got = dist_robust_measure(params, LabeledDataset(X[:n], y[:n]))
         ref = _loop_dist_measure(nums[:n], dens[:n])
@@ -214,7 +208,7 @@ def test_batched_dist_measure_matches_loop(oracle_case, name):
 
 @pytest.mark.parametrize("name", ["desk", "flat"])
 def test_robustness_report_equals_the_measures(oracle_case, name):
-    params, X, y, _, _ = oracle_case(name, math.inf)
+    params, X, y, _, _ = oracle_case(name)
     ds = LabeledDataset(X, y)
     rep = robustness_report(params, ds, PgdConfig(eps=0.05, steps=2), seed=0)
     assert rep.avg_r2 == avg_approx_radius(params, ds)
@@ -278,6 +272,26 @@ def test_scoring_a_net_is_one_classify_and_one_pgd(monkeypatch, score):
     counts = count_scoring_passes(monkeypatch)
     score(params, ds, PgdConfig(eps=0.1, steps=2))
     assert counts == {"classify_batch": 1, "pgd_flips_batch": 1}
+
+
+@pytest.mark.parametrize("n", [1, 160, 1025])  # 1025 rows: two row blocks
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_scoring_a_stack_gives_each_net_its_own_bits(k, n):
+    """classify_batch and accuracies on a stack of k nets give one row of
+    labels and one value per net, each equal to a run on that net alone."""
+    rng = np.random.default_rng(100 * k + n)
+    nets = [random_net(rng, [5, 12, 12, 3], scale=2.0) for _ in range(k)]
+    ds = LabeledDataset(rng.uniform(0.0, 1.0, (n, 5)), rng.integers(0, 3, n))
+    pgd = PgdConfig(eps=0.1, steps=3)
+    stack = ModelParams.stack(nets)
+    labels = mlp.classify_batch(stack, ds.X)
+    assert labels.shape == (k, n)
+    assert labels.tobytes() == np.stack([mlp.classify_batch(net, ds.X) for net in nets]).tobytes()
+    acc, adv_acc = metrics.accuracies(stack, ds, pgd, seed=3)
+    alone = [metrics.accuracies(net, ds, pgd, seed=3) for net in nets]
+    assert all(type(v) is float for pair in alone for v in pair)  # one net: two Python floats
+    assert list(zip(acc, adv_acc)) == alone
+    assert all(type(v) is float for v in acc + adv_acc)
 
 
 # --- rate arithmetic: frozen against the worked examples -----------------------

@@ -14,7 +14,6 @@ from advparam.mlp import (
     add_scaled,
     classify,
     classify_batch,
-    cross_entropy,
     flatten_params,
     forward_batch,
     init_params,
@@ -37,6 +36,7 @@ from common import (
     alloc_input_gradient,
     alloc_loss_and_grads,
     chain_input_jacobian,
+    cross_entropy,
     numeric_input_jacobian,
     numeric_param_gradient,
     random_net,

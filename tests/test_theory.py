@@ -232,7 +232,7 @@ def test_gap_bound_covers_anchor_spread():
     x0 = rng.uniform(0.2, 0.8, 5)
     _, _, lg = forward_batch(net, x0[None, :])
     spread = float(lg[0].max() - lg[0].min())
-    assert estimate_gap_bound(net, x0, radius=0.05, n_probes=50, ascent_steps=5) >= spread
+    assert estimate_gap_bound(net, x0, radius=0.05, ascent_steps=5) >= spread
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
@@ -242,14 +242,14 @@ def test_gap_bound_rejects_bad_radius(radius):
         estimate_gap_bound(net, np.full(4, 0.5), radius=radius)
 
 
-def _ref_gap_bound(params, anchors, radius, n_probes=200, ascent_steps=30, seed=0):
+def _ref_gap_bound(params, anchors, radius, ascent_steps=30, seed=0):
     """estimate_gap_bound as written with a separate jacobian and logit pass."""
     X = np.asarray(anchors, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     rng = np.random.default_rng(seed)
     n = X.shape[1]
-    per = max(1, n_probes // X.shape[0])
+    per = max(1, theory._GAP_PROBES // X.shape[0])
     probes = np.repeat(X, per, axis=0) + rng.uniform(-radius, radius, (X.shape[0] * per, n))
     probes = np.vstack([X, probes])
     _, _, logits = forward_batch(params, probes)
@@ -287,8 +287,8 @@ def test_gap_bound_matches_two_pass_reference(seed):
     """Exact for one anchor; with several, a row of the batched ascent may
     round differently in the last bits from a one-row pass."""
     for params, anchors, radius in _gap_cases():
-        got = estimate_gap_bound(params, anchors, radius, n_probes=60, ascent_steps=12, seed=seed)
-        want = _ref_gap_bound(params, anchors, radius, n_probes=60, ascent_steps=12, seed=seed)
+        got = estimate_gap_bound(params, anchors, radius, ascent_steps=12, seed=seed)
+        want = _ref_gap_bound(params, anchors, radius, ascent_steps=12, seed=seed)
         if np.ndim(anchors) == 1 or len(anchors) == 1:
             assert got == want
         else:
@@ -315,7 +315,7 @@ def test_gap_bound_pass_counts(monkeypatch):
         with monkeypatch.context() as mp:
             for name in rows:
                 mp.setattr(theory, name, counting(name))
-            estimate_gap_bound(params, anchors, 0.1, n_probes=20, ascent_steps=steps)
+            estimate_gap_bound(params, anchors, 0.1, ascent_steps=steps)
         assert rows["logit_jacobians"] == [k] * steps
         assert len(rows["forward_batch"]) == 2 and rows["forward_batch"][1] == k  # probes, last iterates
 
