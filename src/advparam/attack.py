@@ -99,10 +99,12 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
 def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, rng,
                ws: Workspace, best_X, flipped, best_ce) -> None:
     """``_pgd_run`` on one block of rows, in ``ws``: fills best_X (which holds
-    X on entry), flipped and best_ce in place.  best_X and best_ce are both
-    None when the caller reads neither, flipped is None when it is not read."""
+    X on entry), flipped and best_ce in place, each None when not read (best_X
+    and best_ce together).  Raises ValueError on non-finite clean logits."""
     ws.bind(params, y)
     _, _, logits = forward_batch(params, X, ws)
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite logits: the net overflows on this data")
     if best_ce is not None:
         np.copyto(best_ce, _ce_and_dlogits(logits, y, ws)[0])
     if flipped is not None:
@@ -523,9 +525,10 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
     ``ratio_terms(theta, Xb, yb, on, seed)`` returns what _ratio_grad does
     for theta, a stack of one net, with ``on`` marking the minibatch's
     target-label rows.  A minibatch that is all on or all off the target is
-    skipped.  The attacked net is scored on the target rows and on the rest
-    apart (the direct attack's target rows only for their clean accuracy),
-    at cfg's PGD settings and seed.
+    skipped.  The base net and the attacked net are scored on all of ds, at
+    cfg's PGD settings and seed, in one ``scored_rows`` call on one stack;
+    each rate input is the mean of their flags on the target rows, on the
+    rest or on all of ds.
     """
     on = ds.y == target_label
     if not on.any():
@@ -542,19 +545,11 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
 
     (theta,), (trace,) = _descend(params, ds.X, ds.y, [budget], cfg, 3, 0, objective)
 
-    from .metrics import RateInputs, accuracies, accuracy, targeted_rate
+    from .metrics import RateInputs, scored_rows, targeted_rate
 
-    score = functools.partial(accuracies, pgd=cfg.pgd, seed=cfg.seed)
-    base = score(params, ds)
-    ds_on, ds_off = ds.subset(np.flatnonzero(on)), ds.subset(np.flatnonzero(~on))
-    acc_off, rob_off = score(theta, ds_off)
-    if kind == "label":
-        acc_on, rob_on = score(theta, ds_on)
-        # theta's accuracy on all of ds, from the exact correct counts of its two parts
-        acc = (round(acc_on * len(ds_on)) + round(acc_off * len(ds_off))) / len(ds)
-        ri = RateInputs(*base, att_acc=acc, att_rob=rob_off, att_aux=rob_on)
-    else:
-        ri = RateInputs(*base, att_acc=acc_off, att_rob=rob_off, att_aux=accuracy(theta, ds_on))
+    (base_c, c), (base_r, r) = scored_rows(ModelParams.stack([params, theta]), ds.X, ds.y, cfg.pgd, cfg.seed)
+    att = (c, r[~on], r[on]) if kind == "label" else (c[~on], r[~on], c[on])  # att_acc, att_rob, att_aux
+    ri = RateInputs(*(flags.mean().item() for flags in (base_c, base_r, *att)))
     rr = targeted_rate(kind, ri)
     return AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed,
                         {"target_label": target_label, "kind": kind})
@@ -611,12 +606,12 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     X1, y1 = x[None, :], np.array([label])
     (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective(cfg.pgd))
 
-    from .metrics import RateInputs, approx_radius, targeted_rate
+    from .metrics import RateInputs, approx_radius, scored_rows, targeted_rate
 
     base_r = approx_radius(params, x, label)
     att_r = approx_radius(theta, x, label)
-    still_correct = classify(theta, x) == label
-    has_adv = bool(pgd_flips_batch(theta, X1, y1, cfg.pgd, seed=cfg.seed)[0])
+    correct, robust = scored_rows(theta, X1, y1, cfg.pgd, cfg.seed)
+    still_correct, has_adv = bool(correct[0]), not robust[0]
     ri = RateInputs(base_acc=1.0, base_rob=base_r,
                     att_acc=1.0 if still_correct else 0.0, att_rob=att_r)
     rr = targeted_rate("single", ri)

@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .attack import (
     AttackConfig,
     PerturbBudget,
@@ -384,7 +386,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv=None) -> int:
     try:
         ns = _parse(argv)
-        return ns.func(ns)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing net fails with one error line
+            return ns.func(ns)
     except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2

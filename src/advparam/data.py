@@ -77,10 +77,6 @@ class LabeledDataset:
         if self.n_classes > n_outputs:
             raise ValueError(f"dataset has {self.n_classes} classes but the model outputs {n_outputs}")
 
-    def subset(self, idx) -> "LabeledDataset":
-        idx = np.asarray(idx)
-        return LabeledDataset(self.X[idx], self.y[idx], name=self.name, meta=dict(self.meta))
-
 
 def gen_blobs(
     n_samples: int,

@@ -6,11 +6,11 @@ Three views of robustness:
   * a distributional gap/gradient ratio over a whole dataset.
 
 Every net scored in ``eval``, the sweep and the attacks goes through
-``accuracies``: one ``classify_batch`` and one PGD run per net or stack of
-nets.  A sweep over k linf budgets with the random control makes 1 + k
-scorer calls: the base and attacked nets as one stack inside
-``linf_attacks``, then one per control.  A swap budget scores the base net
-and its attacked net as a stack of its own.
+``scored_rows``: one ``classify_batch`` and one PGD run on all of the rows,
+for one net or a stack; ``accuracies`` takes the means of its flags.  Each
+attack scores its base and attacked nets in one call (a targeted attack
+masks the flags by its target rows).  A sweep over k linf budgets with the
+random control makes 1 + k calls: one in ``linf_attacks``, one per control.
 
 The two jacobian measures (radius, distributional ratio) come from one
 batched pass, ``_jacobian_measures``: ``mlp.logit_jacobians`` over blocks of
@@ -44,17 +44,21 @@ def accuracy(params: ModelParams, ds: LabeledDataset) -> float:
     return float((classify_batch(params, ds.X) == ds.y).mean())
 
 
-def accuracies(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0):
-    """Clean and PGD adversarial accuracy from one ``classify_batch`` and one PGD run.
+def scored_rows(params: ModelParams, X: np.ndarray, y: np.ndarray, pgd: PgdConfig, seed=0):
+    """Per-row (correct, robust) flags from one ``classify_batch`` and one PGD run.
 
-    A sample is robust when it is clean-correct and no PGD iterate (the
-    clean point included) changes its label; eps = 0 gives clean accuracy.
-    One net gives two floats; a stack gives two lists with one value per
-    net, each the value the net gets alone.
+    A row is robust when it is clean-correct and no PGD iterate changes its
+    label.  A stack gives one row of flags per net, each the net's alone.
     """
-    correct = classify_batch(params, ds.X) == ds.y
-    flipped = pgd_flips_batch(params, ds.X, ds.y, pgd, seed=seed)
-    return correct.mean(axis=-1).tolist(), (correct & ~flipped).mean(axis=-1).tolist()
+    correct = classify_batch(params, X) == y
+    return correct, correct & ~pgd_flips_batch(params, X, y, pgd, seed=seed)
+
+
+def accuracies(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0):
+    """Clean and PGD adversarial accuracy, the means of ``scored_rows`` on ds:
+    two floats for one net, two lists with one value per net for a stack."""
+    correct, robust = scored_rows(params, ds.X, ds.y, pgd, seed)
+    return correct.mean(axis=-1).tolist(), robust.mean(axis=-1).tolist()
 
 
 def adversarial_accuracy(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig, seed=0) -> float:

@@ -492,7 +492,7 @@ def test_targeted_attacks_validate_labels():
     params, ds = _small_trained()
     with pytest.raises(ValueError):
         attack_label(params, ds, 7, PerturbBudget("linf", gamma=0.05), CFG)
-    only0 = ds.subset(np.where(ds.y == 0)[0])
+    only0 = LabeledDataset(ds.X[ds.y == 0], ds.y[ds.y == 0])
     with pytest.raises(ValueError):
         attack_direct(params, only0, 0, PerturbBudget("linf", gamma=0.05), CFG)
 
@@ -661,22 +661,26 @@ def _ref_targeted_loop(params, ds, budget, cfg, target_label, objective_grad):
     return theta, trace
 
 
+def _ref_flags(net, ds, cfg):
+    """One net alone on all of ds: per-row (correct, robust) flags."""
+    correct = mlp.classify_batch(net, ds.X) == ds.y
+    return correct, correct & ~pgd_flips_batch(net, ds.X, ds.y, cfg.pgd, seed=cfg.seed)
+
+
+def _share(flags, rows):
+    return int(flags[rows].sum()) / int(np.sum(rows))
+
+
 def _ref_targeted_result(params, theta, ds, cfg, budget, trace, target_label, kind):
     on = ds.y == target_label
-    ds_on, ds_off = ds.subset(np.where(on)[0]), ds.subset(np.where(~on)[0])
+    every = np.ones_like(on)
+    (base_c, base_r), (c, r) = _ref_flags(params, ds, cfg), _ref_flags(theta, ds, cfg)
     if kind == "label":
-        att_acc = metrics.accuracy(theta, ds)
-        att_aux = metrics.adversarial_accuracy(theta, ds_on, cfg.pgd, seed=cfg.seed)
+        att_acc, att_aux = _share(c, every), _share(r, on)
     else:
-        att_acc = metrics.accuracy(theta, ds_off)
-        att_aux = metrics.accuracy(theta, ds_on)
-    ri = metrics.RateInputs(
-        base_acc=metrics.accuracy(params, ds),
-        base_rob=metrics.adversarial_accuracy(params, ds, cfg.pgd, seed=cfg.seed),
-        att_acc=att_acc,
-        att_rob=metrics.adversarial_accuracy(theta, ds_off, cfg.pgd, seed=cfg.seed),
-        att_aux=att_aux,
-    )
+        att_acc, att_aux = _share(c, ~on), _share(c, on)
+    ri = metrics.RateInputs(base_acc=_share(base_c, every), base_rob=_share(base_r, every),
+                            att_acc=att_acc, att_rob=_share(r, ~on), att_aux=att_aux)
     rr = metrics.targeted_rate(kind, ri)
     return attack.AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
                                rate_inputs=ri, rate=rr.value, failed=rr.failed,
@@ -873,40 +877,61 @@ def test_attack_swap_skipped_slots_match_reference(three_class):
     _assert_same_result(res, _ref_attack_swap(net, ds, budget, cfg))
 
 
-@pytest.mark.parametrize("kind, nets", [("linf", 2), ("lockstep", 4), ("swap", 2), ("label", 3), ("direct", 3)])
+@pytest.mark.parametrize("kind, nets", [("linf", 2), ("lockstep", 4), ("swap", 2), ("label", 2), ("direct", 2),
+                                        ("single", 1)])
 def test_attack_result_scores_each_net_once(three_class, monkeypatch, kind, nets):
-    """An attack scores ``nets`` nets.  An untargeted attack scores the base
-    net and every theta (three for lockstep attacks at three budgets) in one
-    stacked call; a targeted attack scores the base net, and theta on the
-    target rows and on the rest apart, one net per call.  The direct attack
-    reads only the clean accuracy of the target rows, so they get no PGD run."""
+    """Every attack scores its ``nets`` nets in one call, on all of its
+    rows: the base net and every theta as one stack (three thetas for
+    lockstep attacks at three budgets), or theta alone for the single attack."""
     params, ds = three_class
     cfg = _oracle_cfg(None, (1, 1))
     counts = count_scoring_passes(monkeypatch)
     stacks, counted = [], metrics.classify_batch
 
     def classify_batch(net, X):
-        stacks.append(net.stack_shape)
+        stacks.append((net.stack_shape, len(X)))
         return counted(net, X)
 
     monkeypatch.setattr(metrics, "classify_batch", classify_batch)
+    rows = len(ds)
     if kind == "swap":
         attack_swap(params, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=2), cfg)
     elif kind == "linf":
         attack_linf(params, ds, PerturbBudget("linf", gamma=0.1), cfg)
     elif kind == "lockstep":
         linf_attacks(params, ds, [PerturbBudget("linf", gamma=g) for g in (0.0, 0.05, 0.1)], cfg)
+    elif kind == "single":
+        i = next(k for k in range(len(ds)) if classify(params, ds.X[k]) == ds.y[k])
+        attack_single(params, ds.X[i], int(ds.y[i]), PerturbBudget("linf", gamma=0.1), cfg)
+        rows = 1
     else:
         (attack_label if kind == "label" else attack_direct)(params, ds, 0, PerturbBudget("linf", gamma=0.1), cfg)
-    calls = nets if kind in ("label", "direct") else 1
-    assert counts == {"classify_batch": calls, "pgd_flips_batch": calls - (kind == "direct")}
-    assert stacks == ([()] * nets if calls == nets else [(nets,)])
+    assert counts == {"classify_batch": 1, "pgd_flips_batch": 1}
+    assert stacks == [((nets,) if nets > 1 else (), rows)]
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_targeted_attacks_at_zero_budget_score_theta_as_the_base_net(three_class, target):
+    """At gamma 0 theta is the base net, and scoring on all of ds gives it the
+    base net's flags: the label attack's on- and off-target robust counts add
+    up to the base net's, and the direct attack's off-target robust share is
+    that of a single-net PGD run."""
+    params, ds = three_class
+    cfg = _oracle_cfg(None, (0, 3))
+    budget = PerturbBudget("linf", gamma=0.0)
+    on = ds.y == target
+    _, robust = _ref_flags(params, ds, cfg)
+    label = attack_label(params, ds, target, budget, cfg).rate_inputs
+    assert round(label.att_aux * on.sum()) + round(label.att_rob * (~on).sum()) == robust.sum()
+    assert label.base_rob == robust.mean()
+    direct = attack_direct(params, ds, target, budget, cfg).rate_inputs
+    assert direct.att_rob == _share(robust, ~on)
 
 
 def test_label_attack_overall_accuracy_is_exact():
-    """theta's accuracy on all of ds is pooled from the target rows and the
-    rest; on this split (c_on/n_on)*n_on + (c_off/n_off)*n_off is off in the
-    last bit, and the pooled value must still equal ``accuracy`` exactly."""
+    """theta's accuracy on all of ds equals ``accuracy`` exactly; on this
+    split, pooling it from the target rows and the rest as
+    (c_on/n_on)*n_on + (c_off/n_off)*n_off would be off in the last bit."""
     net = ModelParams([np.eye(2)], [np.zeros(2)])  # logits = x
     to_1, to_0 = [0.2, 0.8], [0.8, 0.2]
     X = np.array([to_1] * 2 + [to_1] * 15 + [to_0] * 7)

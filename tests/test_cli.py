@@ -412,9 +412,8 @@ def test_report_files_a_failing_control_as_its_own_row(tmp_path):
     model, data, out = str(tmp_path / "model.json"), str(tmp_path / "data.json"), tmp_path / "out"
     save_model(init_params([6, 16, 2], 0), model)
     save_dataset(gen_blobs(40, 6, 2, seed=0), data)
-    with pytest.warns(RuntimeWarning):  # the control's overflow
-        rc = main(["report", "--model", model, "--data", data, "--gammas", "1.7e308",
-                   "--n-pre", "2", "--n-main", "2", "--out-dir", str(out)])
+    rc = main(["report", "--model", model, "--data", data, "--gammas", "1.7e308",
+               "--n-pre", "2", "--n-main", "2", "--out-dir", str(out)])
     assert rc == 1
     guided, control = parse_report_csv(str(out / "report.csv"))
     assert (guided.attack, guided.budget, guided.failed) == ("linf", "1.7e+308", False)
@@ -422,7 +421,20 @@ def test_report_files_a_failing_control_as_its_own_row(tmp_path):
     assert all(math.isnan(getattr(control, c)) for c in SWEEP_COLUMNS[2:10])
     with open(out / "summary.json") as f:
         assert json.load(f)["errors"] == [{"attack": "random", "budget": "1.7e+308",
-                                           "error": "non-finite input"}]
+                                           "error": "non-finite logits: the net overflows on this data"}]
+
+
+def test_eval_of_an_overflowing_net_blames_the_net(tmp_path, capsys):
+    """A net with finite but huge weights overflows on the data: one error
+    line that names the net, exit 2, and no RuntimeWarning (the suite turns
+    any into an error)."""
+    net = init_params([4, 5, 3], 0)
+    net.weights[0][0, 0] = net.weights[1][0, 0] = 1e300
+    save_model(net, str(tmp_path / "model.json"))
+    save_dataset(gen_blobs(12, 4, 3, seed=0), str(tmp_path / "data.json"))
+    rc = main(["eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite logits: the net overflows on this data\n"
 
 
 def test_usage_errors(tmp_path, capsys):
