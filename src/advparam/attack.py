@@ -96,15 +96,22 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     return best_X, flipped, best_ce
 
 
+def finite_logits(params: ModelParams, X: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """The logits of params on X (in ws, when given), or ValueError blaming the net when some are
+    not finite.  PGD checks its clean logits here; a command may check its net first."""
+    _, _, logits = forward_batch(params, X, ws)
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite logits: the net overflows on this data")
+    return logits
+
+
 def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, rng,
                ws: Workspace, best_X, flipped, best_ce) -> None:
     """``_pgd_run`` on one block of rows, in ``ws``: fills best_X (which holds
     X on entry), flipped and best_ce in place, each None when not read (best_X
     and best_ce together).  Raises ValueError on non-finite clean logits."""
     ws.bind(params, y)
-    _, _, logits = forward_batch(params, X, ws)
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits: the net overflows on this data")
+    logits = finite_logits(params, X, ws)
     if best_ce is not None:
         np.copyto(best_ce, _ce_and_dlogits(logits, y, ws)[0])
     if flipped is not None:

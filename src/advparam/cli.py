@@ -27,6 +27,7 @@ from .attack import (
     attack_linf,
     attack_single,
     attack_swap,
+    finite_logits,
 )
 from .data import LabeledDataset, atomic_open, gen_blobs, gen_subspace_task, load_dataset, save_dataset
 from .experiment import run_experiment
@@ -168,6 +169,7 @@ def _cmd_attack(ns: argparse.Namespace) -> int:
     params = load_model(ns.model)
     ds = load_dataset(ns.data)
     ds.check_model(params.input_dim, params.output_dim)
+    finite_logits(params, ds.X)
     cfg = _attack_cfg(ns)
     budget = (_swap_budget(ns, ns.k_matrices) if ns.kind == "swap"
               else PerturbBudget("linf", gamma=ns.gamma))

@@ -19,6 +19,7 @@ from .attack import (
     AttackConfig,
     PerturbBudget,
     attack_swap,
+    finite_logits,
     linf_attacks,
     perturb_random,
 )
@@ -185,17 +186,18 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
                    name: str = "experiment") -> ExperimentResult:
     """Run the sweep and write report.csv + summary.json to out_dir.
 
-    Data the loaded net cannot take (``LabeledDataset.check_model``) or a
-    budget that does not fit it (``PerturbBudget.check_fits``) raises
-    ValueError before out_dir is created, and out_dir is created before the
-    sweep runs.  summary.json is strict JSON: a nan (undefined rate, error
-    row) or inf (every radius an inf sentinel) column is written as null
-    there, while report.csv keeps the exact ``nan``/``inf`` token.
+    Data the net cannot take (``LabeledDataset.check_model``), a net that
+    overflows on it (``finite_logits``) or a budget that does not fit it
+    (``PerturbBudget.check_fits``) raises ValueError before out_dir is created,
+    and out_dir is created before the sweep runs.  summary.json is strict JSON:
+    a nan (undefined rate, error row) or inf (every radius an inf sentinel)
+    column is written as null there, while report.csv keeps ``nan``/``inf``.
     """
     cfg = cfg if cfg is not None else AttackConfig()
     params = load_model(model_path)
     ds = load_dataset(dataset_path)
     ds.check_model(params.input_dim, params.output_dim)
+    finite_logits(params, ds.X)
     for budget in budgets:
         budget.check_fits(params)
     os.makedirs(out_dir, exist_ok=True)

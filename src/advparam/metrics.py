@@ -81,13 +81,14 @@ def _jacobian_measures(params: ModelParams, X: np.ndarray,
     N = X.shape[0]
     radii, margin2, grad2 = np.empty(N), np.empty(N), np.empty(N)
     for blk in row_blocks(N):
-        radii[blk], margin2[blk], grad2[blk] = _jacobian_terms(*logit_jacobians(params, X[blk]), y[blk], 1.0)
+        radii[blk], margin2[blk], grad2[blk], _ = _jacobian_terms(*logit_jacobians(params, X[blk]), y[blk], 1.0)
     return radii, margin2, grad2
 
 
 def _jacobian_terms(logits: np.ndarray, J: np.ndarray, y: np.ndarray,
-                    q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_jacobian_measures`` of one block from its ``logit_jacobians`` output (q: dual exponent)."""
+                    q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_jacobian_measures`` of one block from its ``logit_jacobians`` output (q: dual exponent),
+    and per row the class whose gap-to-gradient ratio is smallest (the first on ties)."""
     rows = np.arange(len(y))
     gap = logits[rows, y][:, None] - logits
     gd = J[rows, y][:, None, :] - J
@@ -95,9 +96,10 @@ def _jacobian_terms(logits: np.ndarray, J: np.ndarray, y: np.ndarray,
     denom = np.linalg.norm(gd, ord=q, axis=2)
     usable = denom >= INF_SENTINEL_TOL
     ratio = np.divide(gap, denom, out=np.full_like(gap, math.inf), where=usable)
-    r = ratio.min(axis=1)
+    nearest = ratio.argmin(axis=1)
+    r = ratio[rows, nearest]
     r[(gap <= 0.0).any(axis=1)] = 0.0  # misclassified, or a class tied/ahead
-    return r, np.where(gap > 0.0, gap * gap, 0.0).min(axis=1), (gd * gd).sum(axis=2).max(axis=1)
+    return r, np.where(gap > 0.0, gap * gap, 0.0).min(axis=1), (gd * gd).sum(axis=2).max(axis=1), nearest
 
 
 def _mean_finite(radii: np.ndarray) -> float:
@@ -128,13 +130,15 @@ def approx_radius(params: ModelParams, x: np.ndarray, label: int) -> float:
 
 def margin_measure(params: ModelParams, x: np.ndarray, label: int) -> float:
     """Squared first-order margin: min over classes of gap^2 / ||grad gap||_2^2."""
-    return _squared_margin(*logit_jacobians(params, np.reshape(x, (1, -1))), label)
+    return _squared_margin(*logit_jacobians(params, np.reshape(x, (1, -1))), label)[0]
 
 
-def _squared_margin(logits: np.ndarray, J: np.ndarray, label: int) -> float:
-    """``margin_measure`` of one point from its one-row ``logit_jacobians`` output."""
-    r = float(_jacobian_terms(logits, J, np.array([label]), 2.0)[0][0])
-    return r * r if math.isfinite(r) else math.inf
+def _squared_margin(logits: np.ndarray, J: np.ndarray, label: int) -> tuple[float, int]:
+    """``margin_measure`` of one point from its one-row ``logit_jacobians`` output, and
+    the class that sets it (the first on ties; meaningless when the margin is 0 or inf)."""
+    r, _, _, nearest = _jacobian_terms(logits, J, np.array([label]), 2.0)
+    r = float(r[0])
+    return (r * r if math.isfinite(r) else math.inf), int(nearest[0])
 
 
 def radius_profile(params: ModelParams, ds: LabeledDataset):

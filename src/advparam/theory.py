@@ -26,6 +26,8 @@ This module turns existence arguments into runnable procedures:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +42,7 @@ from .mlp import (
     max_abs_diff,
     min_abs_entry,
 )
-from .metrics import INF_SENTINEL_TOL, _squared_margin
+from .metrics import _squared_margin
 
 __all__ = [
     "balanced_partition",
@@ -295,8 +297,7 @@ def estimate_gap_bound(params: ModelParams, anchors: np.ndarray, radius: float,
     maximum is what stopping there would give.  A row of a batched pass may
     round differently in the last bits from a one-row pass.
     """
-    if not (math.isfinite(radius) and radius >= 0):
-        raise ValueError(f"probe radius must be finite and nonnegative, got {radius!r}")
+    _check_ranges({"radius": radius})
     X = np.asarray(anchors, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -325,13 +326,39 @@ _GAP_PROBES = 200  # random probes of estimate_gap_bound, split among the anchor
 _GAP_SAFETY = 1.5
 
 
-def _check_budget(gamma: float, eps: float = 0.0, radius: float | None = None) -> None:
-    """gamma and eps finite and >= 0; the probe radius, when given, finite and > eps."""
-    for name, val in (("gamma", gamma), ("eps", eps)):
-        if not (math.isfinite(val) and val >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {val!r}")
+# Admissible range of each constant, as (low, high, interval); the interval's
+# brackets say which ends are admitted, and an infinite end never is.
+_RANGES = {
+    **dict.fromkeys(("gamma", "eps", "radius", "row_sep", "act_floor", "col_gain"), (0.0, math.inf, "[0, inf)")),
+    "angle": (0.0, math.pi / 2, "[0, pi/2]"),
+    "gap_bound": (0.0, math.inf, "(0, inf)"),
+    **dict.fromkeys(("act_prob", "gain_prob", "active_frac", "active_floor"), (0.0, 1.0, "[0, 1]")),
+    **dict.fromkeys(("rho", "tau"), (0.0, 1.0, "(0, 1)")),
+}
+
+
+def _check_ranges(constants: dict) -> None:
+    """Refuse, by name, a constant (a number or per-layer numbers) outside its
+    ``_RANGES`` entry; names without an entry are not checked."""
+    for name in (n for n in constants if n in _RANGES):
+        lo, hi, interval = _RANGES[name]
+        x = np.asarray(constants[name], dtype=np.float64)
+        above = x >= lo if interval[0] == "[" else x > lo
+        below = x <= hi if interval[-1] == "]" else x < hi
+        if not np.all(above & below):
+            raise ValueError(f"{name} must lie in {interval}, got {constants[name]!r}")
+
+
+def _surgery_prologue(params: ModelParams, gamma: float, eps: float, radius: float | None) -> float:
+    """The checks every surgery makes first: one hidden layer, gamma and eps in
+    range, a given probe radius finite and > eps.  Returns the probe radius,
+    1.5 * eps when none is given."""
+    if params.hidden_count != 1:
+        raise ValueError("surgery needs exactly one hidden layer")
+    _check_ranges({"gamma": gamma, "eps": eps})
     if radius is not None and not (math.isfinite(radius) and radius > eps):
         raise ValueError(f"probe radius must be finite and exceed eps, got {radius!r}")
+    return 1.5 * eps if radius is None else radius
 
 
 def surgery_conditions(params: ModelParams, anchors: np.ndarray, radius: float,
@@ -344,15 +371,11 @@ def surgery_conditions(params: ModelParams, anchors: np.ndarray, radius: float,
     budget shift eps * gamma / n_classes).  The gap bound estimate gets a
     1.5x safety factor because probing only ever finds a lower bound.
     """
-    if params.hidden_count != 1:
-        raise ValueError("surgery needs exactly one hidden layer")
+    _surgery_prologue(params, gamma, eps, radius)
     X = np.asarray(anchors, dtype=np.float64)
     mode = "point" if X.ndim == 1 else "set"
-    _check_budget(gamma, eps, radius)
-    n = params.input_dim
-    width = params.dims[1]
     if mode == "point":
-        budget_shift = eps * gamma * (n - 1)
+        budget_shift = eps * gamma * (params.input_dim - 1)
         acts = forward_batch(params, X[None, :])[0][1][0]
     else:
         budget_shift = eps * gamma / params.output_dim
@@ -367,7 +390,7 @@ def surgery_conditions(params: ModelParams, anchors: np.ndarray, radius: float,
         act_floor=floor,
         active_frac=frac,
         active_count=count,
-        width=width,
+        width=params.dims[1],
         budget_shift=budget_shift,
         shift=min(budget_shift, floor),
         radius=radius,
@@ -449,9 +472,7 @@ def _activation_side(params: ModelParams, X: np.ndarray, v: np.ndarray,
 
 
 def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps: float,
-                         radius: float | None = None,
-                         conditions: SurgeryConditions | None = None,
-                         seed: int = 0) -> ConstructionTrace:
+                         radius: float | None = None, seed: int = 0) -> ConstructionTrace:
     """Box-bounded first-layer edit preserving F(x0) but misclassifying nearby.
 
     Adds gamma * sign(r) v^T to each row of W1, where v is an orthogonal
@@ -467,19 +488,12 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     eps = 0 returns the unmodified net with no adversarial claim.
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
-    if params.hidden_count != 1:
-        raise ValueError("surgery needs exactly one hidden layer")
-    _check_budget(gamma, eps, radius)
+    radius = _surgery_prologue(params, gamma, eps, radius)
     lg0, jac0 = logit_jacobians(params, x0[None, :])
     lx = int(np.argmax(lg0[0]))  # smallest index on ties, as in classify
     if gamma == 0.0 or eps == 0.0:
-        tr = _identity_trace("single_point", params, gamma)
-        tr.adversarial_found = False
-        return tr
-    if radius is None:
-        radius = 1.5 * eps
-    if conditions is None:
-        conditions = surgery_conditions(params, x0, radius, eps, gamma, seed=seed)
+        return _identity_trace("single_point", params, gamma, adversarial_found=False)
+    conditions = surgery_conditions(params, x0, radius, eps, gamma, seed=seed)
     bad = conditions.failing()
     if bad:
         raise ValueError("surgery conditions not met: " + ", ".join(bad))
@@ -512,8 +526,8 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
         target_class=l2,
         adversarial_point=adv,
         adversarial_found=bool(found),
-        margin_before=_squared_margin(lg0, jac0, lx),
-        margin_after=_squared_margin(lg1, jac1, lx),
+        margin_before=_squared_margin(lg0, jac0, lx)[0],
+        margin_after=_squared_margin(lg1, jac1, lx)[0],
         conditions=conditions,
         guarantee=True,
         extras={"label": lx, "kept_plus": n_plus, "kept_minus": n_minus},
@@ -538,9 +552,7 @@ def _null_directions(X: np.ndarray, m: int) -> np.ndarray:
 
 
 def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps: float,
-                          radius: float | None = None,
-                          conditions: SurgeryConditions | None = None,
-                          seed: int = 0) -> ConstructionTrace:
+                          radius: float | None = None, seed: int = 0) -> ConstructionTrace:
     """First-layer edit that is invisible on a subspace of protected samples.
 
     Needs the samples to span at most n - m dimensions, where m is the
@@ -558,19 +570,12 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("protected set must be a 2-D sample matrix")
-    if params.hidden_count != 1:
-        raise ValueError("surgery needs exactly one hidden layer")
-    _check_budget(gamma, eps, radius)
+    radius = _surgery_prologue(params, gamma, eps, radius)
     m = params.output_dim
     if gamma == 0.0 or eps == 0.0:
-        tr = _identity_trace("protected_set", params, gamma)
-        tr.adversarial_fraction = 0.0
-        return tr
-    if radius is None:
-        radius = 1.5 * eps
+        return _identity_trace("protected_set", params, gamma, adversarial_fraction=0.0)
     V = _null_directions(X, m)
-    if conditions is None:
-        conditions = surgery_conditions(params, X, radius, eps, gamma, ascent_steps=20, seed=seed)
+    conditions = surgery_conditions(params, X, radius, eps, gamma, ascent_steps=20, seed=seed)
 
     logits0 = forward_batch(params, X)[2]
     labels = np.argmax(logits0, axis=1)
@@ -762,7 +767,7 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
         raise ValueError("hidden layers must match the input width")
     if any(np.any(b != 0) for b in params.biases):
         raise ValueError("needs a bias-free net")
-    _check_budget(gamma)
+    _check_ranges({"gamma": gamma})
     acts, signs, logits = forward_batch(params, x0[None, :])
     acts = [a[0] for a in acts]
     signs = [s[0] for s in signs]
@@ -770,27 +775,15 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
     lx = int(np.argmax(logits))  # smallest index on ties, as in classify
     head, tail = _layer_chains(params, signs)
     jac = head[0]
+    # the target class l2 is the class that sets the squared margin, as in margin_measure
+    margin_before, l2 = _squared_margin(logits[None], jac[None], lx)
     if gamma == 0.0:
-        mb = _squared_margin(logits[None], jac[None], lx)
-        return _identity_trace("gradient_inflation", params, gamma,
-                               margin_before=mb, margin_after=mb, guarantee=True)
-
-    # target class: smallest gated first-order margin, skipping classes the
-    # gradient cannot reach, mirroring the squared-margin measure
-    gaps = logits[lx] - logits
-    if np.any(gaps[np.arange(params.output_dim) != lx] <= 0):
+        return _identity_trace("gradient_inflation", params, gamma, margin_before=margin_before,
+                               margin_after=margin_before, guarantee=True)
+    if margin_before == 0.0:  # another class ties or leads
         raise ValueError("anchor point is not confidently classified")
-    candidates = []
-    for l in range(params.output_dim):
-        if l == lx:
-            continue
-        denom = float(np.linalg.norm(jac[lx] - jac[l]))
-        if denom >= INF_SENTINEL_TOL:
-            candidates.append((gaps[l] / denom, l))
-    if not candidates:
+    if margin_before == math.inf:
         raise ValueError("gradient gap vanishes for every class; margin is degenerate")
-    l2 = min(candidates)[1]
-    margin_before = min(c[0] for c in candidates) ** 2
 
     # factor lists, outermost first: the output row difference, then each
     # masked hidden layer from the top down
@@ -837,7 +830,7 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
     for a0, a1 in zip(acts[1:], [a[0] for a in acts_a[1:]]):
         residual = max(residual, float(np.abs(a1 - a0).max()))
     head_a, _ = _layer_chains(attacked, [s[0] for s in signs_a])
-    margin_after = _squared_margin(logits_a, head_a[0][None], lx)
+    margin_after = _squared_margin(logits_a, head_a[0][None], lx)[0]
     return ConstructionTrace(
         kind="gradient_inflation",
         attacked=attacked,
@@ -863,11 +856,34 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
 # closed-form decay rates and depth thresholds
 
 
-def _check_unit(name: str, x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
+def _closed_form(calc):
+    """Wrap a bound calculator: its arguments named in ``_RANGES`` are checked
+    before it runs, and a result that its constants overflow float64 on the
+    way to (an OverflowError, or a value that is not finite) is refused."""
+    signature = inspect.signature(calc)
+
+    @functools.wraps(calc)
+    def checked(*args, **kwargs):
+        _check_ranges(signature.bind(*args, **kwargs).arguments)
+        try:
+            out = calc(*args, **kwargs)
+        except OverflowError:
+            out = math.inf
+        if not math.isfinite(out):
+            raise ValueError("the constants overflow float64")
+        return out
+
+    return checked
 
 
+def _depth_above(x: float, strict: bool = True) -> int:
+    """The least depth >= 1 above the threshold x, or at least x when not strict."""
+    if math.isnan(x):  # the constants overflowed (inf / inf or inf * 0)
+        raise OverflowError
+    return max(1, math.floor(x) + 1 if strict else math.ceil(x))
+
+
+@_closed_form
 def point_rate_bound(gamma: float, depth: int, angle: float, row_sep: float,
                      act_floor: float, gap_bound: float) -> float:
     """Certified decay rate of the squared first-order margin at one point.
@@ -876,20 +892,15 @@ def point_rate_bound(gamma: float, depth: int, angle: float, row_sep: float,
     Y = (depth-1)*(sin(angle)*row_sep*act_floor)^2 + row_sep^2
         + (2*sin(angle)*act_floor)^2.
     """
-    if gap_bound <= 0:
-        raise ValueError("gap bound must be positive")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if gamma < 0 or row_sep < 0 or act_floor < 0:
-        raise ValueError("constants must be nonnegative")
-    if not 0.0 <= angle <= math.pi / 2:
-        raise ValueError("angle must lie in [0, pi/2]")
     s = math.sin(angle)
     y = (depth - 1) * (s * row_sep * act_floor) ** 2 + row_sep ** 2 + (2 * s * act_floor) ** 2
     num = gamma * gamma * y
     return num / (4.0 * gap_bound + num)
 
 
+@_closed_form
 def dist_rate_bound(gamma: float, gap_bound: float, row_sep, col_gain,
                     act_prob, gain_prob, active_frac) -> float:
     """Certified decay rate of the distributional squared-margin measure.
@@ -899,19 +910,10 @@ def dist_rate_bound(gamma: float, gap_bound: float, row_sep, col_gain,
     with N = (g c_1)^2 a_1 g_1 + sum_{i>=2} (g c_i d_{i-1})^2 g_i
     (a_i + b_{i-1} - 1) + b_L (d_L g)^2.
     """
-    if gap_bound <= 0:
-        raise ValueError("gap bound must be positive")
-    c = np.asarray(row_sep, dtype=np.float64).ravel()
-    d = np.asarray(col_gain, dtype=np.float64).ravel()
-    al = np.asarray(act_prob, dtype=np.float64).ravel()
-    be = np.asarray(gain_prob, dtype=np.float64).ravel()
-    gl = np.asarray(active_frac, dtype=np.float64).ravel()
-    sizes = {c.size, d.size, al.size, be.size, gl.size}
-    if len(sizes) != 1 or c.size < 1:
+    c, d, al, be, gl = (np.asarray(a, dtype=np.float64).ravel()
+                        for a in (row_sep, col_gain, act_prob, gain_prob, active_frac))
+    if len({c.size, d.size, al.size, be.size, gl.size}) != 1 or c.size < 1:
         raise ValueError("per-layer arrays must share one positive length")
-    for name, arr in (("act_prob", al), ("gain_prob", be), ("active_frac", gl)):
-        for x in arr:
-            _check_unit(name, float(x))
     num = (gamma * c[0]) ** 2 * al[0] * gl[0]
     for i in range(1, c.size):
         num += (gamma * c[i] * d[i - 1]) ** 2 * gl[i] * (al[i] + be[i - 1] - 1.0)
@@ -919,38 +921,29 @@ def dist_rate_bound(gamma: float, gap_bound: float, row_sep, col_gain,
     return float(num / (4.0 * gap_bound + num))
 
 
-def _least_integer_above(x: float) -> int:
-    return int(math.floor(x)) + 1
-
-
+@_closed_form
 def min_depth_for_point_rate(rho: float, gamma: float, angle: float, row_sep: float,
                              act_floor: float, gap_bound: float) -> int:
     """Smallest depth certifying a single-point decay rate of at least 1 - rho."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    if gap_bound <= 0:
-        raise ValueError("gap bound must be positive")
     denom = rho * (gamma * math.sin(angle) * row_sep * act_floor) ** 2
     if denom <= 0:
         raise ValueError("constants leave the threshold unbounded")
-    return max(1, int(math.ceil(4.0 * (1.0 - rho) * gap_bound / denom + 1.0)))
+    return _depth_above(4.0 * (1.0 - rho) * gap_bound / denom + 1.0, strict=False)
 
 
+@_closed_form
 def min_depth_for_point_margin(tau: float, margin: float, gamma: float, angle: float,
                                row_sep: float, act_floor: float, gap_bound: float) -> int:
     """Smallest depth certifying the single-point squared margin falls to tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
     if tau >= margin:
         raise ValueError("tau must be below the current margin")
-    if gap_bound <= 0:
-        raise ValueError("gap bound must be positive")
     denom = (gamma * math.sin(angle) * row_sep * act_floor) ** 2
     if denom <= 0:
         raise ValueError("constants leave the threshold unbounded")
-    return max(1, _least_integer_above(4.0 * gap_bound * (margin / tau - 1.0) / denom + 1.0))
+    return _depth_above(4.0 * gap_bound * (margin / tau - 1.0) / denom + 1.0)
 
 
+@_closed_form
 def min_depth_for_dist_rate(rho: float, gamma: float, row_sep: float, col_gain: float,
                             act_prob: float, gain_prob: float, active_floor: float,
                             gap_bound: float) -> int:
@@ -958,31 +951,22 @@ def min_depth_for_dist_rate(rho: float, gamma: float, row_sep: float, col_gain: 
 
     Uses uniform per-layer lower bounds; act_prob + gain_prob must exceed 1.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    if gap_bound <= 0:
-        raise ValueError("gap bound must be positive")
-    _check_unit("act_prob", act_prob)
-    _check_unit("gain_prob", gain_prob)
     overlap = act_prob + gain_prob - 1.0
     denom = rho * (gamma * row_sep * col_gain) ** 2 * active_floor * overlap
     if denom <= 0:
         raise ValueError("constants leave the threshold unbounded")
-    return max(1, _least_integer_above(1.0 + 4.0 * (1.0 - rho) * gap_bound / denom))
+    return _depth_above(1.0 + 4.0 * (1.0 - rho) * gap_bound / denom)
 
 
+@_closed_form
 def min_depth_for_dist_margin(tau: float, margin: float, gamma: float, row_sep: float,
                               col_gain: float, act_prob: float, gain_prob: float,
                               active_floor: float, gap_bound: float) -> int:
     """Smallest depth certifying the distributional measure falls to tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
     if tau >= margin:
         raise ValueError("tau must be below the current measure")
-    if gap_bound <= 0:
-        raise ValueError("gap bound must be positive")
     overlap = act_prob + gain_prob - 1.0
     denom = (gamma * row_sep * col_gain) ** 2 * active_floor * overlap
     if denom <= 0:
         raise ValueError("constants leave the threshold unbounded")
-    return max(1, _least_integer_above(4.0 * gap_bound * (margin / tau - 1.0) / denom + 1.0))
+    return _depth_above(4.0 * gap_bound * (margin / tau - 1.0) / denom + 1.0)

@@ -437,6 +437,37 @@ def test_eval_of_an_overflowing_net_blames_the_net(tmp_path, capsys):
     assert capsys.readouterr().err == "error: non-finite logits: the net overflows on this data\n"
 
 
+def _overflowing_files(tmp_path) -> list[str]:
+    """--model and --data of a [4, 5, 3] net with |W0| and two weights at 1e300,
+    whose logits overflow on 30 blobs (sample 0 gets (inf, 1e299, -1e299))."""
+    net = init_params([4, 5, 3], 0)
+    net.weights[0][...] = np.abs(net.weights[0])
+    net.weights[0][0, 0] = net.weights[1][0, 0] = 1e300
+    save_model(net, str(tmp_path / "model.json"))
+    save_dataset(gen_blobs(30, 4, 3, 0), str(tmp_path / "data.json"))
+    return ["--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.json")]
+
+
+def test_report_of_an_overflowing_net_blames_the_net(tmp_path, capsys):
+    """Checked before the sweep: exit 2 with PGD's message, not exit 1 with a nan row."""
+    out = tmp_path / "rep"
+    rc = main(["report", *_overflowing_files(tmp_path), "--gammas", "0.1", "--n-pre", "1", "--n-main", "1",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite logits: the net overflows on this data\n"
+    assert not out.exists()
+
+
+def test_attack_single_of_an_overflowing_net_blames_the_net(tmp_path, capsys):
+    """Checked before the sample's label: the net is blamed, not the sample."""
+    out = tmp_path / "att"
+    rc = main(["attack", *_overflowing_files(tmp_path), "--kind", "single", "--index", "0",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite logits: the net overflows on this data\n"
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["attack"])  # missing required --model/--data
@@ -528,6 +559,47 @@ def test_theory_construction_needs_model_and_data(construction_files, capsys, op
 def test_theory_scalar_bound_refuses_a_list(capsys, op):
     assert main(["theory", "--op", op, "--row-sep", "1,1"]) == 2
     assert "--row-sep takes one number" in _one_error_line(capsys)
+
+
+_BAD_BOUND_CONSTANTS = [("point-rate", "--gap-bound=nan"), ("point-rate", "--gamma=inf"),
+                        ("point-depth", "--gap-bound=nan"), ("point-depth", "--angle=4"),
+                        ("point-depth", "--act-floor=-1"), ("dist-rate", "--gap-bound=inf"),
+                        ("dist-rate", "--gamma=-1"), ("dist-depth", "--active-floor=2")]
+
+
+@pytest.mark.parametrize("op,flag", _BAD_BOUND_CONSTANTS,
+                         ids=[f"{op}:{flag[2:]}" for op, flag in _BAD_BOUND_CONSTANTS])
+def test_theory_bound_constant_out_of_range(capsys, op, flag):
+    """A constant outside its range exits 2 with one line that names it."""
+    assert main(["theory", "--op", op, flag]) == 2
+    assert flag[2:flag.index("=")].replace("-", "_") in _one_error_line(capsys)
+
+
+_BOUND_FLAGS = {"point-rate": ["gamma", "angle", "row-sep", "act-floor", "gap-bound"],
+                "point-depth": ["rho", "gamma", "angle", "row-sep", "act-floor", "gap-bound"],
+                "dist-rate": ["gamma", "gap-bound", "row-sep", "col-gain", "act-prob", "gain-prob",
+                              "active-frac"],
+                "dist-depth": ["rho", "gamma", "row-sep", "col-gain", "act-prob", "gain-prob",
+                               "active-floor", "gap-bound"]}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_BOUND_FLAGS)), st.data())
+def test_theory_bound_prints_a_finite_number_or_one_error(capsys, op, data):
+    """Any float for any constant (nan, inf, negative, huge or tiny): exit 0
+    with a finite number, or exit 2 with one error line."""
+    value = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(min_value=0.0), st.floats())
+    flags = [f"--{f}={data.draw(value, label=f)!r}" for f in _BOUND_FLAGS[op]]
+    if op == "point-rate":
+        flags.append(f"--depth={data.draw(st.integers(-2, 10**6), label='depth')}")
+    capsys.readouterr()
+    rc = main(["theory", "--op", op, *flags])
+    if rc == 0:
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and math.isfinite(float(out.rsplit(": ", 1)[1]))
+    else:
+        assert rc == 2
+        _one_error_line(capsys)
 
 
 def test_attack_out_dir_checked_before_the_attack(workdir, capsys, monkeypatch):

@@ -343,8 +343,9 @@ def test_single_point_one_forward_at_anchor_before_edit(monkeypatch):
     net = conditioned_surgery_net(rng, n=10, width=64, m=3)
     x0 = rng.uniform(0.3, 0.7, 10)
     cond = surgery_conditions(net, x0, 0.075, 0.05, 0.5, seed=1)
+    monkeypatch.setattr(theory, "surgery_conditions", lambda *a, **k: cond)
     log = _forward_log(monkeypatch)
-    tr = surgery_single_point(net, x0, gamma=0.5, eps=0.05, conditions=cond)
+    tr = surgery_single_point(net, x0, gamma=0.5, eps=0.05)
     assert tr.adversarial_found
     on_net = [X for params, X in log if params is net]
     assert len(on_net) == 1 and np.array_equal(on_net[0], x0[None, :])
@@ -357,8 +358,9 @@ def test_single_point_one_forward_at_anchor_after_edit(monkeypatch):
     net = conditioned_surgery_net(rng, n=10, width=64, m=3)
     x0 = rng.uniform(0.3, 0.7, 10)
     cond = surgery_conditions(net, x0, 0.075, 0.05, 0.5, seed=1)
+    monkeypatch.setattr(theory, "surgery_conditions", lambda *a, **k: cond)
     log = _forward_log(monkeypatch)
-    tr = surgery_single_point(net, x0, gamma=0.5, eps=0.05, conditions=cond)
+    tr = surgery_single_point(net, x0, gamma=0.5, eps=0.05)
     on_attacked = [X for params, X in log if params is tr.attacked]
     assert sum(np.array_equal(X, x0[None, :]) for X in on_attacked) == 1
     assert len(on_attacked) == 2  # x0 and the adversarial point
@@ -463,8 +465,9 @@ def test_protected_set_preserved_and_attacked():
 def test_protected_set_one_forward_on_the_unedited_set(monkeypatch):
     task, net = _subspace_setup(20)
     cond = surgery_conditions(net, task.X, 0.075, 0.05, 0.5, seed=2)
+    monkeypatch.setattr(theory, "surgery_conditions", lambda *a, **k: cond)
     log = _forward_log(monkeypatch)
-    tr = surgery_protected_set(net, task.X, gamma=0.5, eps=0.05, conditions=cond)
+    tr = surgery_protected_set(net, task.X, gamma=0.5, eps=0.05)
     assert tr.adversarial_fraction >= 0.5
     assert sum(p is net and np.array_equal(X, task.X) for p, X in log) == 1
 
@@ -625,7 +628,7 @@ def test_inflation_one_forward_after_the_edit(monkeypatch):
 
 
 def test_inflation_margin_after_is_margin_measure():
-    """The margin built from the attacked pass's layer chains is margin_measure, bit for bit."""
+    """The margins before and after the edit are margin_measure, bit for bit."""
     rng = np.random.default_rng(42)
     for _ in range(300):
         n = int(rng.integers(3, 9))
@@ -633,6 +636,7 @@ def test_inflation_margin_after_is_margin_measure():
         x0 = rng.uniform(0.3, 1.0, n)
         tr = gradient_inflation_attack(net, x0, gamma=float(rng.uniform(0.05, 1.0)))
         assert tr.margin_after == margin_measure(tr.attacked, x0, tr.extras["label"])
+        assert tr.margin_before == margin_measure(net, x0, tr.extras["label"])
 
 
 def test_inflation_zero_budget_one_forward(monkeypatch):
@@ -794,6 +798,14 @@ def test_depth_threshold_strict_variants():
     assert rho_at >= 0.5
     L3 = min_depth_for_dist_margin(0.3, 0.9, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     assert L3 >= 1
+
+
+def test_margin_depth_checks_the_ranges_the_rate_depth_checks():
+    """act_prob = 2 is outside [0, 1] for every calculator, not only for min_depth_for_dist_rate."""
+    with pytest.raises(ValueError, match="act_prob"):
+        min_depth_for_dist_margin(0.3, 0.9, 1, 1, 1, 2.0, 1, 1, 1)
+    with pytest.raises(ValueError, match="act_prob"):
+        min_depth_for_dist_rate(0.5, 1, 1, 1, 2.0, 1, 1, 1)
 
 
 def test_trace_summary_text():
