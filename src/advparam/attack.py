@@ -57,7 +57,7 @@ class PgdConfig:
 
 
 def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed,
-             best: bool = True, flips: bool = True):
+             best: bool = True, flips: bool = True, start: np.ndarray | None = None):
     """Batched PGD ascent on per-sample cross-entropy.
 
     Returns (X_best, flipped, ce_best): the highest-CE iterate per sample
@@ -74,10 +74,13 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     uniform random point of the eps-ball (clipped to [0,1]^n); each block
     draws its own in turn from the run's one generator, which yields the
     numbers of one draw for all rows, and every net of a stack starts from
-    it.  Each point gets one forward pass: the gradient pass at an iterate
-    also yields its CE and prediction.  Only the clean point and the last
-    iterate are forward-only, so per block a run of s >= 1 steps makes s
-    ``input_gradient`` calls and s + 2 ``forward_batch`` calls.
+    it.  A warm run passes ``start`` instead, in the shape of X_best (one
+    point per row and per net of a stack): each net starts there, clipped to
+    the ball, and nothing is drawn.  Each point gets one forward pass: the
+    gradient pass at an iterate also yields its CE and prediction.  Only the
+    clean point and the last iterate are forward-only, so per block a run of
+    s >= 1 steps makes s ``input_gradient`` calls and s + 2 ``forward_batch``
+    calls.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
@@ -92,7 +95,8 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
         _pgd_block(params, X[blk], y[blk], cfg, rng, ws,
                    None if best_X is None else best_X[..., blk, :],
                    None if flipped is None else flipped[..., blk],
-                   None if best_ce is None else best_ce[..., blk])
+                   None if best_ce is None else best_ce[..., blk],
+                   None if start is None else start[..., blk, :])
     return best_X, flipped, best_ce
 
 
@@ -106,10 +110,11 @@ def finite_logits(params: ModelParams, X: np.ndarray, ws: Workspace | None = Non
 
 
 def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, rng,
-               ws: Workspace, best_X, flipped, best_ce) -> None:
+               ws: Workspace, best_X, flipped, best_ce, start) -> None:
     """``_pgd_run`` on one block of rows, in ``ws``: fills best_X (which holds
     X on entry), flipped and best_ce in place, each None when not read (best_X
-    and best_ce together).  Raises ValueError on non-finite clean logits."""
+    and best_ce together), from the block's ``start`` or, when None, a random
+    one.  Raises ValueError on non-finite clean logits."""
     ws.bind(params, y)
     logits = finite_logits(params, X, ws)
     if best_ce is not None:
@@ -138,8 +143,11 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
         np.maximum(P, lo, out=P)
         np.minimum(P, hi, out=P)
 
-    cur = np.empty(ws.grad.shape)  # one start for every net of a stack
-    np.add(X, cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), out=cur)
+    cur = np.empty(ws.grad.shape)
+    if start is None:  # one start for every net of a stack
+        np.add(X, cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), out=cur)
+    else:
+        np.copyto(cur, start)
     clip(cur)
     step = cfg.resolved_step
     for _ in range(cfg.steps):
@@ -153,9 +161,11 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
     record(None if best_ce is None else _ce_and_dlogits(logits, y, ws)[0], logits)
 
 
-def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0) -> np.ndarray:
-    """Highest-CE PGD point for each sample (CE(x') >= CE(x) guaranteed)."""
-    best_X, _, _ = _pgd_run(params, X, y, cfg, seed, flips=False)
+def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0,
+                        start: np.ndarray | None = None) -> np.ndarray:
+    """Highest-CE PGD point for each sample (CE(x') >= CE(x) guaranteed),
+    from ``start`` when given (see ``_pgd_run``)."""
+    best_X, _, _ = _pgd_run(params, X, y, cfg, seed, flips=False, start=start)
     return best_X
 
 
@@ -252,6 +262,7 @@ def proj_box(candidate: ModelParams, center: ModelParams, delta: ModelParams) ->
 _ALPHA_DECAY = 0.5   # phase-2 step factor, see AttackConfig.alpha
 _DENOM_FLOOR = 1e-8  # lower bound on a ratio objective's denominator
 _SWAP_DRAWS = 50     # swap attack: random pairs tried per pair slot
+_WARM_STEPS = 5      # PGD steps from a carried start; BENCH_warm_pgd.json has its efficacy vs 20 cold steps
 
 
 @dataclass
@@ -288,10 +299,42 @@ def _iter_seed(seed, tag: int, it: int):
 
 
 def _batch(rng: np.random.Generator, X: np.ndarray, y: np.ndarray, size: int | None):
+    """(X, y, row indices) of a minibatch of ``size`` distinct rows, or of all rows."""
     if size is None or size >= len(y):
-        return X, y
+        return X, y, np.arange(len(y))
     idx = rng.choice(len(y), size=size, replace=False)
-    return X[idx], y[idx]
+    return X[idx], y[idx], idx
+
+
+class _Carry:
+    """The descent's PGD adversary, warm-started across iterations.
+
+    Keeps, per dataset row and per net of the stack, the best PGD point of
+    the last iteration that visited the row.  A run on rows that have all
+    been visited starts from their points and takes min(steps, _WARM_STEPS)
+    steps; any other run is the cold ``pgd`` run (random start, every step).
+    The descent moves theta by at most alpha per step, so the last
+    iteration's points are nearly optimal for this one.  Which rows have been
+    visited depends on no net, so each net of a stack still gets the bits of
+    a descent on it alone.
+    """
+
+    def __init__(self, pgd: PgdConfig, shape: tuple):
+        """``shape``: the stack's shape, then the dataset's (rows, inputs)."""
+        self.cold, self.warm = pgd, PgdConfig(pgd.eps, min(pgd.steps, _WARM_STEPS))
+        self.points = np.empty(shape)
+        self.seen = np.zeros(shape[-2], dtype=bool)
+
+    def adversary(self, theta: ModelParams, X, y, rows, seed, sel=slice(None)) -> np.ndarray:
+        """``pgd_adversary_batch`` on rows ``sel`` of the minibatch (X, y) of
+        dataset rows ``rows``, warm when they have all been visited."""
+        X, y, rows = X[sel], y[sel], rows[sel]
+        warm = self.seen[rows].all()
+        Xadv = pgd_adversary_batch(theta, X, y, self.warm if warm else self.cold, seed,
+                                   start=self.points[..., rows, :] if warm else None)
+        self.points[..., rows, :] = Xadv
+        self.seen[rows] = True
+        return Xadv
 
 
 def _loss_grads(spaces: dict, i: int, theta: ModelParams, X, y, reduction: str):
@@ -329,14 +372,21 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
 
     Runs n_pre phase-1 and then cfg.n_main phase-2 iterations.  Iteration
     ``it`` draws a minibatch of (X, y) from one default_rng(cfg.seed) and
-    calls ``objective(theta, phase, Xb, yb, seed)`` on the stack with the PGD
-    seed ``_iter_seed(cfg.seed, tag, it)``.  The objective returns (value,
-    grad, extra trace fields), a value and each field holding one entry per
-    net, or None to skip a degenerate minibatch: no step, no step decay and a
-    nan objective in the trace.  A step is theta - alpha * grad projected onto
-    the box; see AttackConfig.alpha for the schedule.  The minibatches, seeds
-    and schedule depend on no net, so each net gets the bits a descent on it
-    alone gives.  Returns (thetas, traces), one per budget.
+    calls ``objective(theta, phase, Xb, yb, adversary)`` on the stack.
+    ``adversary(sel)`` gives theta's PGD points on the minibatch rows ``sel``
+    (all by default) from one ``_Carry`` at cfg.pgd, with the PGD seed
+    ``_iter_seed(cfg.seed, tag, it)``: cold while a row has not been visited,
+    then warm from the rows' last points for at most _WARM_STEPS steps.  The
+    swap attack keeps cold runs, because one accepted swap can move theta far
+    from where its last points were found.
+
+    The objective returns (value, grad, extra trace fields), a value and each
+    field holding one entry per net, or None to skip a degenerate minibatch:
+    no step, no step decay and a nan objective in the trace.  A step is
+    theta - alpha * grad projected onto the box; see AttackConfig.alpha for
+    the schedule.  The minibatches, seeds, visits and schedule depend on no
+    net, so each net gets the bits a descent on it alone gives.  Returns
+    (thetas, traces), one per budget.
     """
     delta = ModelParams.stack([b.box(params) for b in budgets])
     theta = ModelParams.stack([params] * len(budgets))
@@ -344,10 +394,12 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
     alpha = cfg.alpha
     decay_every = max(1, cfg.n_main // 4)
     traces = [[] for _ in budgets]
+    carry = _Carry(cfg.pgd, theta.stack_shape + np.shape(X))
     for it in range(n_pre + cfg.n_main):
         phase = 1 if it < n_pre else 2
-        Xb, yb = _batch(rng, X, y, cfg.batch_size)
-        out = objective(theta, phase, Xb, yb, _iter_seed(cfg.seed, tag, it))
+        Xb, yb, rows = _batch(rng, X, y, cfg.batch_size)
+        adversary = functools.partial(carry.adversary, theta, Xb, yb, rows, _iter_seed(cfg.seed, tag, it))
+        out = objective(theta, phase, Xb, yb, adversary)
         if out is None:
             for trace in traces:
                 trace.append({"iter": it, "phase": phase, "objective": float("nan")})
@@ -387,7 +439,7 @@ def _untargeted(params: ModelParams, thetas: list[ModelParams], ds: LabeledDatas
 # untargeted gradient attack (elementwise box)
 
 
-def _robust_objective(pgd: PgdConfig):
+def _robust_objective():
     """The two-phase objective on a minibatch and its PGD points.
 
     Phase 1: minus the mean robust loss.  Phase 2: clean CE sum / robust CE
@@ -395,8 +447,8 @@ def _robust_objective(pgd: PgdConfig):
     """
     spaces = {}
 
-    def objective(theta, phase, Xb, yb, seed):
-        Xadv = pgd_adversary_batch(theta, Xb, yb, pgd, seed=seed)
+    def objective(theta, phase, Xb, yb, adversary):
+        Xadv = adversary()
         if phase == 1:
             adv_mean, g = _loss_grads(spaces, 0, theta, Xadv, yb, "mean")
             return -adv_mean, g.like(-g.flat), {"robust_loss": adv_mean}
@@ -421,7 +473,7 @@ def linf_attacks(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbB
     """
     if not budgets:
         raise ValueError("no budgets to attack")
-    thetas, traces = _descend(params, ds.X, ds.y, budgets, cfg, 1, cfg.n_pre, _robust_objective(cfg.pgd))
+    thetas, traces = _descend(params, ds.X, ds.y, budgets, cfg, 1, cfg.n_pre, _robust_objective())
     return _untargeted(params, thetas, ds, budgets, traces, cfg)
 
 
@@ -498,7 +550,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
         stale = True
         for _slot in range(_pair_count(budget, W)):
             if stale:
-                Xb, yb = _batch(rng, ds.X, ds.y, cfg.batch_size)
+                Xb, yb, _ = _batch(rng, ds.X, ds.y, cfg.batch_size)
                 Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_iter_seed(cfg.seed, 2, len(trace)))
                 ratio, _, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
                 gflat = g.weights[l].ravel()
@@ -529,13 +581,13 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
               cfg: AttackConfig, kind: str, ratio_terms) -> AttackResult:
     """Phase-2 descent on a targeted ratio, then the targeted rate ``kind``.
 
-    ``ratio_terms(theta, Xb, yb, on, seed)`` returns what _ratio_grad does
-    for theta, a stack of one net, with ``on`` marking the minibatch's
-    target-label rows.  A minibatch that is all on or all off the target is
-    skipped.  The base net and the attacked net are scored on all of ds, at
-    cfg's PGD settings and seed, in one ``scored_rows`` call on one stack;
-    each rate input is the mean of their flags on the target rows, on the
-    rest or on all of ds.
+    ``ratio_terms(theta, Xb, yb, on, adversary)`` returns what _ratio_grad
+    does for theta, a stack of one net, with ``on`` marking the minibatch's
+    target-label rows and ``adversary`` as in ``_descend``.  A minibatch
+    that is all on or all off the target is skipped.  The base net and the
+    attacked net are scored on all of ds, at cfg's PGD settings and seed, in
+    one ``scored_rows`` call on one stack; each rate input is the mean of
+    their flags on the target rows, on the rest or on all of ds.
     """
     on = ds.y == target_label
     if not on.any():
@@ -543,11 +595,11 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
     if on.all():
         raise ValueError("dataset contains only the target label; targeted objective is degenerate")
 
-    def objective(theta, phase, Xb, yb, seed):
+    def objective(theta, phase, Xb, yb, adversary):
         on_b = yb == target_label
         if on_b.all() or not on_b.any():
             return None
-        ratio, _, grad = ratio_terms(theta, Xb, yb, on_b, seed)
+        ratio, _, grad = ratio_terms(theta, Xb, yb, on_b, adversary)
         return ratio, grad, {}
 
     (theta,), (trace,) = _descend(params, ds.X, ds.y, [budget], cfg, 3, 0, objective)
@@ -573,8 +625,8 @@ def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,
     """
     spaces = {}
 
-    def ratio_terms(theta, Xb, yb, on, seed):
-        Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=seed)
+    def ratio_terms(theta, Xb, yb, on, adversary):
+        Xadv = adversary()
         Xoff, Xon = Xadv[..., ~on, :], Xadv[..., on, :]
         return _ratio_grad(theta, [(Xb, yb), (Xoff, yb[~on])], (Xon, yb[on]), spaces)
 
@@ -590,9 +642,9 @@ def attack_direct(params: ModelParams, ds: LabeledDataset, target_label: int,
     """
     spaces = {}
 
-    def ratio_terms(theta, Xb, yb, on, seed):
+    def ratio_terms(theta, Xb, yb, on, adversary):
         Xoff, yoff = Xb[~on], yb[~on]
-        Xadv = pgd_adversary_batch(theta, Xoff, yoff, cfg.pgd, seed=seed)
+        Xadv = adversary(~on)
         return _ratio_grad(theta, [(Xadv, yoff), (Xoff, yoff)], (Xb[on], yb[on]), spaces)
 
     return _targeted(params, ds, target_label, budget, cfg, "direct", ratio_terms)
@@ -611,7 +663,7 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     if classify(params, x) != label:
         raise ValueError("x must be correctly classified by the base net")
     X1, y1 = x[None, :], np.array([label])
-    (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective(cfg.pgd))
+    (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective())
 
     from .metrics import RateInputs, approx_radius, scored_rows, targeted_rate
 

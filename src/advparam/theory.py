@@ -331,7 +331,7 @@ _GAP_SAFETY = 1.5
 _RANGES = {
     **dict.fromkeys(("gamma", "eps", "radius", "row_sep", "act_floor", "col_gain"), (0.0, math.inf, "[0, inf)")),
     "angle": (0.0, math.pi / 2, "[0, pi/2]"),
-    "gap_bound": (0.0, math.inf, "(0, inf)"),
+    **dict.fromkeys(("gap_bound", "margin"), (0.0, math.inf, "(0, inf)")),
     **dict.fromkeys(("act_prob", "gain_prob", "active_frac", "active_floor"), (0.0, 1.0, "[0, 1]")),
     **dict.fromkeys(("rho", "tau"), (0.0, 1.0, "(0, 1)")),
 }
@@ -908,15 +908,21 @@ def dist_rate_bound(gamma: float, gap_bound: float, row_sep, col_gain,
     Per-layer arrays (length = depth): row_sep c_l, col_gain d_l, act_prob
     alpha_l, gain_prob beta_l, active_frac gamma_l.  Evaluates N/(4A+N)
     with N = (g c_1)^2 a_1 g_1 + sum_{i>=2} (g c_i d_{i-1})^2 g_i
-    (a_i + b_{i-1} - 1) + b_L (d_L g)^2.
+    (a_i + b_{i-1} - 1) + b_L (d_L g)^2; every overlap a_i + b_{i-1} - 1
+    must be positive, as for ``min_depth_for_dist_rate``.
     """
     c, d, al, be, gl = (np.asarray(a, dtype=np.float64).ravel()
                         for a in (row_sep, col_gain, act_prob, gain_prob, active_frac))
     if len({c.size, d.size, al.size, be.size, gl.size}) != 1 or c.size < 1:
         raise ValueError("per-layer arrays must share one positive length")
+    overlap = al[1:] + be[:-1] - 1.0
+    if not np.all(overlap > 0):
+        i = int(np.argmin(overlap > 0)) + 2
+        raise ValueError(f"act_prob of layer {i} + gain_prob of layer {i - 1} must exceed 1, "
+                         f"got {float(al[i - 1] + be[i - 2])!r}")
     num = (gamma * c[0]) ** 2 * al[0] * gl[0]
     for i in range(1, c.size):
-        num += (gamma * c[i] * d[i - 1]) ** 2 * gl[i] * (al[i] + be[i - 1] - 1.0)
+        num += (gamma * c[i] * d[i - 1]) ** 2 * gl[i] * overlap[i - 1]
     num += be[-1] * (d[-1] * gamma) ** 2
     return float(num / (4.0 * gap_bound + num))
 

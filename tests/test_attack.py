@@ -272,6 +272,60 @@ def test_pgd_non_finite_iterate_raises(monkeypatch):
         pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=2))
 
 
+def _ball_point(rng, X, eps, reach=1.0):
+    """A uniform point of the eps * reach ball around each row, clipped to the eps-ball in [0,1]^n."""
+    return np.clip(X + eps * reach * rng.uniform(-1.0, 1.0, size=X.shape),
+                   np.maximum(X - eps, 0.0), np.minimum(X + eps, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 30, 1025])
+@pytest.mark.parametrize("steps", [1, 7, 20])
+def test_pgd_from_the_random_first_iterate_is_the_cold_run(n, steps):
+    """A start equal to the cold run's clipped random first iterate gives the
+    cold run's bits: the start replaces the draw and nothing else."""
+    rng = np.random.default_rng([n, steps])
+    p = random_net(rng, [4, 6, 3])
+    X = rng.uniform(0, 1, size=(n, 4))
+    y = rng.integers(0, 3, size=n)
+    cfg = PgdConfig(eps=0.15, steps=steps)
+    first = _ball_point(np.random.default_rng(7), X, cfg.eps)
+    cold = pgd_adversary_batch(p, X, y, cfg, seed=7)
+    assert pgd_adversary_batch(p, X, y, cfg, seed=7, start=first).tobytes() == cold.tobytes()
+    assert pgd_adversary_batch(p, X, y, cfg, seed=8, start=first).tobytes() == cold.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pgd_from_a_start_never_decreases_loss_and_stays_in_ball(seed):
+    rng = np.random.default_rng(seed)
+    p = random_net(rng, [4, 8, 3], scale=2.0)
+    X = rng.uniform(0, 1, size=(50, 4))
+    y = rng.integers(0, 3, size=50)
+    cfg = PgdConfig(eps=0.1, steps=attack._WARM_STEPS)
+    start = X + cfg.eps * 3.0 * rng.uniform(-1.0, 1.0, size=X.shape)  # partly outside the ball: clipped
+    best = pgd_adversary_batch(p, X, y, cfg, seed=seed, start=start)
+    assert np.all(_ce(p, best, y) >= _ce(p, X, y))
+    assert np.max(np.abs(best - X)) <= cfg.eps + 1e-12
+    assert best.min() >= 0.0 and best.max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [2, 160, 1025])
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_pgd_from_per_net_starts_equals_per_net_runs(k, n):
+    """Each net of a stack starts from its own point and gets the bytes of a
+    run on it alone from that point."""
+    rng = np.random.default_rng([k, n])
+    dims = [5, 9, 7, 3]
+    nets = [random_net(rng, dims) for _ in range(k)]
+    X = rng.uniform(0, 1, size=(n, dims[0]))
+    y = rng.integers(0, dims[-1], size=n)
+    cfg = PgdConfig(eps=0.1, steps=4)
+    starts = np.stack([_ball_point(rng, X, cfg.eps) for _ in nets])
+    best_X = pgd_adversary_batch(ModelParams.stack(nets), X, y, cfg, seed=2, start=starts)
+    assert best_X.shape == (k, n, dims[0])
+    for i, net in enumerate(nets):
+        assert best_X[i].tobytes() == pgd_adversary_batch(net, X, y, cfg, seed=2, start=starts[i]).tobytes()
+
+
 # --- budgets and projection -------------------------------------------------------
 
 
@@ -541,14 +595,29 @@ def test_perturb_random_within_budget_and_deterministic():
 # The reference loops below are the four attack loops as they were written before
 # they shared one loop, with the schedule constants inlined (step halving 0.5
 # every max(1, n_main // 4) main steps, denominator floor 1e-8, one gradient per
-# accepted swap, 50 draws per swap slot).  The attacks must reproduce them bit for bit.
+# accepted swap, 50 draws per swap slot).  The descent loops carry each row's PGD
+# point to the next iteration that visits it (``_ref_adversary``); the swap loop
+# runs PGD cold.  The attacks must reproduce them bit for bit.
 
 
 def _ref_batch(rng, ds, size):
     if size is None or size >= len(ds):
-        return ds.X, ds.y
+        return ds.X, ds.y, list(range(len(ds)))
     idx = rng.choice(len(ds), size=size, replace=False)
-    return ds.X[idx], ds.y[idx]
+    return ds.X[idx], ds.y[idx], list(idx)
+
+
+def _ref_adversary(theta, X, y, rows, carried, pgd, seed):
+    """PGD points of dataset ``rows`` (data X, y) on theta: warm, from the
+    points in ``carried`` (row -> point) with at most 5 steps, once every row
+    has one; cold otherwise.  Records the new points in ``carried``."""
+    if all(r in carried for r in rows):
+        start = np.array([carried[r] for r in rows])
+        Xadv = pgd_adversary_batch(theta, X, y, PgdConfig(pgd.eps, min(pgd.steps, 5)), seed=seed, start=start)
+    else:
+        Xadv = pgd_adversary_batch(theta, X, y, pgd, seed=seed)
+    carried.update(zip(rows, Xadv.copy()))
+    return Xadv
 
 
 def _ref_seed(seed, tag, it):
@@ -582,11 +651,11 @@ def _ref_attack_linf(params, ds, budget, cfg):
     rng = np.random.default_rng(cfg.seed)
     alpha = cfg.alpha
     decay_every = max(1, cfg.n_main // 4)
-    trace = []
+    trace, carried = [], {}
     main_done = 0
     for it in range(cfg.n_pre + cfg.n_main):
-        Xb, yb = _ref_batch(rng, ds, cfg.batch_size)
-        Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_ref_seed(cfg.seed, 1, it))
+        Xb, yb, rows = _ref_batch(rng, ds, cfg.batch_size)
+        Xadv = _ref_adversary(theta, Xb, yb, rows, carried, cfg.pgd, _ref_seed(cfg.seed, 1, it))
         if it < cfg.n_pre:
             adv_mean, g = mlp.loss_and_grads(theta, Xadv, yb, reduction="mean")
             displayed = -adv_mean
@@ -618,7 +687,7 @@ def _ref_attack_swap(params, ds, budget, cfg):
         since_refresh = 1
         for _slot in range(attack._pair_count(budget, W)):
             if since_refresh >= 1:
-                Xb, yb = _ref_batch(rng, ds, cfg.batch_size)
+                Xb, yb, _ = _ref_batch(rng, ds, cfg.batch_size)
                 Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_ref_seed(cfg.seed, 2, grad_calls))
                 ratio, _, _, g = _ref_ratio_and_grad(theta, Xb, yb, Xadv, yb)
                 grad_calls += 1
@@ -646,14 +715,14 @@ def _ref_targeted_loop(params, ds, budget, cfg, target_label, objective_grad):
     rng = np.random.default_rng(cfg.seed)
     alpha = cfg.alpha
     decay_every = max(1, cfg.n_main // 4)
-    trace = []
+    trace, carried = [], {}
     for it in range(cfg.n_main):
-        Xb, yb = _ref_batch(rng, ds, cfg.batch_size)
+        Xb, yb, rows = _ref_batch(rng, ds, cfg.batch_size)
         on = yb == target_label
         if on.all() or not on.any():
             trace.append({"iter": it, "phase": 2, "objective": float("nan")})
             continue
-        val, g = objective_grad(theta, Xb, yb, on, _ref_seed(cfg.seed, 3, it))
+        val, g = objective_grad(theta, Xb, yb, on, rows, carried, _ref_seed(cfg.seed, 3, it))
         theta = proj_box(mlp.add_scaled(theta, g, -alpha), params, budget.box(params))
         trace.append({"iter": it, "phase": 2, "objective": float(val)})
         if (it + 1) % decay_every == 0:
@@ -688,8 +757,8 @@ def _ref_targeted_result(params, theta, ds, cfg, budget, trace, target_label, ki
 
 
 def _ref_attack_label(params, ds, target_label, budget, cfg):
-    def obj(theta, Xb, yb, on, seed):
-        Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=seed)
+    def obj(theta, Xb, yb, on, rows, carried, seed):
+        Xadv = _ref_adversary(theta, Xb, yb, rows, carried, cfg.pgd, seed)
         num_ce, g_ce = mlp.loss_and_grads(theta, Xb, yb, reduction="sum")
         num_rob, g_rob = mlp.loss_and_grads(theta, Xadv[~on], yb[~on], reduction="sum")
         den_raw, g_den = mlp.loss_and_grads(theta, Xadv[on], yb[on], reduction="sum")
@@ -704,8 +773,9 @@ def _ref_attack_label(params, ds, target_label, budget, cfg):
 
 
 def _ref_attack_direct(params, ds, target_label, budget, cfg):
-    def obj(theta, Xb, yb, on, seed):
-        Xadv = pgd_adversary_batch(theta, Xb[~on], yb[~on], cfg.pgd, seed=seed)
+    def obj(theta, Xb, yb, on, rows, carried, seed):
+        off_rows = [r for r, o in zip(rows, on) if not o]
+        Xadv = _ref_adversary(theta, Xb[~on], yb[~on], off_rows, carried, cfg.pgd, seed)
         num_rob, g_rob = mlp.loss_and_grads(theta, Xadv, yb[~on], reduction="sum")
         num_ce, g_ce = mlp.loss_and_grads(theta, Xb[~on], yb[~on], reduction="sum")
         den_raw, g_den = mlp.loss_and_grads(theta, Xb[on], yb[on], reduction="sum")
@@ -725,10 +795,10 @@ def _ref_attack_single(params, x, label, budget, cfg):
     alpha = cfg.alpha
     decay_every = max(1, cfg.n_main // 4)
     X1, y1 = x[None, :], np.array([label])
-    trace = []
+    trace, carried = [], {}
     main_done = 0
     for it in range(cfg.n_pre + cfg.n_main):
-        Xadv = pgd_adversary_batch(theta, X1, y1, cfg.pgd, seed=_ref_seed(cfg.seed, 4, it))
+        Xadv = _ref_adversary(theta, X1, y1, [0], carried, cfg.pgd, _ref_seed(cfg.seed, 4, it))
         if it < cfg.n_pre:
             adv_mean, g = mlp.loss_and_grads(theta, Xadv, y1, reduction="mean")
             displayed = -adv_mean
@@ -786,9 +856,12 @@ BATCHES = [None, 3, 7, 30]
 SCHEDULES = [(4, 10), (0, 9), (3, 0), (2, 1), (3, 8)]  # odd n_pre: phase-2 decay steps differ from (it + 1) % 2 == 0
 
 
-def _oracle_cfg(batch_size, schedule, seed=0):
+WARM_PGD = PgdConfig(eps=0.08, steps=8)  # above the warm step count, so warm runs take fewer steps
+
+
+def _oracle_cfg(batch_size, schedule, seed=0, pgd=ORACLE_PGD):
     n_pre, n_main = schedule
-    return AttackConfig(pgd=ORACLE_PGD, n_pre=n_pre, n_main=n_main, alpha=0.05,
+    return AttackConfig(pgd=pgd, n_pre=n_pre, n_main=n_main, alpha=0.05,
                         batch_size=batch_size, seed=seed)
 
 
@@ -875,6 +948,118 @@ def test_attack_swap_skipped_slots_match_reference(three_class):
     assert res.extras["skipped_pairs"] > 0
     assert any(entry["matrix"] == 1 for entry in res.extras["swap_log"])
     _assert_same_result(res, _ref_attack_swap(net, ds, budget, cfg))
+
+
+@pytest.mark.parametrize("batch_size", [None, 7])
+@pytest.mark.parametrize("kind", ["linf", "label", "direct", "single"])
+def test_descent_attacks_match_reference_loop_when_warm_runs_take_fewer_steps(three_class, kind, batch_size):
+    """At 8 PGD steps a warm run takes 5: the reference loops' carry gives the same bytes."""
+    params, ds = three_class
+    cfg = _oracle_cfg(batch_size, (3, 8), pgd=WARM_PGD)
+    budget = PerturbBudget("linf", gamma=0.1)
+    if kind == "linf":
+        _assert_same_result(attack_linf(params, ds, budget, cfg), _ref_attack_linf(params, ds, budget, cfg))
+    elif kind == "single":
+        i = next(k for k in range(len(ds)) if classify(params, ds.X[k]) == ds.y[k])
+        _assert_same_result(attack_single(params, ds.X[i], int(ds.y[i]), budget, cfg),
+                            _ref_attack_single(params, ds.X[i], int(ds.y[i]), budget, cfg))
+    else:
+        new, ref = (attack_label, _ref_attack_label) if kind == "label" else (attack_direct, _ref_attack_direct)
+        _assert_same_result(new(params, ds, 1, budget, cfg), ref(params, ds, 1, budget, cfg))
+
+
+@pytest.mark.parametrize("batch_size", [None, 7])
+@pytest.mark.parametrize("pgd", [ORACLE_PGD, WARM_PGD], ids=["3", "8"])
+def test_linf_attacks_equal_attack_linf_per_budget(three_class, pgd, batch_size):
+    params, ds = three_class
+    cfg = _oracle_cfg(batch_size, (3, 8), pgd=pgd)
+    budgets = [PerturbBudget("linf", gamma=g) for g in (0.0, 0.05, 0.1)]
+    for res, budget in zip(linf_attacks(params, ds, budgets, cfg), budgets, strict=True):
+        _assert_same_result(res, attack_linf(params, ds, budget, cfg))
+
+
+def _count_descent_steps(monkeypatch):
+    """Per descent PGD run, the ``input_gradient`` calls it makes (its steps per
+    block), and whether it was given a start; the scorer's runs are not listed."""
+    runs, grads = [], [0]
+    counted_grad, counted_run = attack.input_gradient, attack.pgd_adversary_batch
+
+    def input_gradient(*a, **k):
+        grads[0] += 1
+        return counted_grad(*a, **k)
+
+    def pgd_adversary_batch(*a, start=None, **k):
+        before = grads[0]
+        out = counted_run(*a, start=start, **k)
+        runs.append((grads[0] - before, start is not None))
+        return out
+
+    monkeypatch.setattr(attack, "input_gradient", input_gradient)
+    monkeypatch.setattr(attack, "pgd_adversary_batch", pgd_adversary_batch)
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["linf", "lockstep", "label", "direct", "single"])
+def test_full_batch_descent_runs_cold_once_then_warm(three_class, monkeypatch, kind):
+    """At 20 PGD steps the first full-batch iteration runs all 20 from a
+    random start and every later one _WARM_STEPS from the carried points."""
+    params, ds = three_class
+    cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=20), n_pre=2, n_main=4, alpha=0.05)
+    budget = PerturbBudget("linf", gamma=0.1)
+    runs = _count_descent_steps(monkeypatch)
+    scorer = count_scoring_passes(monkeypatch)
+    if kind == "linf":
+        attack_linf(params, ds, budget, cfg)
+    elif kind == "lockstep":
+        linf_attacks(params, ds, [PerturbBudget("linf", gamma=g) for g in (0.05, 0.1)], cfg)
+    elif kind == "single":
+        i = next(k for k in range(len(ds)) if classify(params, ds.X[k]) == ds.y[k])
+        attack_single(params, ds.X[i], int(ds.y[i]), budget, cfg)
+    else:
+        (attack_label if kind == "label" else attack_direct)(params, ds, 0, budget, cfg)
+    iters = cfg.n_main + (0 if kind in ("label", "direct") else cfg.n_pre)
+    assert attack._WARM_STEPS == 5
+    assert runs == [(20, False)] + [(attack._WARM_STEPS, True)] * (iters - 1)
+    assert scorer["pgd_flips_batch"] == 1
+
+
+def test_swap_attack_keeps_cold_pgd(three_class, monkeypatch):
+    params, ds = three_class
+    cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=20), n_pre=0, n_main=0, seed=1)
+    runs = _count_descent_steps(monkeypatch)
+    attack_swap(params, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=4), cfg)
+    assert len(runs) > 1 and set(runs) == {(20, False)}
+
+
+def test_carry_runs_cold_until_every_row_is_visited(monkeypatch):
+    """A run with any unvisited row is the cold run; one on visited rows
+    starts from each row's last point (per net of a stack) and takes
+    _WARM_STEPS steps."""
+    rng = np.random.default_rng(5)
+    nets = [random_net(rng, [4, 6, 3]) for _ in range(2)]
+    stack = ModelParams.stack(nets)
+    X = rng.uniform(0, 1, size=(6, 4))
+    y = rng.integers(0, 3, size=6)
+    cold = PgdConfig(eps=0.1, steps=12)
+    warm = PgdConfig(eps=0.1, steps=attack._WARM_STEPS)
+    carry = attack._Carry(cold, (2,) + X.shape)
+    runs = _count_descent_steps(monkeypatch)
+
+    def visit(rows, seed):
+        rows = np.array(rows)
+        return carry.adversary(stack, X, y, np.arange(len(y)), seed, sel=rows)
+
+    first = visit([0, 1, 2], 1)
+    assert first.tobytes() == pgd_adversary_batch(stack, X[:3], y[:3], cold, seed=1).tobytes()
+    second = visit([1, 2, 3], 2)  # row 3 is new
+    assert second.tobytes() == pgd_adversary_batch(stack, X[1:4], y[1:4], cold, seed=2).tobytes()
+    third = visit([3, 0], 3)
+    start = np.stack([second[:, 2], first[:, 0]], axis=1)
+    assert third.tobytes() == pgd_adversary_batch(stack, X[[3, 0]], y[[3, 0]], warm, start=start).tobytes()
+    for k, net in enumerate(nets):
+        assert third[k].tobytes() == pgd_adversary_batch(net, X[[3, 0]], y[[3, 0]], warm,
+                                                         start=start[k]).tobytes()
+    assert runs == [(12, False), (12, False), (attack._WARM_STEPS, True)]
 
 
 @pytest.mark.parametrize("kind, nets", [("linf", 2), ("lockstep", 4), ("swap", 2), ("label", 2), ("direct", 2),

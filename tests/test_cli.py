@@ -575,6 +575,19 @@ def test_theory_bound_constant_out_of_range(capsys, op, flag):
     assert flag[2:flag.index("=")].replace("-", "_") in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("act_prob,gain_prob,layers", [("0,0", "0,0", "2 + gain_prob of layer 1"),
+                                                        ("1,0.5,0.4", "1,0.5,1", "3 + gain_prob of layer 2")])
+@pytest.mark.parametrize("gap_bound", ["1", "0.0025"])
+def test_theory_dist_rate_refuses_a_non_positive_layer_overlap(capsys, act_prob, gain_prob, layers, gap_bound):
+    """act_prob of layer i + gain_prob of layer i - 1 must exceed 1, as for dist-depth;
+    otherwise the rate came out negative, or huge where 4A + N is near 0."""
+    n = act_prob.count(",") + 1
+    ones = ",".join(["1"] * n)
+    assert main(["theory", "--op", "dist-rate", "--row-sep", ones, "--col-gain", ones, "--act-prob", act_prob,
+                 "--gain-prob", gain_prob, "--active-frac", ones, "--gap-bound", gap_bound]) == 2
+    assert f"act_prob of layer {layers} must exceed 1" in _one_error_line(capsys)
+
+
 _BOUND_FLAGS = {"point-rate": ["gamma", "angle", "row-sep", "act-floor", "gap-bound"],
                 "point-depth": ["rho", "gamma", "angle", "row-sep", "act-floor", "gap-bound"],
                 "dist-rate": ["gamma", "gap-bound", "row-sep", "col-gain", "act-prob", "gain-prob",

@@ -808,6 +808,15 @@ def test_margin_depth_checks_the_ranges_the_rate_depth_checks():
         min_depth_for_dist_rate(0.5, 1, 1, 1, 2.0, 1, 1, 1)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_margin_depths_refuse_a_margin_out_of_range(margin):
+    """margin must be finite and > 0; nan was refused as an overflow of the constants."""
+    with pytest.raises(ValueError, match="margin must lie in"):
+        min_depth_for_point_margin(0.5, margin, 1, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="margin must lie in"):
+        min_depth_for_dist_margin(0.5, margin, 1, 1, 1, 1, 1, 1, 1)
+
+
 def test_trace_summary_text():
     rng = np.random.default_rng(60)
     net = conditioned_surgery_net(rng, n=8, width=32, m=2)
