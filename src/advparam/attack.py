@@ -277,8 +277,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.n_pre < 0 or self.n_main < 0:
             raise ValueError("iteration counts must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -577,6 +577,17 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
 # targeted attacks
 
 
+def target_rows(y: np.ndarray, target_label: int) -> np.ndarray:
+    """The mask of the labels y equal to the target; a target that is absent,
+    or the only label, leaves the targeted ratio undefined and is refused."""
+    on = y == target_label
+    if not on.any():
+        raise ValueError(f"target label {target_label} absent from the dataset")
+    if on.all():
+        raise ValueError("dataset contains only the target label; targeted objective is degenerate")
+    return on
+
+
 def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget: PerturbBudget,
               cfg: AttackConfig, kind: str, ratio_terms) -> AttackResult:
     """Phase-2 descent on a targeted ratio, then the targeted rate ``kind``.
@@ -589,11 +600,7 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
     one ``scored_rows`` call on one stack; each rate input is the mean of
     their flags on the target rows, on the rest or on all of ds.
     """
-    on = ds.y == target_label
-    if not on.any():
-        raise ValueError(f"target label {target_label} absent from the dataset")
-    if on.all():
-        raise ValueError("dataset contains only the target label; targeted objective is degenerate")
+    on = target_rows(ds.y, target_label)
 
     def objective(theta, phase, Xb, yb, adversary):
         on_b = yb == target_label
@@ -650,6 +657,12 @@ def attack_direct(params: ModelParams, ds: LabeledDataset, target_label: int,
     return _targeted(params, ds, target_label, budget, cfg, "direct", ratio_terms)
 
 
+def check_classified(params: ModelParams, x: np.ndarray, label: int) -> None:
+    """Refuse a sample x that the net does not classify as label."""
+    if classify(params, x) != label:
+        raise ValueError("x must be correctly classified by the base net")
+
+
 def attack_single(params: ModelParams, x: np.ndarray, label: int,
                   budget: PerturbBudget, cfg: AttackConfig) -> AttackResult:
     """Make one correctly classified sample attackable without mislabeling it.
@@ -660,8 +673,7 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     linearized robustness radius.
     """
     x = np.asarray(x, dtype=np.float64)
-    if classify(params, x) != label:
-        raise ValueError("x must be correctly classified by the base net")
+    check_classified(params, x, label)
     X1, y1 = x[None, :], np.array([label])
     (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective())
 

@@ -5,12 +5,15 @@ declared once, with its type, choices and default, in ``build_parser``.  The
 global options --seed, --out-dir and --config work before or after the
 subcommand.  A config file is a flat list of `key = value` lines: each key is
 a long option of the active subcommand, its value is parsed like the flag's
-argument, and explicit flags win.
+argument, and explicit flags win.  Each ``theory --op`` reads the options named
+by its function's parameters (a construction also --model, --data, --save-model
+and, for an x0, --index) and refuses any other that differs from its default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -18,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import theory
 from .attack import (
     AttackConfig,
     PerturbBudget,
@@ -27,21 +31,14 @@ from .attack import (
     attack_linf,
     attack_single,
     attack_swap,
+    check_classified,
     finite_logits,
+    target_rows,
 )
 from .data import LabeledDataset, atomic_open, gen_blobs, gen_subspace_task, load_dataset, save_dataset
 from .experiment import run_experiment
 from .metrics import GAMMA_LOW, reports_to_csv, robustness_report
 from .mlp import load_model, save_model
-from .theory import (
-    dist_rate_bound,
-    gradient_inflation_attack,
-    min_depth_for_dist_rate,
-    min_depth_for_point_rate,
-    point_rate_bound,
-    surgery_protected_set,
-    surgery_single_point,
-)
 from .train import TrainConfig, train
 
 SUP = argparse.SUPPRESS
@@ -120,12 +117,25 @@ def _sample_index(ns: argparse.Namespace, ds: LabeledDataset) -> int:
     return ns.index
 
 
-def _scalar(ns: argparse.Namespace, key: str) -> float:
-    """A list option that the chosen --op reads as one number."""
-    values = getattr(ns, key)
-    if len(values) != 1:
-        raise ValueError(f"--{key.replace('_', '-')} takes one number for --op {ns.op}")
-    return values[0]
+# Each theory op: its theory function, by name so that a rebinding in the module
+# is seen, and the line that prints its number (a construction prints its trace).
+_THEORY_OPS = {
+    "surgery-point": ("surgery_single_point", None),
+    "surgery-set": ("surgery_protected_set", None),
+    "inflate": ("gradient_inflation_attack", None),
+    "point-rate": ("point_rate_bound", "point rate bound: {!r}"),
+    "point-depth": ("min_depth_for_point_rate", "minimum depth: {!r}"),
+    "dist-rate": ("dist_rate_bound", "distribution rate bound: {!r}"),
+    "dist-depth": ("min_depth_for_dist_rate", "minimum depth: {!r}"),
+}
+
+
+def _theory_reads(op: str) -> set[str]:
+    """The dests of the options that theory --op reads (see the module docstring)."""
+    names = set(inspect.signature(getattr(theory, _THEORY_OPS[op][0])).parameters)
+    if "params" in names:
+        names |= {"model", "data", "save_model"} | ({"index"} if "x0" in names else set())
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +184,23 @@ def _cmd_attack(ns: argparse.Namespace) -> int:
     budget = (_swap_budget(ns, ns.k_matrices) if ns.kind == "swap"
               else PerturbBudget("linf", gamma=ns.gamma))
     budget.check_fits(params)
-    idx = _sample_index(ns, ds) if ns.kind == "single" else None
+    data = (ds,)  # what the attack takes before its budget, checked by the attack's own checks
+    if ns.kind == "single":
+        idx = _sample_index(ns, ds)
+        data = (ds.X[idx], int(ds.y[idx]))
+        check_classified(params, *data)
+    elif ns.kind in ("label", "direct"):
+        data = (ds, ns.target_label)
+        target_rows(ds.y, ns.target_label)
     os.makedirs(ns.out_dir, exist_ok=True)
-    if ns.kind in ("linf", "swap"):
-        res = (attack_linf if ns.kind == "linf" else attack_swap)(params, ds, budget, cfg)
-    elif ns.kind == "single":
-        res = attack_single(params, ds.X[idx], int(ds.y[idx]), budget, cfg)
-    else:
-        res = (attack_label if ns.kind == "label" else attack_direct)(params, ds, ns.target_label,
-                                                                      budget, cfg)
+    res = {"linf": attack_linf, "swap": attack_swap, "label": attack_label, "direct": attack_direct,
+           "single": attack_single}[ns.kind](params, *data, budget, cfg)
     model_path = os.path.join(ns.out_dir, "attacked_model.json")
     save_model(res.attacked, model_path)
     ri = res.rate_inputs
-    result = {
-        "kind": ns.kind, "budget": res.budget_desc, "seed": ns.seed,
-        "rate": res.rate, "failed": res.failed,
-        "base_acc": ri.base_acc, "base_rob": ri.base_rob,
-        "att_acc": ri.att_acc, "att_rob": ri.att_rob, "att_aux": ri.att_aux,
-        "extras": {k: v for k, v in res.extras.items() if k != "swap_log"},
-        "trace": res.trace,
-    }
+    result = {"kind": ns.kind, "budget": res.budget_desc, "seed": ns.seed, "rate": res.rate,
+              "failed": res.failed, **vars(ri),  # base_acc, base_rob, att_acc, att_rob, att_aux
+              "extras": {k: v for k, v in res.extras.items() if k != "swap_log"}, "trace": res.trace}
     result_path = os.path.join(ns.out_dir, "attack_result.json")
     with atomic_open(result_path) as f:
         json.dump(result, f, indent=2)
@@ -222,38 +229,28 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theory(ns: argparse.Namespace) -> int:
-    if ns.op in ("surgery-point", "surgery-set", "inflate"):
-        if not ns.model or not ns.data:
+    func_name, line = _THEORY_OPS[ns.op]
+    func = getattr(theory, func_name)
+    reads = _theory_reads(ns.op) | {"op"}
+    for dest, default in vars(build_parser()[1]["theory"].parse_args([])).items():
+        if dest not in reads and getattr(ns, dest) != default:
+            raise ValueError(f"theory --op {ns.op} does not read --{dest.replace('_', '-')}")
+    values = dict(vars(ns))
+    if "params" in reads:  # a construction; --index is 0 unless the op reads it
+        if not (ns.model and ns.data):
             raise ValueError(f"theory --op {ns.op} needs --model and --data")
-        params = load_model(ns.model)
-        ds = load_dataset(ns.data)
-        if ns.op == "surgery-set":
-            trace = surgery_protected_set(params, ds.X, ns.gamma, ns.eps, radius=ns.radius, seed=ns.seed)
-        elif ns.op == "surgery-point":
-            trace = surgery_single_point(params, ds.X[_sample_index(ns, ds)], ns.gamma, ns.eps,
-                                         radius=ns.radius, seed=ns.seed)
-        else:
-            trace = gradient_inflation_attack(params, ds.X[_sample_index(ns, ds)], ns.gamma)
-        print(trace.summary_text())
-        if ns.save_model:
-            save_model(trace.attacked, ns.save_model)
-            print(f"wrote {ns.save_model}")
-    elif ns.op == "point-rate":
-        eta = point_rate_bound(ns.gamma, ns.depth, ns.angle, _scalar(ns, "row_sep"), ns.act_floor,
-                               ns.gap_bound)
-        print(f"point rate bound: {eta!r}")
-    elif ns.op == "point-depth":
-        depth = min_depth_for_point_rate(ns.rho, ns.gamma, ns.angle, _scalar(ns, "row_sep"),
-                                         ns.act_floor, ns.gap_bound)
-        print(f"minimum depth: {depth}")
-    elif ns.op == "dist-rate":
-        rho = dist_rate_bound(ns.gamma, ns.gap_bound, ns.row_sep, ns.col_gain, ns.act_prob,
-                              ns.gain_prob, ns.active_frac)
-        print(f"distribution rate bound: {rho!r}")
-    else:
-        scalars = [_scalar(ns, k) for k in ("row_sep", "col_gain", "act_prob", "gain_prob")]
-        depth = min_depth_for_dist_rate(ns.rho, ns.gamma, *scalars, ns.active_floor, ns.gap_bound)
-        print(f"minimum depth: {depth}")
+        params, ds = load_model(ns.model), load_dataset(ns.data)
+        values.update(params=params, X=ds.X, x0=ds.X[_sample_index(ns, ds)])
+    signature = inspect.signature(func, eval_str=True).parameters
+    for name in [n for n, p in signature.items() if p.annotation is float and isinstance(values[n], list)]:
+        if len(values[name]) != 1:
+            raise ValueError(f"--{name.replace('_', '-')} takes one number for --op {ns.op}")
+        values[name] = values[name][0]
+    out = func(**{name: values[name] for name in signature})
+    print(out.summary_text() if line is None else line.format(out))
+    if ns.save_model:
+        save_model(out.attacked, ns.save_model)
+        print(f"wrote {ns.save_model}")
     return 0
 
 
@@ -353,26 +350,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--csv", default=None, help="also write the report as CSV")
 
     p = cmd("theory", _cmd_theory, "run a constructive attack or evaluate a closed-form bound")
-    p.add_argument("--op", default="point-rate", help="construction or bound", choices=[
-        "surgery-point", "surgery-set", "inflate", "point-rate", "point-depth", "dist-rate", "dist-depth"])
-    p.add_argument("--model", default=None, help="constructions: model file")
-    p.add_argument("--data", default=None, help="constructions: dataset file")
-    p.add_argument("--save-model", default=None, help="constructions: write the attacked model here")
-    p.add_argument("--index", type=int, default=0, help="surgery-point, inflate: sample index")
+    p.add_argument("--op", default="point-rate", choices=list(_THEORY_OPS), help="construction or bound")
+    first = len(p._actions)
+    p.add_argument("--model", default=None, help="model file")
+    p.add_argument("--data", default=None, help="dataset file")
+    p.add_argument("--save-model", default=None, help="write the attacked model here")
+    p.add_argument("--index", type=int, default=0, help="sample index")
     p.add_argument("--gamma", type=float, default=0.1, help="box half-width ratio")
-    p.add_argument("--eps", type=float, default=0.05, help="surgery: input distance of the flipped point")
-    p.add_argument("--radius", type=float, default=None, help="surgery: gap-bound probe radius (None: 1.5 eps)")
-    p.add_argument("--depth", type=int, default=1, help="point-rate: net depth")
-    p.add_argument("--angle", type=float, default=math.pi / 2, help="point bounds: angle")
-    p.add_argument("--gap-bound", type=float, default=1.0, help="bounds: logit-gap bound")
-    p.add_argument("--rho", type=float, default=0.5, help="depth ops: certify a decay rate >= 1 - rho")
-    p.add_argument("--act-floor", type=float, default=1.0, help="point bounds: activation floor")
-    p.add_argument("--active-floor", type=float, default=1.0, help="dist-depth: active share floor")
-    p.add_argument("--active-frac", type=_float_list, default="1.0", help="dist-rate: active share per layer")
+    p.add_argument("--eps", type=float, default=0.05, help="input distance of the flipped point")
+    p.add_argument("--radius", type=float, default=None, help="gap-bound probe radius (None: 1.5 eps)")
+    p.add_argument("--depth", type=int, default=1, help="net depth")
+    p.add_argument("--angle", type=float, default=math.pi / 2, help="angle")
+    p.add_argument("--gap-bound", type=float, default=1.0, help="logit-gap bound")
+    p.add_argument("--rho", type=float, default=0.5, help="certify a decay rate >= 1 - rho")
+    p.add_argument("--act-floor", type=float, default=1.0, help="activation floor")
+    p.add_argument("--active-floor", type=float, default=1.0, help="active share floor")
+    p.add_argument("--active-frac", type=_float_list, default="1.0", help="active share per layer")
     for flag, what in (("--row-sep", "row separation"), ("--col-gain", "column gain"),
                        ("--act-prob", "activation probability"), ("--gain-prob", "gain probability")):
-        p.add_argument(flag, type=_float_list, default="1.0",
-                       help=f"bounds: {what}, one per layer for dist-rate")
+        p.add_argument(flag, type=_float_list, default="1.0", help=f"{what}, one per layer for dist-rate")
+    reads = {op: _theory_reads(op) for op in _THEORY_OPS}
+    for action in p._actions[first:]:  # name the ops that read each option
+        action.help = f"{', '.join(op for op in reads if action.dest in reads[op])}: {action.help}"
 
     p = cmd("report", _cmd_report, "sweep attacks over budgets and write report.csv")
     _add_inputs(p)

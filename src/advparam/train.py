@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr <= 0 or not (0 < self.lr_decay <= 1) or not (0 <= self.momentum < 1):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
+        if not (0 < self.lr_decay <= 1) or not (0 <= self.momentum < 1):
             raise ValueError("bad optimizer constants")
 
 

@@ -480,6 +480,12 @@ def test_attack_config_batch_size_validated():
     assert AttackConfig(batch_size=1).batch_size == 1
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1e-3, math.nan, math.inf])
+def test_attack_config_refuses_a_step_size_that_is_not_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+        AttackConfig(alpha=alpha)
+
+
 def test_attack_linf_zero_budget_is_identity():
     params, ds = _small_trained()
     res = attack_linf(params, ds, PerturbBudget("linf", gamma=0.0), CFG)

@@ -2,9 +2,11 @@
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import os
+import shlex
 import tempfile
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from advparam.cli import build_parser, main
+from advparam import theory
+from advparam.cli import _THEORY_OPS, build_parser, main
 from advparam.data import LabeledDataset, dataset_from_json, dataset_to_json, gen_blobs, load_dataset, save_dataset
 from advparam.experiment import SWEEP_COLUMNS, parse_report_csv
 from advparam.mlp import (ModelParams, init_params, load_model, max_abs_diff, model_from_json,
@@ -179,6 +182,20 @@ def test_non_finite_eps_rejected_before_any_output(tmp_path, workdir, capsys, co
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "eps" in err and "\n" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag", [("report", "--alpha"), ("attack", "--alpha"), ("train", "--lr")])
+def test_non_finite_optimizer_constant_rejected_before_any_output(tmp_path, workdir, capsys, command, flag,
+                                                                   value):
+    """AttackConfig and TrainConfig refuse the constant itself, before --out-dir is made."""
+    out = tmp_path / "out"
+    inputs = ["--data", str(workdir / "data.json")]
+    if command != "train":
+        inputs += ["--model", str(workdir / "model.json")]
+    assert main([command, *inputs, "--out-dir", str(out), f"{flag}={value}"]) == 2
+    assert f"{flag[2:]} must be a finite number > 0, got {value}" in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -596,23 +613,81 @@ _BOUND_FLAGS = {"point-rate": ["gamma", "angle", "row-sep", "act-floor", "gap-bo
                                "active-floor", "gap-bound"]}
 
 
+# a value other than its default for every theory option but --op
+_NOT_DEFAULT = {"model": "m.json", "data": "d.json", "save-model": "s.json", "index": "3", "gamma": "0.2",
+                "eps": "0.2", "radius": "0.3", "depth": "2", "angle": "1", "gap-bound": "2", "rho": "0.25",
+                "act-floor": "0.5", "active-floor": "0.5", "active-frac": "0.5", "row-sep": "2",
+                "col-gain": "2", "act-prob": "0.5", "gain-prob": "0.5"}
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(sorted(_BOUND_FLAGS)), st.data())
 def test_theory_bound_prints_a_finite_number_or_one_error(capsys, op, data):
     """Any float for any constant (nan, inf, negative, huge or tiny): exit 0
-    with a finite number, or exit 2 with one error line."""
+    with a finite number, or exit 2 with one error line.  An option of
+    another op, set to a value other than its default, exits 2 with one
+    line that names it, whatever the constants."""
     value = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(min_value=0.0), st.floats())
     flags = [f"--{f}={data.draw(value, label=f)!r}" for f in _BOUND_FLAGS[op]]
     if op == "point-rate":
         flags.append(f"--depth={data.draw(st.integers(-2, 10**6), label='depth')}")
+    unread = sorted(set(_NOT_DEFAULT) - set(_BOUND_FLAGS[op]) - ({"depth"} if op == "point-rate" else set()))
+    other = data.draw(st.none() | st.sampled_from(unread), label="other")
+    if other is not None:
+        flags.insert(data.draw(st.integers(0, len(flags)), label="at"), f"--{other}={_NOT_DEFAULT[other]}")
     capsys.readouterr()
     rc = main(["theory", "--op", op, *flags])
-    if rc == 0:
+    if other is not None:
+        assert rc == 2 and _one_error_line(capsys) == f"error: theory --op {op} does not read --{other}\n"
+    elif rc == 0:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and math.isfinite(float(out.rsplit(": ", 1)[1]))
     else:
         assert rc == 2
         _one_error_line(capsys)
+
+
+_UNREAD = [("dist-rate", ["--angle", "4", "--rho", "7"], "--angle"),
+           ("point-rate", ["--model", "x"], "--model"),
+           ("dist-depth", ["--active-frac", "9"], "--active-frac"),
+           ("point-depth", ["--save-model", "s.json"], "--save-model"),
+           ("surgery-set", ["--index", "3"], "--index"),
+           ("surgery-point", ["--depth", "2"], "--depth"),
+           ("inflate", ["--eps", "0.2"], "--eps"),
+           ("inflate", ["--radius", "0.3"], "--radius")]
+
+
+@pytest.mark.parametrize("op,flags,option", _UNREAD, ids=[f"{op}:{o[2:]}" for op, _, o in _UNREAD])
+def test_theory_refuses_an_option_its_op_does_not_read(construction_files, tmp_path, capsys, op, flags, option):
+    """One error line names the first option the op does not read; nothing is loaded or saved."""
+    saved = tmp_path / "attacked.json"
+    argv = ["theory", "--op", op, *flags]
+    if op in ("surgery-point", "surgery-set", "inflate"):
+        model, data = ("sq", "probe") if op == "inflate" else ("net", "ds")
+        argv += ["--model", str(construction_files / f"{model}.json"),
+                 "--data", str(construction_files / f"{data}.json"), "--save-model", str(saved)]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: theory --op {op} does not read {option}\n"
+    assert not saved.exists()
+
+
+def test_theory_refuses_an_unread_option_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("op = dist-rate\nangle = 4\n")
+    assert main(["theory", "--config", str(cfg)]) == 2
+    assert _one_error_line(capsys) == "error: theory --op dist-rate does not read --angle\n"
+
+
+@pytest.mark.parametrize("op", list(_THEORY_OPS))
+def test_every_parameter_of_a_theory_op_is_served(op):
+    """Each parameter of an op's function is a theory option of the same name,
+    or the net, the samples or the --index sample of the input files."""
+    sub = build_parser()[1]["theory"]
+    options = {a.dest for a in sub._actions}
+    params = inspect.signature(getattr(theory, _THEORY_OPS[op][0])).parameters
+    assert set(params) - options - {"params", "X", "x0"} == set()
+    assert sub._option_string_actions["--op"].choices == list(_THEORY_OPS)
+    assert {o.replace("-", "_") for o in _NOT_DEFAULT} == options - {"help", "op", "seed", "out_dir", "config"}
 
 
 def test_attack_out_dir_checked_before_the_attack(workdir, capsys, monkeypatch):
@@ -623,6 +698,25 @@ def test_attack_out_dir_checked_before_the_attack(workdir, capsys, monkeypatch):
     model = str(workdir / "model.json")
     assert main(["attack", "--model", model, "--data", str(workdir / "data.json"), "--out-dir", model]) == 2
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind,flags,word", [
+    ("label", ["--target-label", "7"], "target label 7 absent from the dataset"),
+    ("direct", ["--target-label", "0", "--data", "only0.json"], "only the target label"),
+    ("single", ["--index", "0", "--data", "flipped.json"], "x must be correctly classified by the base net"),
+], ids=["label-absent", "direct-only-label", "single-misclassified"])
+def test_attack_checks_its_inputs_before_making_out_dir(tmp_path, workdir, capsys, kind, flags, word):
+    """The targeted and single attacks' own checks run before --out-dir is made."""
+    ds = load_dataset(str(workdir / "data.json"))
+    save_dataset(LabeledDataset(ds.X, np.zeros(len(ds), dtype=int)), str(tmp_path / "only0.json"))
+    save_dataset(LabeledDataset(ds.X, np.r_[1 - ds.y[:1], ds.y[1:]]), str(tmp_path / "flipped.json"))
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    out = tmp_path / "out"
+    argv = ["attack", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+            "--kind", kind, "--out-dir", str(out), *flags]
+    assert main(argv) == 2
+    assert word in _one_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, work", [("report", "advparam.experiment.run_sweep"),
@@ -722,3 +816,13 @@ def test_fuzzed_flags_and_config_exit_0_or_2(tmp_path, workdir, capsys, case):
         assert not name.endswith(".tmp") and text.endswith("\n")
         if name.endswith(".json"):
             json.loads(text)
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    """Every `advparam ...` line of README.md, run in order from an empty directory, exits 0."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        commands = [shlex.split(line)[1:] for line in f if line.startswith("advparam ")]
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, f"advparam {' '.join(argv)}: {capsys.readouterr().err}"

@@ -1,5 +1,7 @@
 """Training loop: determinism, convergence, adversarial variant."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,12 @@ def test_train_validates_dims():
         train(TrainConfig(dims=[5, 8, 3], epochs=1), ds)  # wrong input width
     with pytest.raises(ValueError):
         train(TrainConfig(dims=[4, 8, 2], epochs=1), ds)  # too few classes
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
+def test_train_config_refuses_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="lr must be a finite number > 0"):
+        TrainConfig(dims=[4, 8, 2], lr=lr)
 
 
 def test_adversarial_training_runs_and_stays_accurate():
