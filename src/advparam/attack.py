@@ -115,7 +115,6 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
     X on entry), flipped and best_ce in place, each None when not read (best_X
     and best_ce together), from the block's ``start`` or, when None, a random
     one.  Raises ValueError on non-finite clean logits."""
-    ws.bind(params, y)
     logits = finite_logits(params, X, ws)
     if best_ce is not None:
         np.copyto(best_ce, _ce_and_dlogits(logits, y, ws)[0])

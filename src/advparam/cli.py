@@ -32,13 +32,12 @@ from .attack import (
     attack_single,
     attack_swap,
     check_classified,
-    finite_logits,
     target_rows,
 )
 from .data import LabeledDataset, atomic_open, gen_blobs, gen_subspace_task, load_dataset, save_dataset
-from .experiment import run_experiment
+from .experiment import load_inputs, run_experiment
 from .metrics import GAMMA_LOW, reports_to_csv, robustness_report
-from .mlp import load_model, save_model
+from .mlp import save_model
 from .train import TrainConfig, train
 
 SUP = argparse.SUPPRESS
@@ -73,15 +72,16 @@ def _read_config(path: str) -> dict[str, tuple[int, str]]:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse argv.  The values of a --config file, parsed by their options'
+    """Parse argv.  ``ns.defaults`` maps each option of the subcommand to its
+    declared default.  The values of a --config file, parsed by their options'
     type and choices (true/false for a store-true flag), become parser
     defaults and argv is parsed again, so explicit flags win."""
     parser, commands = build_parser()
     ns = parser.parse_args(argv)
-    if ns.config is None:
-        return ns
     sub = commands[ns.command]
-    for key, (ln, text) in _read_config(ns.config).items():
+    defaults = {a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+                for a in sub._actions if a.default is not SUP}
+    for key, (ln, text) in (_read_config(ns.config) if ns.config is not None else {}).items():
         action = sub._option_string_actions.get(f"--{key}")
         try:
             if action is None or action.dest in ("help", "config"):
@@ -98,7 +98,10 @@ def _parse(argv) -> argparse.Namespace:
             raise ValueError(f"{ns.config}:{ln}: {key} = {text}: {exc}") from None
         # a global option's default goes on the top-level parser (see _add_global)
         (parser if action.default is SUP else sub).set_defaults(**{action.dest: value})
-    return parser.parse_args(argv)
+    if ns.config is not None:
+        ns = parser.parse_args(argv)
+    ns.defaults = defaults
+    return ns
 
 
 def _attack_cfg(ns: argparse.Namespace) -> AttackConfig:
@@ -176,10 +179,7 @@ def _cmd_train(ns: argparse.Namespace) -> int:
 
 
 def _cmd_attack(ns: argparse.Namespace) -> int:
-    params = load_model(ns.model)
-    ds = load_dataset(ns.data)
-    ds.check_model(params.input_dim, params.output_dim)
-    finite_logits(params, ds.X)
+    params, ds = load_inputs(ns.model, ns.data)
     cfg = _attack_cfg(ns)
     budget = (_swap_budget(ns, ns.k_matrices) if ns.kind == "swap"
               else PerturbBudget("linf", gamma=ns.gamma))
@@ -217,9 +217,7 @@ def _cmd_attack(ns: argparse.Namespace) -> int:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    params = load_model(ns.model)
-    ds = load_dataset(ns.data)
-    ds.check_model(params.input_dim, params.output_dim)
+    params, ds = load_inputs(ns.model, ns.data)
     rep = robustness_report(params, ds, PgdConfig(eps=ns.eps, steps=ns.pgd_steps), seed=ns.seed)
     print(rep.text_summary())
     if ns.csv:
@@ -232,14 +230,14 @@ def _cmd_theory(ns: argparse.Namespace) -> int:
     func_name, line = _THEORY_OPS[ns.op]
     func = getattr(theory, func_name)
     reads = _theory_reads(ns.op) | {"op"}
-    for dest, default in vars(build_parser()[1]["theory"].parse_args([])).items():
+    for dest, default in ns.defaults.items():
         if dest not in reads and getattr(ns, dest) != default:
             raise ValueError(f"theory --op {ns.op} does not read --{dest.replace('_', '-')}")
     values = dict(vars(ns))
     if "params" in reads:  # a construction; --index is 0 unless the op reads it
         if not (ns.model and ns.data):
             raise ValueError(f"theory --op {ns.op} needs --model and --data")
-        params, ds = load_model(ns.model), load_dataset(ns.data)
+        params, ds = load_inputs(ns.model, ns.data)
         values.update(params=params, X=ds.X, x0=ds.X[_sample_index(ns, ds)])
     signature = inspect.signature(func, eval_str=True).parameters
     for name in [n for n, p in signature.items() if p.annotation is float and isinstance(values[n], list)]:

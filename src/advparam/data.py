@@ -8,6 +8,7 @@ surgery needs for its exact-preservation guarantee.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import struct
@@ -226,6 +227,12 @@ def atomic_open(path: str, newline: str | None = None):
         if isinstance(exc, OSError) and exc.filename == tmp:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """The header, then each row (a list of strings), as CSV through ``atomic_open``."""
+    with atomic_open(path, newline="") as f:
+        csv.writer(f).writerows([header, *rows])
 
 
 def save_dataset(ds: LabeledDataset, path: str) -> None:

@@ -23,9 +23,9 @@ from .attack import (
     linf_attacks,
     perturb_random,
 )
-from .data import LabeledDataset, atomic_open, load_dataset
+from .data import LabeledDataset, atomic_open, load_dataset, write_csv
 from .metrics import GAMMA_LOW, RateInputs, adversarial_rate, avg_approx_radius, robustness_report
-from .mlp import ModelParams, load_model
+from .mlp import ModelParams, _block_workspaces, load_model
 
 SWEEP_COLUMNS = ["attack", "budget", "ac_base", "ac_att", "aa_base", "aa_att",
                  "r4_base", "r4_att", "ar_aa", "ar_r4", "failed"]
@@ -130,11 +130,7 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
 
 
 def write_report_csv(rows: list[SweepRow], path: str) -> None:
-    with atomic_open(path, newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            w.writerow(row.csv_values())
+    write_csv(path, SWEEP_COLUMNS, (row.csv_values() for row in rows))
 
 
 def parse_report_csv(path: str) -> list[SweepRow]:
@@ -181,23 +177,31 @@ class ExperimentResult:
         return any(r.failed for r in self.rows)
 
 
+def load_inputs(model_path: str, dataset_path: str) -> tuple[ModelParams, LabeledDataset]:
+    """The net and the dataset a command runs on, checked before it writes
+    anything: data the net cannot take (``LabeledDataset.check_model``) and a
+    net that overflows on it (``finite_logits``, one row block at a time)
+    raise ValueError."""
+    params, ds = load_model(model_path), load_dataset(dataset_path)
+    ds.check_model(params.input_dim, params.output_dim)
+    for blk, ws in _block_workspaces(params, len(ds)):
+        finite_logits(params, ds.X[blk], ws)
+    return params, ds
+
+
 def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudget],
                    out_dir: str, cfg: AttackConfig | None = None, control: bool = True,
                    name: str = "experiment") -> ExperimentResult:
     """Run the sweep and write report.csv + summary.json to out_dir.
 
-    Data the net cannot take (``LabeledDataset.check_model``), a net that
-    overflows on it (``finite_logits``) or a budget that does not fit it
-    (``PerturbBudget.check_fits``) raises ValueError before out_dir is created,
-    and out_dir is created before the sweep runs.  summary.json is strict JSON:
+    The inputs are checked by ``load_inputs``, and a budget that does not fit
+    the net (``PerturbBudget.check_fits``) raises ValueError, before out_dir is
+    created; out_dir is created before the sweep runs.  summary.json is strict JSON:
     a nan (undefined rate, error row) or inf (every radius an inf sentinel)
     column is written as null there, while report.csv keeps ``nan``/``inf``.
     """
     cfg = cfg if cfg is not None else AttackConfig()
-    params = load_model(model_path)
-    ds = load_dataset(dataset_path)
-    ds.check_model(params.input_dim, params.output_dim)
-    finite_logits(params, ds.X)
+    params, ds = load_inputs(model_path, dataset_path)
     for budget in budgets:
         budget.check_fits(params)
     os.makedirs(out_dir, exist_ok=True)

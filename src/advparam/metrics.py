@@ -26,14 +26,13 @@ declared failed when it costs too much accuracy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attack import PgdConfig, pgd_flips_batch
-from .data import LabeledDataset, atomic_open
+from .data import LabeledDataset, write_csv
 from .mlp import ModelParams, classify_batch, logit_jacobians, row_blocks
 
 INF_SENTINEL_TOL = 1e-12  # gradient-gap norms below this count as "no gradient"
@@ -303,8 +302,4 @@ def robustness_report(params: ModelParams, ds: LabeledDataset, pgd: PgdConfig,
 
 
 def reports_to_csv(reports: list[RobustnessReport], path: str) -> None:
-    with atomic_open(path, newline="") as f:
-        w = csv.writer(f)
-        w.writerow(REPORT_COLUMNS)
-        for r in reports:
-            w.writerow(r.csv_row())
+    write_csv(path, REPORT_COLUMNS, (r.csv_row() for r in reports))

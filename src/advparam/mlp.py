@@ -68,15 +68,13 @@ class ModelParams:
         views = self._views(flat)
         n = len(views) // 2
         self._flat, self._weights, self._biases = flat, views[:n], views[n:]
-        self._ops = None
+        self._weights_t = None
 
-    def _operands(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The weights transposed and the biases with a row axis, as the
-        passes apply them: views into ``flat``, made on first use."""
-        if self._ops is None:
-            self._ops = ([w.swapaxes(-1, -2) for w in self._weights],
-                         [b[..., None, :] for b in self._biases])
-        return self._ops
+    def _transposed(self) -> list[np.ndarray]:
+        """The weights transposed, as the passes apply them: views into ``flat``, made on first use."""
+        if self._weights_t is None:
+            self._weights_t = [w.swapaxes(-1, -2) for w in self._weights]
+        return self._weights_t
 
     def like(self, vec) -> "ModelParams":
         """A set with these shapes whose ``flat`` is vec, not copied: vec must
@@ -159,13 +157,14 @@ class Workspace:
 
     For a stack of K nets every buffer has a leading axis of K.
 
-    ``bind(params, y)`` adds the constants of a run of passes on one net (or
-    stack) and one set of labels (PGD on a block of rows).  A pass uses them
-    only when it is given that very ``params`` object (for the biases) or
-    ``y`` object (for the labels), and otherwise computes from what it is
-    given, with the same result bit for bit.  Neither may be edited in place
-    while bound, so a bound workspace lives no longer than the run that
-    bound it.
+    Every pass runs bound (``bind``) to the net and the labels it is given,
+    and takes their constants from here: each bias tiled to its layer's
+    (n_rows, width) shape, the one-hot of the labels and their flat indices
+    into the logits.  ``bind`` rebuilds them only for a new net or label
+    object, so a run of passes on one net and one set of labels (PGD on a
+    block of rows) builds them once.  The passes read a bound net's weights
+    from the net, so an in-place weight edit is seen; its biases and the
+    bound labels must not be edited in place.
     """
 
     def __init__(self, params: ModelParams, n_rows: int):
@@ -181,7 +180,6 @@ class Workspace:
         self.row_max = np.empty(lead + (n_rows, 1))
         self.row_sum = np.empty(lead + (n_rows, 1))
         self.ce = np.empty(lead + (n_rows,))
-        self.rows = np.arange(n_rows)
         size = self.ce.size * max(hidden, default=0)
         flat = (np.empty(size), np.empty(size))
         # the backward pass runs from the last hidden layer down, alternating buffers
@@ -195,16 +193,20 @@ class Workspace:
         return (n_rows == self.n_rows and params._spans == self.spans
                 and params._flat.shape[:-1] == self.stack_shape)
 
-    def bind(self, params: ModelParams, y: np.ndarray) -> None:
-        """Build the constants of passes on ``params`` and labels ``y``: every
-        bias tiled to its layer's (n_rows, width) shape, so the bias add is
-        not a broadcast; the one-hot of y; and y's flat indices into the
-        logits of every net.  The tiles are rebuilt only for a new set."""
-        if not self.fits(params, self.n_rows):
-            raise ValueError(f"workspace of a {self.dims} net cannot bind a {params.dims} net")
-        if params is not self.params:
-            self.bias_rows = [np.repeat(b, self.n_rows, axis=-2) for b in params._operands()[1]]
+    def bind(self, params: ModelParams | None = None, y: np.ndarray | None = None) -> None:
+        """Bind the net ``params`` and the labels ``y``, whichever is given:
+        tile every bias to its layer's (n_rows, width) shape, so the bias add
+        is not a broadcast, and build the one-hot of y and y's flat indices
+        into the logits of every net.  Each is rebuilt only for a new object.
+        A net of other shapes, or labels other than n_rows integers that the
+        net can output, raise ValueError."""
+        if params is not None and params is not self.params:
+            if not self.fits(params, self.n_rows):
+                raise ValueError(f"workspace of a {self.dims} net cannot bind a {params.dims} net")
+            self.bias_rows = [np.repeat(b[..., None, :], self.n_rows, axis=-2) for b in params.biases]
             self.params = params
+        if y is None or y is self.y:
+            return
         m = self.dims[-1]
         if y.shape != (self.n_rows,) or y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= m:
             raise ValueError(f"expected {self.n_rows} integer labels in 0..{m - 1}")
@@ -239,8 +241,8 @@ def forward_batch(params: ModelParams, X: np.ndarray,
     outside [0,1] are fine (surgery evaluates points off the data domain).
 
     The pass fills ``ws``, a ``Workspace`` for X's row count and these layer
-    widths, and returns views into it, which the next pass in ``ws``
-    overwrites; without ``ws`` it fills a fresh one.
+    widths, bound to params, and returns views into it, which the next pass
+    in ``ws`` overwrites; without ``ws`` it fills a fresh one.
     """
     X = np.asarray(X, dtype=np.float64)
     bad_lead = X.ndim != 2 and (X.ndim < 2 or X.shape[:-2] != params.stack_shape)
@@ -253,9 +255,8 @@ def forward_batch(params: ModelParams, X: np.ndarray,
     elif not ws.fits(params, X.shape[-2]):
         raise ValueError(f"workspace for {ws.n_rows} rows of a {ws.dims} net does not fit "
                          f"{X.shape[-2]} rows of a {params.dims} net")
-    weights_t, biases = params._operands()
-    if ws.params is params:
-        biases = ws.bias_rows
+    ws.bind(params)
+    weights_t, biases = params._transposed(), ws.bias_rows
     h = X
     for wt, b, a, s in zip(weights_t, biases, ws.acts, ws.signs):
         np.matmul(h, wt, out=a)
@@ -308,9 +309,11 @@ def _ce_and_dlogits(logits: np.ndarray, y: np.ndarray, ws: Workspace) -> tuple[n
 
     The row max is taken column by column (a max is exact in any order); the
     row sum stays the one reduction ``sum`` makes, as its order fixes the
-    rounding.  With ws bound to this ``y``, the label terms use its one-hot
-    and flat indices.
+    rounding.  It binds ws to the labels ``y`` (``Workspace.bind``, which
+    refuses labels the net cannot output) and takes the label terms from
+    their one-hot and flat indices.
     """
+    ws.bind(y=y)
     z, d, row_max = ws.shifted, ws.dlogits, ws.row_max[..., 0]
     np.maximum(logits[..., 0], logits[..., 1], out=row_max)
     for j in range(2, logits.shape[-1]):
@@ -320,12 +323,8 @@ def _ce_and_dlogits(logits: np.ndarray, y: np.ndarray, ws: Workspace) -> tuple[n
     np.add.reduce(d, axis=-1, keepdims=True, out=ws.row_sum)  # d.sum without its Python wrapper
     d /= ws.row_sum
     np.log(ws.row_sum[..., 0], out=ws.ce)
-    if ws.y is y:
-        d -= ws.onehot
-        ws.ce -= z.take(ws.targets)
-    else:
-        d[..., ws.rows, y] -= 1.0
-        ws.ce -= z[..., ws.rows, y]
+    d -= ws.onehot
+    ws.ce -= z.take(ws.targets)
     return ws.ce, d
 
 
@@ -358,12 +357,7 @@ def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction:
         ws = Workspace(params, N)
     acts, signs, logits = forward_batch(params, X, ws)
     scale = 1.0 / N if reduction == "mean" else 1.0
-    y = np.asarray(y)
-    if y.ndim != 1 or y.shape[0] != N:
-        raise ValueError("cross-entropy targets must be one label per sample")
-    if y.min() < 0 or y.max() >= params.output_dim:
-        raise ValueError("label out of range")
-    per, dz = _ce_and_dlogits(logits, y, ws)
+    per, dz = _ce_and_dlogits(logits, np.asarray(y), ws)
     dz *= scale
     value = per.sum(axis=-1) * scale
 

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from advparam import theory
+from advparam import cli, theory
 from advparam.cli import _THEORY_OPS, build_parser, main
-from advparam.data import LabeledDataset, dataset_from_json, dataset_to_json, gen_blobs, load_dataset, save_dataset
+from advparam.data import (LabeledDataset, dataset_from_json, dataset_to_json, gen_blobs, gen_subspace_task,
+                           load_dataset, save_dataset)
 from advparam.experiment import SWEEP_COLUMNS, parse_report_csv
 from advparam.mlp import (ModelParams, init_params, load_model, max_abs_diff, model_from_json,
                           model_to_json, save_model)
@@ -485,6 +486,24 @@ def test_attack_single_of_an_overflowing_net_blames_the_net(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("op", ["surgery-point", "surgery-set"])
+def test_theory_construction_on_an_overflowing_net_blames_the_net(tmp_path, capsys, op):
+    """A [12, 96, 3] net holding 1e300 weights overflows on the data: the
+    construction exits 2 naming the net (not its input) and saves no model."""
+    net = init_params([12, 96, 3], 0)
+    net.weights[0][...] = np.abs(net.weights[0])
+    net.weights[0][:, 0] = 1e300
+    net.weights[1][...] = 1e300 * np.sign(net.weights[1])
+    model, data, out = tmp_path / "model.json", tmp_path / "data.json", tmp_path / "attacked.json"
+    save_model(net, str(model))
+    save_dataset(gen_subspace_task(48, 12, 5, 3, 0), str(data))
+    rc = main(["theory", "--op", op, "--model", str(model), "--data", str(data), "--gamma", "0.5",
+               "--save-model", str(out)])
+    assert rc == 2
+    assert _one_error_line(capsys) == "error: non-finite logits: the net overflows on this data\n"
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["attack"])  # missing required --model/--data
@@ -669,6 +688,21 @@ def test_theory_refuses_an_option_its_op_does_not_read(construction_files, tmp_p
     assert main(argv) == 2
     assert _one_error_line(capsys) == f"error: theory --op {op} does not read {option}\n"
     assert not saved.exists()
+
+
+def test_theory_builds_one_parser(monkeypatch, capsys):
+    """One theory command parses argv once: its declared defaults come from
+    the parser that parsed it."""
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["theory", "--op", "point-rate", "--depth", "3"]) == 0
+    assert capsys.readouterr().out.startswith("point rate bound: ")
+    assert len(built) == 1
 
 
 def test_theory_refuses_an_unread_option_from_a_config_file(tmp_path, capsys):

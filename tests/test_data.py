@@ -17,6 +17,7 @@ from advparam.data import (
     load_dataset,
     read_idx,
     save_dataset,
+    write_csv,
 )
 
 
@@ -67,6 +68,15 @@ def test_atomic_open_replaces_the_file_with_the_same_bytes(tmp_path):
     assert [p.name for p in sorted(tmp_path.iterdir())] == ["ds.json", "rows.csv"]
     assert path.read_bytes() == (dataset_to_json(ds) + "\n").encode()
     assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n"
+
+
+def test_write_csv_writes_the_header_then_each_row(tmp_path):
+    """The one CSV writer of report.csv and eval.csv: csv.writer's quoting
+    and \\r\\n line ends, through atomic_open."""
+    path = tmp_path / "out.csv"
+    write_csv(str(path), ["a", "b"], iter([["1", "x,y"], ["nan", ""]]))
+    assert path.read_bytes() == b'a,b\r\n1,"x,y"\r\nnan,\r\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_gen_blobs_basic():

@@ -214,7 +214,10 @@ def test_ce_and_dlogits_loss_is_cross_entropy_bit_for_bit():
                         rng.standard_normal((10, 4)) - 1e3,
                         [[1e3, -1e3, 0.0, 1e3], [2.0, 2.0, 2.0, 2.0], [-1e3, -1e3, 1e3, 1e3]]])
     y = rng.integers(0, 4, size=len(logits))
-    per, dlogits = _ce_and_dlogits(logits, y, Workspace(init_params([1, 4], 0), len(logits)))
+    net = init_params([1, 4], 0)
+    ws = Workspace(net, len(logits))
+    ws.bind(net, y)
+    per, dlogits = _ce_and_dlogits(logits, y, ws)
     assert np.array_equal(per, cross_entropy(logits, y))
     np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
 
@@ -228,19 +231,17 @@ def _logits_with_ties(rng, m):
                       rng.standard_normal((4, m)) + 1e3, [[1e3] * (m - 1) + [-1e3]]])
 
 
-@pytest.mark.parametrize("bound", [False, True], ids=["fancy-index", "bound-labels"])
-@pytest.mark.parametrize("m", [2, 3, 10])
-def test_ce_and_dlogits_matches_cross_entropy_and_fancy_index_gradient(m, bound):
-    """The column-wise row max, and with bound labels the one-hot and flat
-    indices, give the values of a reduction max and fancy indexing bit for bit."""
+@pytest.mark.parametrize("m", [2, 3, 10], ids=lambda m: f"{m}-bound-labels")
+def test_ce_and_dlogits_matches_cross_entropy_and_fancy_index_gradient(m):
+    """The column-wise row max and the bound labels' one-hot and flat indices
+    give the values of a reduction max and fancy indexing bit for bit."""
     rng = np.random.default_rng(30 + m)
     logits = _logits_with_ties(rng, m)
     y = rng.integers(0, m, size=len(logits))
     y[-13:] = np.arange(13) % m  # every label on the tied rows
     net = init_params([1, m], 0)
     ws = Workspace(net, len(logits))
-    if bound:
-        ws.bind(net, y)
+    ws.bind(net, y)
     per, dlogits = _ce_and_dlogits(logits, y, ws)
     want_per, want_dlogits = alloc_ce_and_dlogits(logits, y)
     assert per.tobytes() == cross_entropy(logits, y).tobytes() == want_per.tobytes()
@@ -359,20 +360,28 @@ def test_loss_and_grads_in_a_reused_workspace_matches_allocating_version():
 
 
 def test_workspace_bound_to_one_net_serves_another_bit_for_bit():
-    """A workspace bound to net A and labels y computes from what it is given:
-    net B of the same shapes, or other labels, get their own values bit for
-    bit.  Binding a net of other shapes, or labels the net cannot output, raises."""
+    """A workspace bound to net A and labels y serves what a pass is given:
+    the pass binds it to net B of the same shapes, or to a new label array
+    with other values, and gets their own values bit for bit.  Binding a net
+    of other shapes, or labels the net cannot output, raises."""
     rng = np.random.default_rng(15)
     dims = [5, 7, 6, 3]
     a, b = random_net(rng, dims), random_net(rng, dims)
     X = rng.uniform(0, 1, size=(9, 5))
     y = rng.integers(0, 3, size=9)
+    other = (y + 1) % 3  # a new label array, every value changed
     ws = Workspace(a, 9)
     ws.bind(a, y)
-    for net, labels in ((a, y), (b, y), (a, y.copy()), (b, rng.integers(0, 3, size=9)), (a, y)):
+    for net, labels in ((a, y), (b, y), (a, y.copy()), (b, other), (a, other), (a, y)):
         assert forward_batch(net, X, ws)[2].tobytes() == alloc_forward(net, X)[2].tobytes()
+        assert ws.params is net
         got, want = input_gradient(net, X, labels, ws), alloc_input_gradient(net, X, labels)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert ws.params is net and ws.y is labels
+        value, g = loss_and_grads(net, X, labels, reduction="sum", ws=ws)
+        want_value, gw, gb = alloc_loss_and_grads(net, X, labels, 1.0)
+        assert value == want_value
+        assert [t.tobytes() for t in g.weights + g.biases] == [t.tobytes() for t in gw + gb]
     ws.bind(b, y)  # rebinding to another net retiles its biases
     for net in (b, a):
         assert forward_batch(net, X, ws)[2].tobytes() == alloc_forward(net, X)[2].tobytes()
@@ -386,6 +395,46 @@ def test_workspace_bound_to_one_net_serves_another_bit_for_bit():
         ws.bind(a, y.astype(np.float64))
     ws.bind(a, y.astype(np.uint64))
     assert input_gradient(a, X, ws.y, ws)[0].tobytes() == alloc_input_gradient(a, X, y)[0].tobytes()
+
+
+def test_in_place_weight_edit_of_a_bound_net_is_seen():
+    """``attack_swap`` exchanges weight entries of theta in place between
+    gradient refreshes: the next pass in a workspace bound to theta sees the
+    edited weights, bit for bit."""
+    rng = np.random.default_rng(17)
+    net = random_net(rng, [5, 7, 6, 3])
+    X = rng.uniform(0, 1, size=(9, 5))
+    y = rng.integers(0, 3, size=9)
+    ws = Workspace(net, 9)
+    loss_and_grads(net, X, y, reduction="sum", ws=ws)
+    for l, w in enumerate(net.weights):
+        flat = w.ravel()  # a view, as in attack_swap
+        flat[0], flat[-1] = flat[-1], flat[0]
+        w[l % w.shape[0]] *= -1.5
+        assert ws.params is net and ws.y is y
+        assert forward_batch(net, X, ws)[2].tobytes() == alloc_forward(net, X)[2].tobytes()
+        got, want = input_gradient(net, X, y, ws), alloc_input_gradient(net, X, y)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        value, g = loss_and_grads(net, X, y, reduction="sum", ws=ws)
+        want_value, gw, gb = alloc_loss_and_grads(net, X, y, 1.0)
+        assert value == want_value
+        assert [t.tobytes() for t in g.weights + g.biases] == [t.tobytes() for t in gw + gb]
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 0.5])
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "workspace"])
+def test_input_gradient_refuses_labels_the_net_cannot_output(bad, reuse):
+    """A label below 0, at m or not an integer is refused, never scored as
+    another class."""
+    rng = np.random.default_rng(18)
+    net = random_net(rng, [4, 5, 3])
+    X = rng.uniform(0, 1, size=(6, 4))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    ws = Workspace(net, 6) if reuse else None
+    if reuse:
+        input_gradient(net, X, y, ws)  # bound to good labels first
+    with pytest.raises(ValueError, match="integer labels in 0..2"):
+        input_gradient(net, X, np.where(np.arange(6) == 4, bad, y), ws)
 
 
 def test_forward_batch_without_workspace_returns_fresh_arrays():
