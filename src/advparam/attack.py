@@ -413,25 +413,26 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
     return [params.like(th.copy()) for th in theta.flat], traces
 
 
-def _untargeted(params: ModelParams, thetas: list[ModelParams], ds: LabeledDataset,
-                budgets: list[PerturbBudget], traces: list, cfg: AttackConfig,
-                extras: dict | None = None) -> list[AttackResult]:
-    """Rate each attacked net of ``thetas`` against ``params`` (``adversarial_rate``).
+def _rated(params: ModelParams, thetas: list[ModelParams], ds: LabeledDataset, cfg: AttackConfig,
+           kind: str | None = None, on: np.ndarray | None = None) -> list:
+    """(RateInputs, RateResult) of each attacked net of ``thetas`` against ``params``.
 
     The base net and every theta are scored on all of ds, at cfg's PGD
-    settings and seed, in one ``accuracies`` call on one stack, so each net
-    gets the bits it gets alone.
+    settings and seed, in one ``scored_rows`` call on one stack, so each net
+    gets the bits it gets alone.  Untargeted (``kind`` None): the means of
+    the flags over all rows, rated by ``adversarial_rate``.  Targeted: the
+    means over the target rows ``on``, the rest or all rows, rated by
+    ``targeted_rate(kind)``.
     """
-    from .metrics import RateInputs, accuracies, adversarial_rate
+    from .metrics import RateInputs, adversarial_rate, scored_rows, targeted_rate
 
-    acc, rob = accuracies(ModelParams.stack([params, *thetas]), ds, cfg.pgd, cfg.seed)
-    results = []
-    for k, (theta, budget, trace) in enumerate(zip(thetas, budgets, traces), 1):
-        ri = RateInputs(acc[0], rob[0], acc[k], rob[k])
-        rr = adversarial_rate(ri)
-        results.append(AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed,
-                                    {} if extras is None else extras))
-    return results
+    (base_c, *cs), (base_r, *rs) = scored_rows(ModelParams.stack([params, *thetas]), ds.X, ds.y, cfg.pgd, cfg.seed)
+    out = []
+    for c, r in zip(cs, rs):  # att_acc, att_rob and, targeted, att_aux
+        att = (c, r) if kind is None else (c, r[~on], r[on]) if kind == "label" else (c[~on], r[~on], c[on])
+        ri = RateInputs(*(flags.mean().item() for flags in (base_c, base_r, *att)))
+        out.append((ri, adversarial_rate(ri) if kind is None else targeted_rate(kind, ri)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,8 @@ def linf_attacks(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbB
     if not budgets:
         raise ValueError("no budgets to attack")
     thetas, traces = _descend(params, ds.X, ds.y, budgets, cfg, 1, cfg.n_pre, _robust_objective())
-    return _untargeted(params, thetas, ds, budgets, traces, cfg)
+    return [AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed)
+            for theta, budget, trace, (ri, rr) in zip(thetas, budgets, traces, _rated(params, thetas, ds, cfg))]
 
 
 def attack_linf(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
@@ -486,9 +488,8 @@ def perturb_random(params: ModelParams, budget: PerturbBudget, seed=0) -> ModelP
     """Budget-matched random perturbation (control for the guided attacks)."""
     rng = np.random.default_rng(seed)
     if budget.kind == "linf":
-        delta = budget.box(params)
-        theta = params.like(params.flat + rng.uniform(-1.0, 1.0, size=params.num_params) * delta.flat)
-        return proj_box(theta, params, delta)
+        # U in [-1, 1) and monotone rounding keep every entry inside the box: no projection
+        return params.like(params.flat + rng.uniform(-1.0, 1.0, size=params.num_params) * budget.box(params).flat)
     theta = params.copy()
     sel = _pick_matrices(rng, theta, budget)
     for l in sel:
@@ -567,9 +568,9 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
             else:
                 skipped += 1
 
-    extras = {"matrices": sel, "swaps": len(swap_log), "skipped_pairs": skipped,
-              "swap_log": swap_log}
-    return _untargeted(params, [theta], ds, [budget], [trace], cfg, extras)[0]
+    (ri, rr), = _rated(params, [theta], ds, cfg)
+    return AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed,
+                        {"matrices": sel, "swaps": len(swap_log), "skipped_pairs": skipped, "swap_log": swap_log})
 
 
 # ---------------------------------------------------------------------------
@@ -588,34 +589,32 @@ def target_rows(y: np.ndarray, target_label: int) -> np.ndarray:
 
 
 def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget: PerturbBudget,
-              cfg: AttackConfig, kind: str, ratio_terms) -> AttackResult:
-    """Phase-2 descent on a targeted ratio, then the targeted rate ``kind``.
+              cfg: AttackConfig, kind: str) -> AttackResult:
+    """Phase-2 descent on the targeted ratio of ``kind``, then ``targeted_rate(kind)``.
 
-    ``ratio_terms(theta, Xb, yb, on, adversary)`` returns what _ratio_grad
-    does for theta, a stack of one net, with ``on`` marking the minibatch's
-    target-label rows and ``adversary`` as in ``_descend``.  A minibatch
-    that is all on or all off the target is skipped.  The base net and the
-    attacked net are scored on all of ds, at cfg's PGD settings and seed, in
-    one ``scored_rows`` call on one stack; each rate input is the mean of
-    their flags on the target rows, on the rest or on all of ds.
+    label: [clean CE on all rows + robust CE off the target] / [robust CE on
+    the target].  direct: [robust + clean CE off the target] / [clean CE on
+    the target], with PGD on the off-target rows only.  A minibatch that is
+    all on or all off the target is skipped.  The rate is ``_rated``'s.
     """
     on = target_rows(ds.y, target_label)
+    spaces = {}
 
     def objective(theta, phase, Xb, yb, adversary):
         on_b = yb == target_label
         if on_b.all() or not on_b.any():
             return None
-        ratio, _, grad = ratio_terms(theta, Xb, yb, on_b, adversary)
+        off_b = ~on_b
+        if kind == "label":
+            Xadv = adversary()
+            terms = [(Xb, yb), (Xadv[..., off_b, :], yb[off_b])], (Xadv[..., on_b, :], yb[on_b])
+        else:
+            terms = [(adversary(off_b), yb[off_b]), (Xb[off_b], yb[off_b])], (Xb[on_b], yb[on_b])
+        ratio, _, grad = _ratio_grad(theta, *terms, spaces)
         return ratio, grad, {}
 
     (theta,), (trace,) = _descend(params, ds.X, ds.y, [budget], cfg, 3, 0, objective)
-
-    from .metrics import RateInputs, scored_rows, targeted_rate
-
-    (base_c, c), (base_r, r) = scored_rows(ModelParams.stack([params, theta]), ds.X, ds.y, cfg.pgd, cfg.seed)
-    att = (c, r[~on], r[on]) if kind == "label" else (c[~on], r[~on], c[on])  # att_acc, att_rob, att_aux
-    ri = RateInputs(*(flags.mean().item() for flags in (base_c, base_r, *att)))
-    rr = targeted_rate(kind, ri)
+    (ri, rr), = _rated(params, [theta], ds, cfg, kind, on)
     return AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed,
                         {"target_label": target_label, "kind": kind})
 
@@ -629,14 +628,7 @@ def attack_label(params: ModelParams, ds: LabeledDataset, target_label: int,
     accuracy, unchanged off-target robustness, and collapsed robustness on
     the target label.
     """
-    spaces = {}
-
-    def ratio_terms(theta, Xb, yb, on, adversary):
-        Xadv = adversary()
-        Xoff, Xon = Xadv[..., ~on, :], Xadv[..., on, :]
-        return _ratio_grad(theta, [(Xb, yb), (Xoff, yb[~on])], (Xon, yb[on]), spaces)
-
-    return _targeted(params, ds, target_label, budget, cfg, "label", ratio_terms)
+    return _targeted(params, ds, target_label, budget, cfg, "label")
 
 
 def attack_direct(params: ModelParams, ds: LabeledDataset, target_label: int,
@@ -646,14 +638,7 @@ def attack_direct(params: ModelParams, ds: LabeledDataset, target_label: int,
     Objective (minimized): [robust + clean loss off the target] / [clean CE
     on the target].  Drives the target's clean accuracy to zero.
     """
-    spaces = {}
-
-    def ratio_terms(theta, Xb, yb, on, adversary):
-        Xoff, yoff = Xb[~on], yb[~on]
-        Xadv = adversary(~on)
-        return _ratio_grad(theta, [(Xadv, yoff), (Xoff, yoff)], (Xb[on], yb[on]), spaces)
-
-    return _targeted(params, ds, target_label, budget, cfg, "direct", ratio_terms)
+    return _targeted(params, ds, target_label, budget, cfg, "direct")
 
 
 def check_classified(params: ModelParams, x: np.ndarray, label: int) -> None:

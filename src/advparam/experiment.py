@@ -194,14 +194,17 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
                    name: str = "experiment") -> ExperimentResult:
     """Run the sweep and write report.csv + summary.json to out_dir.
 
-    The inputs are checked by ``load_inputs``, and a budget that does not fit
-    the net (``PerturbBudget.check_fits``) raises ValueError, before out_dir is
-    created; out_dir is created before the sweep runs.  summary.json is strict JSON:
-    a nan (undefined rate, error row) or inf (every radius an inf sentinel)
-    column is written as null there, while report.csv keeps ``nan``/``inf``.
+    The inputs are checked by ``load_inputs``, and an empty sweep or a budget
+    that does not fit the net (``PerturbBudget.check_fits``) raises ValueError,
+    before out_dir is created; out_dir is created before the sweep runs.
+    summary.json is strict JSON: a nan (undefined rate, error row) or inf
+    (every radius an inf sentinel) column is written as null there, while
+    report.csv keeps ``nan``/``inf``.
     """
     cfg = cfg if cfg is not None else AttackConfig()
     params, ds = load_inputs(model_path, dataset_path)
+    if not budgets:
+        raise ValueError("attack sweep is empty")
     for budget in budgets:
         budget.check_fits(params)
     os.makedirs(out_dir, exist_ok=True)

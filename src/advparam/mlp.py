@@ -150,10 +150,9 @@ class Workspace:
     ``loss_and_grads`` on ``n_rows`` rows of a net with ``params``' layer widths.
 
     Per hidden layer one activation buffer (the pre-activation is computed in
-    place), one 0/1 mask and one backward output, a view into one of two flat
-    buffers the layers take in turn; the logits; the softmax / cross-entropy
-    scratch; the input gradient.  A pass in a workspace overwrites what the
-    previous pass in it returned.
+    place), one 0/1 mask and one backward output; the logits; the softmax /
+    cross-entropy scratch; the input gradient.  A pass in a workspace
+    overwrites what the previous pass in it returned.
 
     For a stack of K nets every buffer has a leading axis of K.
 
@@ -180,11 +179,7 @@ class Workspace:
         self.row_max = np.empty(lead + (n_rows, 1))
         self.row_sum = np.empty(lead + (n_rows, 1))
         self.ce = np.empty(lead + (n_rows,))
-        size = self.ce.size * max(hidden, default=0)
-        flat = (np.empty(size), np.empty(size))
-        # the backward pass runs from the last hidden layer down, alternating buffers
-        self.back = [flat[(len(hidden) - 1 - i) % 2][:self.ce.size * w].reshape(lead + (n_rows, w))
-                     for i, w in enumerate(hidden)]
+        self.back = [np.empty(lead + (n_rows, w)) for w in hidden]
         self.grad = np.empty(lead + (n_rows, dims[0]))
         self.params = self.y = self.grads = None
 
@@ -437,6 +432,8 @@ def init_params(dims: list[int], seed: int) -> ModelParams:
     """Fresh network with U[-1/sqrt(fan_in), 1/sqrt(fan_in)] weights and biases."""
     if len(dims) < 2:
         raise ValueError("dims needs at least input and output width")
+    if min(dims) < 1:
+        raise ValueError(f"layer width {min(dims)} in dims {list(dims)} is below 1")
     rng = np.random.default_rng(seed)
     ws, bs = [], []
     for n_in, n_out in zip(dims[:-1], dims[1:]):

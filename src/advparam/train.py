@@ -30,6 +30,8 @@ class TrainConfig:
     pgd: PgdConfig = field(default_factory=lambda: PgdConfig(eps=8.0 / 255.0, steps=10))
 
     def __post_init__(self):
+        if min(self.dims, default=1) < 1:
+            raise ValueError(f"layer width {min(self.dims)} in dims {self.dims} is below 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):

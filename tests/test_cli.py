@@ -19,6 +19,7 @@ from advparam.cli import _THEORY_OPS, build_parser, main
 from advparam.data import (LabeledDataset, dataset_from_json, dataset_to_json, gen_blobs, gen_subspace_task,
                            load_dataset, save_dataset)
 from advparam.experiment import SWEEP_COLUMNS, parse_report_csv
+from advparam.metrics import GAMMA_LOW
 from advparam.mlp import (ModelParams, init_params, load_model, max_abs_diff, model_from_json,
                           model_to_json, save_model)
 from advparam.train import TrainConfig, train
@@ -155,8 +156,9 @@ def test_nonpositive_batch_size_rejected(tmp_path, workdir, capsys, command, siz
     ("attack", ["--gamma", "inf"], "gamma"),
     ("report", ["--gammas", "0.02", "--swap-k", "9"], "k_matrices=9"),  # the net has 2 matrices
     ("report", ["--gammas", "0.02,1.7e308"], "gamma=1.7e+308"),  # finite gamma, overflowing box
+    ("report", ["--gammas", ""], "attack sweep is empty"),
 ], ids=["report-swap-fraction", "report-nan-gamma", "attack-inf-gamma", "report-swap-k-above-matrix-count",
-        "report-overflowing-box"])
+        "report-overflowing-box", "report-empty-sweep"])
 def test_bad_budget_rejected_before_any_output(tmp_path, workdir, capsys, command, flags, word):
     out = tmp_path / "out"
     rc = main([command, "--model", str(workdir / "model.json"),
@@ -321,6 +323,18 @@ def test_attack_status_line_with_zero_base_robustness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "attack linf gamma=0.05: rate nan [rate undefined]" in out
     assert "accuracy lost" not in out
+
+
+def test_attack_status_line_when_the_attack_costs_accuracy(tmp_path, workdir, capsys):
+    # a box of twice each weight and a unit step wreck the net's clean accuracy
+    rc = main(["attack", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+               "--gamma", "2", "--alpha", "1", "--n-pre", "5", "--n-main", "5", "--pgd-steps", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    with open(tmp_path / "attack_result.json") as f:
+        result = json.load(f)
+    assert result["failed"] is True and result["att_acc"] / result["base_acc"] < GAMMA_LOW
+    assert f"attack linf gamma=2: rate {result['rate']:.4f} [FAILED (accuracy lost)]" in capsys.readouterr().out
 
 
 def test_theory_bounds_commands(capsys):
@@ -800,7 +814,8 @@ _FUZZ_OPTIONS = {
                  "features": (["3", "-1"], []), "classes": (["2"], ["true"]),
                  "spread": (["0.05", "nan"], ["wide"]), "intrinsic-dim": (["2"], [""]),
                  "out": (["d.json", ""], []), "seed": (["3"], ["1e3"]), "adversarial": ([], ["true"])},
-    "train": {"epochs": (["1", "0"], ["2.5"]), "hidden": (["3", "3,2"], ["a"]), "lr": (["0.05"], ["fast"]),
+    "train": {"epochs": (["1", "0"], ["2.5"]), "hidden": (["3", "3,2", "0", "3,-1"], ["a"]),
+              "lr": (["0.05"], ["fast"]),
               "adversarial": (["true", "no"], ["maybe"]), "pgd-steps": (["1", "-1"], []),
               "batch-size": (["16", "0"], []), "model-out": (["m.json", ""], []), "seed": (["1"], ["x"]),
               "kind": ([], ["blobs"])},

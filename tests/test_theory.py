@@ -123,6 +123,18 @@ def test_partition_mitm_matches_doubling():
         assert np.all(mags[mask & (mags > 0)] >= k - 1e-12)
 
 
+def test_partition_greedy_move_restores_the_carrier_rule():
+    """Above 24 coordinates the greedy runs.  Largest-first puts 1 and 1.5e-16
+    in S, whose sum rounds up, leaving k = 2.2e-16 > 1.5e-16; one move fixes it."""
+    v = np.zeros(26)
+    v[:3] = [1.0, 1.0, 1.5e-16]
+    mask, k = balanced_partition(v)
+    assert 0.0 < k < (1.0 + 1.5e-16) - 1.0  # below the largest-first imbalance
+    assert np.all(np.abs(v[mask & (v != 0)]) >= k)
+    w = orthogonal_unit_vector(v)
+    assert w @ v == 0.0 and np.abs(w).max() == 1.0
+
+
 def test_partition_empty_rejected():
     with pytest.raises(ValueError):
         balanced_partition([])

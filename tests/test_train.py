@@ -9,7 +9,7 @@ from advparam import train as train_mod
 from advparam.attack import PgdConfig
 from advparam.data import gen_blobs
 from advparam.metrics import accuracy, adversarial_accuracy
-from advparam.mlp import loss_and_grads, max_abs_diff
+from advparam.mlp import init_params, loss_and_grads, max_abs_diff
 from advparam.train import TrainConfig, train
 
 
@@ -58,6 +58,11 @@ def test_train_validates_dims():
         train(TrainConfig(dims=[5, 8, 3], epochs=1), ds)  # wrong input width
     with pytest.raises(ValueError):
         train(TrainConfig(dims=[4, 8, 2], epochs=1), ds)  # too few classes
+    for dims in ([4, 0, 3], [4, -2, 3]):  # a width below 1
+        with pytest.raises(ValueError, match=f"layer width {dims[1]} in dims"):
+            train(TrainConfig(dims=dims, epochs=1), ds)
+        with pytest.raises(ValueError, match=f"layer width {dims[1]} in dims"):
+            init_params(dims, seed=0)
 
 
 @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
