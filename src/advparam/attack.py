@@ -56,8 +56,8 @@ class PgdConfig:
         return 2.5 * self.eps / max(1, self.steps)
 
 
-def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed,
-             best: bool = True, flips: bool = True, start: np.ndarray | None = None):
+def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed, best: bool = True,
+             flips: bool = True, start: np.ndarray | None = None, made: dict | None = None):
     """Batched PGD ascent on per-sample cross-entropy.
 
     Returns (X_best, flipped, ce_best): the highest-CE iterate per sample
@@ -70,28 +70,28 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
 
     The rows run in ``row_blocks``, one block after the other, each on a
     ``Workspace`` reused for every step and bound to the block's labels, so
-    the working set is one block's whatever N.  The first iterate is a
-    uniform random point of the eps-ball (clipped to [0,1]^n); each block
-    draws its own in turn from the run's one generator, which yields the
-    numbers of one draw for all rows, and every net of a stack starts from
-    it.  A warm run passes ``start`` instead, in the shape of X_best (one
-    point per row and per net of a stack): each net starts there, clipped to
-    the ball, and nothing is drawn.  Each point gets one forward pass: the
-    gradient pass at an iterate also yields its CE and prediction.  Only the
-    clean point and the last iterate are forward-only, so per block a run of
-    s >= 1 steps makes s ``input_gradient`` calls and s + 2 ``forward_batch``
-    calls.
+    the working set is one block's whatever N; a loop keeps them in ``made``
+    (see ``_block_workspaces``).  The first iterate is a uniform random point
+    of the eps-ball (clipped to [0,1]^n); each block draws its own in turn
+    from the run's one generator, which yields the numbers of one draw for
+    all rows, and every net of a stack starts from it.  A warm run passes
+    ``start`` instead, in the shape of X_best (one point per row and per net
+    of a stack): each net starts there, clipped to the ball, and the run
+    makes no generator.  Each point gets one forward pass: the gradient pass
+    at an iterate also yields its CE and prediction.  Only the clean point
+    and the last iterate are forward-only, so per block a run of s >= 1
+    steps makes s ``input_gradient`` calls and s + 2 ``forward_batch`` calls.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if start is None else None
     lead = params.stack_shape
     best_X = np.empty(lead + X.shape) if best else None
     if best:
         best_X[...] = X
     best_ce = np.empty(lead + y.shape) if best else None
     flipped = np.empty(lead + y.shape, dtype=bool) if flips else None
-    for blk, ws in _block_workspaces(params, len(X)):
+    for blk, ws in _block_workspaces(params, len(X), made):
         _pgd_block(params, X[blk], y[blk], cfg, rng, ws,
                    None if best_X is None else best_X[..., blk, :],
                    None if flipped is None else flipped[..., blk],
@@ -161,10 +161,10 @@ def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig
 
 
 def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0,
-                        start: np.ndarray | None = None) -> np.ndarray:
+                        start: np.ndarray | None = None, made: dict | None = None) -> np.ndarray:
     """Highest-CE PGD point for each sample (CE(x') >= CE(x) guaranteed),
-    from ``start`` when given (see ``_pgd_run``)."""
-    best_X, _, _ = _pgd_run(params, X, y, cfg, seed, flips=False, start=start)
+    from ``start`` when given, in the workspaces of ``made`` (see ``_pgd_run``)."""
+    best_X, _, _ = _pgd_run(params, X, y, cfg, seed, flips=False, start=start, made=made)
     return best_X
 
 
@@ -315,7 +315,7 @@ class _Carry:
     The descent moves theta by at most alpha per step, so the last
     iteration's points are nearly optimal for this one.  Which rows have been
     visited depends on no net, so each net of a stack still gets the bits of
-    a descent on it alone.
+    a descent on it alone.  Runs of one row count share ``spaces``.
     """
 
     def __init__(self, pgd: PgdConfig, shape: tuple):
@@ -323,14 +323,17 @@ class _Carry:
         self.cold, self.warm = pgd, PgdConfig(pgd.eps, min(pgd.steps, _WARM_STEPS))
         self.points = np.empty(shape)
         self.seen = np.zeros(shape[-2], dtype=bool)
+        self.spaces, self.n_rows = {}, None
 
     def adversary(self, theta: ModelParams, X, y, rows, seed, sel=slice(None)) -> np.ndarray:
         """``pgd_adversary_batch`` on rows ``sel`` of the minibatch (X, y) of
         dataset rows ``rows``, warm when they have all been visited."""
         X, y, rows = X[sel], y[sel], rows[sel]
+        if len(y) != self.n_rows:  # a new set, so subsets of varying size pile up no workspaces
+            self.spaces, self.n_rows = {}, len(y)
         warm = self.seen[rows].all()
         Xadv = pgd_adversary_batch(theta, X, y, self.warm if warm else self.cold, seed,
-                                   start=self.points[..., rows, :] if warm else None)
+                                   start=self.points[..., rows, :] if warm else None, made=self.spaces)
         self.points[..., rows, :] = Xadv
         self.seen[rows] = True
         return Xadv
@@ -541,7 +544,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
     rng = np.random.default_rng(cfg.seed)
     sel = _pick_matrices(rng, theta, budget)
     trace = []  # one entry per gradient
-    swap_log, spaces = [], {}
+    swap_log, spaces, made = [], {}, {}
     skipped = 0
 
     for l in sel:
@@ -551,7 +554,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
         for _slot in range(_pair_count(budget, W)):
             if stale:
                 Xb, yb, _ = _batch(rng, ds.X, ds.y, cfg.batch_size)
-                Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, seed=_iter_seed(cfg.seed, 2, len(trace)))
+                Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, _iter_seed(cfg.seed, 2, len(trace)), made=made)
                 ratio, _, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
                 gflat = g.weights[l].ravel()
                 stale = False

@@ -113,6 +113,14 @@ def _swap_budget(ns: argparse.Namespace, k: int) -> PerturbBudget:
     return PerturbBudget("swap", k_matrices=k, pair_fraction=ns.pair_fraction, pair_floor=ns.pair_floor)
 
 
+def _check_output(path: str, out_dir: str | None = None) -> str:
+    """path, refused before any work unless its directory exists or is out_dir, which the command makes."""
+    folder = os.path.normpath(os.path.dirname(path))
+    if not os.path.isdir(folder) and (out_dir is None or folder != os.path.normpath(out_dir)):
+        raise ValueError(f"cannot write {path!r}: no directory {folder!r}")
+    return path
+
+
 def _sample_index(ns: argparse.Namespace, ds: LabeledDataset) -> int:
     """The --index option, checked against the dataset (no negative wrap)."""
     if not 0 <= ns.index < len(ds):
@@ -146,19 +154,20 @@ def _theory_reads(op: str) -> set[str]:
 
 
 def _cmd_gen_data(ns: argparse.Namespace) -> int:
+    path = _check_output(os.path.join(ns.out_dir, ns.out if ns.out is not None else f"{ns.kind}.json"), ns.out_dir)
     if ns.kind == "blobs":
         ds = gen_blobs(ns.samples, ns.features, ns.classes, ns.seed, spread=ns.spread)
     else:
         dim = ns.intrinsic_dim if ns.intrinsic_dim is not None else max(1, ns.features // 2)
         ds = gen_subspace_task(ns.samples, ns.features, dim, ns.classes, ns.seed)
     os.makedirs(ns.out_dir, exist_ok=True)
-    path = os.path.join(ns.out_dir, ns.out if ns.out is not None else f"{ns.kind}.json")
     save_dataset(ds, path)
     print(f"wrote {path} ({len(ds)} samples, {ds.n_features} features, {ds.n_classes} classes)")
     return 0
 
 
 def _cmd_train(ns: argparse.Namespace) -> int:
+    model_path = _check_output(os.path.join(ns.out_dir, ns.model_out), ns.out_dir)
     ds = load_dataset(ns.data)
     cfg = TrainConfig(
         dims=[ds.n_features] + ns.hidden + [ds.n_classes],
@@ -168,7 +177,6 @@ def _cmd_train(ns: argparse.Namespace) -> int:
     )
     os.makedirs(ns.out_dir, exist_ok=True)
     res = train(cfg, ds)
-    model_path = os.path.join(ns.out_dir, ns.model_out)
     save_model(res.params, model_path)
     with atomic_open(os.path.join(ns.out_dir, "train_history.csv")) as f:
         f.write("epoch,loss,acc\n")
@@ -217,6 +225,7 @@ def _cmd_attack(ns: argparse.Namespace) -> int:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
+    _check_output(ns.csv or "")
     params, ds = load_inputs(ns.model, ns.data)
     rep = robustness_report(params, ds, PgdConfig(eps=ns.eps, steps=ns.pgd_steps), seed=ns.seed)
     print(rep.text_summary())
@@ -233,6 +242,7 @@ def _cmd_theory(ns: argparse.Namespace) -> int:
     for dest, default in ns.defaults.items():
         if dest not in reads and getattr(ns, dest) != default:
             raise ValueError(f"theory --op {ns.op} does not read --{dest.replace('_', '-')}")
+    _check_output(ns.save_model or "")
     values = dict(vars(ns))
     if "params" in reads:  # a construction; --index is 0 unless the op reads it
         if not (ns.model and ns.data):

@@ -39,8 +39,8 @@ INF_SENTINEL_TOL = 1e-12  # gradient-gap norms below this count as "no gradient"
 GAMMA_LOW = 0.9  # an attack keeping less than this share of clean accuracy has failed
 
 
-def accuracy(params: ModelParams, ds: LabeledDataset) -> float:
-    return float((classify_batch(params, ds.X) == ds.y).mean())
+def accuracy(params: ModelParams, ds: LabeledDataset, made: dict | None = None) -> float:
+    return float((classify_batch(params, ds.X, made) == ds.y).mean())
 
 
 def scored_rows(params: ModelParams, X: np.ndarray, y: np.ndarray, pgd: PgdConfig, seed=0):

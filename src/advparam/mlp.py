@@ -159,9 +159,10 @@ class Workspace:
     Every pass runs bound (``bind``) to the net and the labels it is given,
     and takes their constants from here: each bias tiled to its layer's
     (n_rows, width) shape, the one-hot of the labels and their flat indices
-    into the logits.  ``bind`` rebuilds them only for a new net or label
+    into the logits.  Every buffer, these included, is allocated once, here;
+    ``bind`` refills the constants in place, and only for a new net or label
     object, so a run of passes on one net and one set of labels (PGD on a
-    block of rows) builds them once.  The passes read a bound net's weights
+    block of rows) fills them once.  The passes read a bound net's weights
     from the net, so an in-place weight edit is seen; its biases and the
     bound labels must not be edited in place.
     """
@@ -181,6 +182,9 @@ class Workspace:
         self.ce = np.empty(lead + (n_rows,))
         self.back = [np.empty(lead + (n_rows, w)) for w in hidden]
         self.grad = np.empty(lead + (n_rows, dims[0]))
+        self.bias_rows = [np.empty(lead + (n_rows, w)) for w in dims[1:]]
+        self.row_starts = np.arange(0, self.logits.size, dims[-1]).reshape(self.ce.shape)
+        self.targets, self.onehot = np.empty_like(self.row_starts), np.zeros(self.logits.shape)
         self.params = self.y = self.grads = None
 
     def fits(self, params: ModelParams, n_rows: int) -> bool:
@@ -190,34 +194,35 @@ class Workspace:
 
     def bind(self, params: ModelParams | None = None, y: np.ndarray | None = None) -> None:
         """Bind the net ``params`` and the labels ``y``, whichever is given:
-        tile every bias to its layer's (n_rows, width) shape, so the bias add
-        is not a broadcast, and build the one-hot of y and y's flat indices
-        into the logits of every net.  Each is rebuilt only for a new object.
-        A net of other shapes, or labels other than n_rows integers that the
-        net can output, raise ValueError."""
+        copy every bias into its layer's (n_rows, width) tile, so the bias add
+        is not a broadcast, and write the one-hot of y and y's flat indices
+        into the logits of every net.  Each is refilled only for a new object,
+        in place.  A net of other shapes, or labels other than n_rows integers
+        that the net can output, raise ValueError."""
         if params is not None and params is not self.params:
             if not self.fits(params, self.n_rows):
                 raise ValueError(f"workspace of a {self.dims} net cannot bind a {params.dims} net")
-            self.bias_rows = [np.repeat(b[..., None, :], self.n_rows, axis=-2) for b in params.biases]
+            for tile, b in zip(self.bias_rows, params.biases):
+                np.copyto(tile, b[..., None, :])
             self.params = params
         if y is None or y is self.y:
             return
         m = self.dims[-1]
         if y.shape != (self.n_rows,) or y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= m:
             raise ValueError(f"expected {self.n_rows} integer labels in 0..{m - 1}")
-        row_starts = np.arange(0, self.logits.size, m).reshape(self.ce.shape)
-        self.targets = row_starts + y.astype(np.intp)
-        self.onehot = np.zeros(self.logits.shape)
+        np.add(self.row_starts, y, out=self.targets, casting="unsafe")  # exact: 0 <= y < m
+        self.onehot.fill(0.0)
         self.onehot.flat[self.targets] = 1.0
         self.y = y
 
 
-def _block_workspaces(params: ModelParams, n_rows: int):
-    """(row slice, workspace) for each of ``row_blocks(n_rows)``; blocks of one size share one ``Workspace``."""
-    made = {}
+def _block_workspaces(params: ModelParams, n_rows: int, made: dict | None = None):
+    """(row slice, workspace) for each of ``row_blocks(n_rows)``; blocks of one size share
+    ``made[size]`` when it fits, else a ``Workspace`` built and stored there."""
+    made = {} if made is None else made
     for blk in row_blocks(n_rows):
         size = blk.stop - blk.start
-        if size not in made:
+        if size not in made or not made[size].fits(params, size):
             made[size] = Workspace(params, size)
         yield blk, made[size]
 
@@ -270,12 +275,13 @@ def classify(params: ModelParams, x: np.ndarray) -> int:
     return int(np.argmax(logits[0]))
 
 
-def classify_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Predicted label of every row of X, ``row_blocks`` at a time; a stack
-    gives one row of labels per net."""
+def classify_batch(params: ModelParams, X: np.ndarray, made: dict | None = None) -> np.ndarray:
+    """Predicted label of every row of X, ``row_blocks`` at a time, in the
+    workspaces of ``made`` (see ``_block_workspaces``); a stack gives one row
+    of labels per net."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.empty(params.stack_shape + (len(X),), dtype=np.intp)
-    for blk, ws in _block_workspaces(params, len(X)):
+    for blk, ws in _block_workspaces(params, len(X), made):
         np.argmax(forward_batch(params, X[blk], ws)[2], axis=-1, out=labels[..., blk])
     return labels
 

@@ -48,7 +48,8 @@ class TrainResult:
 
 def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
     """Train a fresh net on ds; deterministic for a fixed config.  Each batch
-    size (the last batch may be short) keeps one ``Workspace`` for its steps."""
+    size (the last batch may be short) keeps one ``Workspace`` for PGD and the
+    gradient pass of its steps; each epoch's accuracy keeps its own there too."""
     ds.check_model(cfg.dims[0], cfg.dims[-1])
     params = init_params(cfg.dims, seed=cfg.seed)
     shuffle_rng = np.random.default_rng((cfg.seed, 1))
@@ -65,7 +66,7 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
             idx = order[start : start + cfg.batch_size]
             Xb, yb = ds.X[idx], ds.y[idx]
             if cfg.adversarial:
-                Xb = pgd_adversary_batch(params, Xb, yb, cfg.pgd, seed=(cfg.seed, 2, step_idx))
+                Xb = pgd_adversary_batch(params, Xb, yb, cfg.pgd, seed=(cfg.seed, 2, step_idx), made=spaces)
             if len(idx) not in spaces:
                 spaces[len(idx)] = Workspace(params, len(idx))
             val, g = loss_and_grads(params, Xb, yb, reduction="mean", ws=spaces[len(idx)])
@@ -74,5 +75,5 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
             epoch_loss += val * len(idx)
             step_idx += 1
         lr *= cfg.lr_decay
-        history.append({"epoch": epoch, "loss": epoch_loss / n, "acc": accuracy(params, ds)})
+        history.append({"epoch": epoch, "loss": epoch_loss / n, "acc": accuracy(params, ds, spaces)})
     return TrainResult(params=params, history=history)

@@ -237,6 +237,85 @@ def test_pgd_builds_one_workspace_per_block_size(monkeypatch, n, sizes):
     assert len(grads) == 3 * len(mlp.row_blocks(n)) and all(isinstance(ws, Counted) for ws in grads)
 
 
+def _count_pgd_workspaces(monkeypatch):
+    """(built, used): the (stack shape, rows) of every ``mlp.Workspace`` made,
+    and the workspace of every PGD gradient pass."""
+    built, used = [], []
+
+    class Counted(mlp.Workspace):
+        def __init__(self, params, n_rows):
+            built.append((params.stack_shape, n_rows))
+            super().__init__(params, n_rows)
+
+    def grad(params, X, y, ws=None):
+        used.append(ws)
+        return input_gradient(params, X, y, ws)
+
+    monkeypatch.setattr(mlp, "Workspace", Counted)
+    monkeypatch.setattr(attack, "input_gradient", grad)
+    return built, used
+
+
+@pytest.mark.parametrize("n,sizes", [(30, [30]), (1025, [512, 513])])
+def test_full_batch_descent_keeps_one_pgd_workspace_per_block_size(monkeypatch, n, sizes):
+    """Every PGD run of a full-batch lockstep descent, cold or warm, runs in
+    the workspaces its carry made for the first one: one per block size."""
+    rng = np.random.default_rng(23)
+    p = random_net(rng, [4, 6, 3])
+    ds = LabeledDataset(rng.uniform(0, 1, size=(n, 4)), rng.integers(0, 3, size=n))
+    cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=6), n_pre=2, n_main=3, alpha=0.05)
+    built, used = _count_pgd_workspaces(monkeypatch)
+    linf_attacks(p, ds, [PerturbBudget("linf", gamma=g) for g in (0.05, 0.1)], cfg)
+    descent = [ws for ws in used if ws.stack_shape == (2,)]  # the scorer's stack holds 3 nets
+    steps = 6 + attack._WARM_STEPS * (cfg.n_pre + cfg.n_main - 1)
+    assert len(descent) == steps * len(sizes)
+    assert sorted(ws.n_rows for ws in {id(ws): ws for ws in descent}.values()) == sizes
+    assert sorted(rows for shape, rows in built if shape == (2,)) == sizes
+
+
+def test_swap_refreshes_keep_one_pgd_workspace(monkeypatch):
+    """Every gradient refresh of the swap attack runs its cold PGD in one workspace."""
+    rng = np.random.default_rng(24)
+    p = random_net(rng, [4, 6, 3])
+    ds = LabeledDataset(rng.uniform(0, 1, size=(30, 4)), rng.integers(0, 3, size=30))
+    cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=4), n_pre=0, n_main=0, seed=1)
+    built, used = _count_pgd_workspaces(monkeypatch)
+    res = attack_swap(p, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=4), cfg)
+    refreshes = [ws for ws in used if ws.stack_shape == ()]  # the scorer's stack holds 2 nets
+    assert len(res.trace) > 1 and len(refreshes) == 4 * len(res.trace)
+    assert all(ws is refreshes[0] for ws in refreshes)
+    assert built.count(((), 30)) == 1
+
+
+def test_carry_keeps_the_workspaces_of_one_row_count():
+    """Runs of one row count share workspaces; a run of another count starts
+    a new set, so a minibatch descent whose subsets vary in size (the direct
+    attack's off-target rows) keeps one run's workspaces, not one per size."""
+    rng = np.random.default_rng(26)
+    p = random_net(rng, [4, 6, 3])
+    X, y, rows = rng.uniform(0, 1, size=(8, 4)), rng.integers(0, 3, size=8), np.arange(8)
+    carry = attack._Carry(PgdConfig(eps=0.1, steps=3), X.shape)
+    carry.adversary(p, X, y, rows, 1, sel=slice(0, 5))
+    kept = carry.spaces[5]
+    carry.adversary(p, X, y, rows, 2, sel=slice(3, 8))
+    assert list(carry.spaces) == [5] and carry.spaces[5] is kept
+    carry.adversary(p, X, y, rows, 3, sel=slice(0, 3))
+    assert list(carry.spaces) == [3]
+
+
+def test_warm_pgd_run_makes_no_generator(monkeypatch):
+    """A warm run draws nothing, so it makes no generator; a cold run makes one from its seed."""
+    rng = np.random.default_rng(25)
+    p = random_net(rng, [4, 6, 3])
+    X, y = rng.uniform(0, 1, size=(7, 4)), rng.integers(0, 3, size=7)
+    made, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or real(*a))
+    pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=3), seed=3, start=X)
+    assert made == []
+    pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=3), seed=3)
+    assert made == [(3,)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 160, 1025])
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("dims", [[4, 6, 5, 2], [8, 24, 24, 3], [5, 10], [3, 7, 10]])

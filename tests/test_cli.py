@@ -2,6 +2,8 @@
 
 import argparse
 import copy
+import functools
+import importlib
 import inspect
 import json
 import math
@@ -805,6 +807,36 @@ def test_unwritable_output_names_the_target_not_the_temp_file(tmp_path, workdir,
     err = _one_error_line(capsys)
     assert repr(target) in err and ".tmp" not in err
     assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, work", [("eval", "advparam.cli.robustness_report"),
+                                           ("train", "advparam.cli.train"),
+                                           ("gen-data", "advparam.cli.gen_blobs"),
+                                           ("theory", "advparam.theory.surgery_single_point")])
+def test_output_in_a_missing_directory_refused_before_any_work(tmp_path, workdir, construction_files, capsys,
+                                                              monkeypatch, command, work):
+    """A file named into a directory that does not exist, and that the command
+    does not make, is refused with one error line before any work, and no
+    --out-dir is made."""
+    module, name = work.rsplit(".", 1)
+
+    @functools.wraps(getattr(importlib.import_module(module), name))  # theory reads its signature
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(work, no_work)
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    model, data = str(workdir / "model.json"), str(workdir / "data.json")
+    argv = {"eval": ["eval", "--model", model, "--data", data, "--csv", str(missing / "e.csv")],
+            "train": ["train", "--data", data, "--model-out", os.path.join("sub", "m.json")],
+            "gen-data": ["gen-data", "--out", os.path.join("sub", "d.json")],
+            "theory": ["theory", "--op", "surgery-point", "--model", str(construction_files / "net.json"),
+                       "--data", str(construction_files / "ds.json"), "--save-model", str(missing / "m.json")],
+            }[command]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = _one_error_line(capsys)
+    assert "cannot write" in err and ("missing" in err or "sub" in err)
+    assert not out.exists() and not missing.exists()
 
 
 # per command: option -> (values that parse, values its type or choices refuse);

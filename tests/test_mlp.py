@@ -1,6 +1,7 @@
 """Core network tests: forward semantics, gradients vs finite differences, files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,46 @@ def test_workspace_bound_to_one_net_serves_another_bit_for_bit():
         ws.bind(a, y.astype(np.float64))
     ws.bind(a, y.astype(np.uint64))
     assert input_gradient(a, X, ws.y, ws)[0].tobytes() == alloc_input_gradient(a, X, y)[0].tobytes()
+
+
+def _buffers(ws: Workspace) -> list:
+    """Every array a workspace holds, its gradient set's ``flat`` included, but
+    not the bound labels, which are the caller's."""
+    arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray) and v is not ws.y]
+    arrays += [a for v in vars(ws).values() if isinstance(v, list) for a in v if isinstance(a, np.ndarray)]
+    return arrays + [ws.grads.flat]
+
+
+def test_bind_and_pass_allocate_no_buffer():
+    """Every buffer is allocated when the workspace is made: binding a new net
+    and new labels refills the bias tiles, the one-hot and the label indices in
+    place, and a bind plus a pass allocates nothing the size of a buffer.
+    numpy's own ufunc buffers (``np.getbufsize()`` elements, 64 KB) stay below
+    the bound, which is half the smallest buffer ``bind`` fills."""
+    rng = np.random.default_rng(21)
+    dims, n = [4, 64, 64, 32], 2000
+    a, b = random_net(rng, dims), random_net(rng, dims)
+    X = rng.uniform(0, 1, size=(n, 4))
+    y, other = rng.integers(0, 32, size=n), rng.integers(0, 32, size=n)
+    ws = Workspace(a, n)
+    loss_and_grads(a, X, y, ws=ws)  # the first loss pass makes the gradient set
+    before = _buffers(ws)
+    bound = min(t.nbytes for t in [*ws.bias_rows, ws.onehot]) // 2
+    tracemalloc.start()
+    try:
+        for net, labels in ((b, other), (a, y), (b, y)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            ws.bind(net, labels)
+            value, g = loss_and_grads(net, X, labels, reduction="sum", ws=ws)
+            assert tracemalloc.get_traced_memory()[1] - start < bound
+            after = _buffers(ws)
+            assert len(after) == len(before) and all(x is z for x, z in zip(after, before))
+            want_value, gw, gb = alloc_loss_and_grads(net, X, labels, 1.0)
+            assert value == want_value
+            assert [t.tobytes() for t in g.weights + g.biases] == [t.tobytes() for t in gw + gb]
+    finally:
+        tracemalloc.stop()
 
 
 def test_in_place_weight_edit_of_a_bound_net_is_seen():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from advparam import attack, mlp
 from advparam import train as train_mod
 from advparam.attack import PgdConfig
 from advparam.data import gen_blobs
@@ -50,6 +51,45 @@ def test_train_keeps_one_workspace_per_batch_size(monkeypatch):
     monkeypatch.setattr(train_mod, "loss_and_grads",
                         lambda params, X, y, reduction, ws: loss_and_grads(params, X, y, reduction))
     assert train(cfg, ds).params.flat.tobytes() == reused.flat.tobytes()
+
+
+def test_adversarial_train_shares_one_workspace_per_batch_size(monkeypatch):
+    """PGD and the gradient pass of a step run in one workspace per batch size
+    (16 and 8), and the epoch accuracy keeps one for ds (40 rows); the net and
+    its history are bit for bit those from fresh workspaces."""
+    ds = gen_blobs(40, 4, 2, seed=1)
+    cfg = TrainConfig(dims=[4, 8, 2], epochs=3, lr=0.1, batch_size=16, seed=3, adversarial=True,
+                      pgd=PgdConfig(eps=0.1, steps=3))
+    built, pgd_spaces, loss_spaces = [], set(), set()
+
+    class Counted(mlp.Workspace):
+        def __init__(self, params, n_rows):
+            built.append(n_rows)
+            super().__init__(params, n_rows)
+
+    def grad(params, X, y, ws):
+        pgd_spaces.add(ws)
+        return mlp.input_gradient(params, X, y, ws)
+
+    def loss(params, X, y, reduction, ws):
+        loss_spaces.add(ws)
+        return loss_and_grads(params, X, y, reduction, ws)
+
+    monkeypatch.setattr(mlp, "Workspace", Counted)
+    monkeypatch.setattr(train_mod, "Workspace", Counted)
+    monkeypatch.setattr(attack, "input_gradient", grad)
+    monkeypatch.setattr(train_mod, "loss_and_grads", loss)
+    kept = train(cfg, ds)
+    assert sorted(built) == [8, 16, 40]
+    assert pgd_spaces == loss_spaces and sorted(ws.n_rows for ws in loss_spaces) == [8, 16]
+
+    monkeypatch.setattr(train_mod, "pgd_adversary_batch",
+                        lambda params, X, y, pgd, seed, made: attack.pgd_adversary_batch(params, X, y, pgd, seed))
+    monkeypatch.setattr(train_mod, "loss_and_grads",
+                        lambda params, X, y, reduction, ws: loss_and_grads(params, X, y, reduction))
+    monkeypatch.setattr(train_mod, "accuracy", lambda params, ds, made: accuracy(params, ds))
+    fresh = train(cfg, ds)
+    assert fresh.params.flat.tobytes() == kept.params.flat.tobytes() and fresh.history == kept.history
 
 
 def test_train_validates_dims():
