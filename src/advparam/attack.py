@@ -27,6 +27,7 @@ from .mlp import (
     Workspace,
     _block_workspaces,
     _ce_and_dlogits,
+    _workspace,
     add_scaled,
     classify,
     forward_batch,
@@ -339,25 +340,17 @@ class _Carry:
         return Xadv
 
 
-def _loss_grads(spaces: dict, i: int, theta: ModelParams, X, y, reduction: str):
-    """``loss_and_grads`` in spaces[i], a workspace kept by the caller; made,
-    or made again, when theta's shape or X's row count no longer fit it."""
-    ws = spaces.get(i)
-    if ws is None or not ws.fits(theta, np.shape(X)[-2]):
-        ws = spaces[i] = Workspace(theta, np.shape(X)[-2])
-    return loss_and_grads(theta, X, y, reduction=reduction, ws=ws)
-
-
 def _ratio_grad(theta: ModelParams, num_terms, den_term, spaces: dict):
     """Ratio of summed cross-entropies and its quotient-rule gradient.
 
     The numerator is the CE sum over each (X, y) of ``num_terms``, added in
     order; the denominator is the CE sum over the (X, y) ``den_term``, floored
     at _DENOM_FLOOR.  Returns (ratio, unfloored denominator, gradient), one
-    ratio and denominator per net of a stack.  Term i runs in ``spaces[i]``
-    (see ``_loss_grads``).
+    ratio and denominator per net of a stack.  Term i runs in
+    ``_workspace(spaces, i, ...)``.
     """
-    terms = [_loss_grads(spaces, i, theta, X, y, "sum") for i, (X, y) in enumerate([*num_terms, den_term])]
+    terms = [loss_and_grads(theta, X, y, "sum", _workspace(spaces, i, theta, len(y)))
+             for i, (X, y) in enumerate([*num_terms, den_term])]
     (den_raw, g_den), terms = terms[-1], terms[:-1]
     num = sum(v for v, _ in terms)
     g_num = functools.reduce(add_scaled, [g for _, g in terms])
@@ -374,7 +367,8 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
 
     Runs n_pre phase-1 and then cfg.n_main phase-2 iterations.  Iteration
     ``it`` draws a minibatch of (X, y) from one default_rng(cfg.seed) and
-    calls ``objective(theta, phase, Xb, yb, adversary)`` on the stack.
+    calls ``objective(theta, phase, Xb, yb, adversary, spaces)`` on the
+    stack, with the run's one dict of loss workspaces (see ``_ratio_grad``).
     ``adversary(sel)`` gives theta's PGD points on the minibatch rows ``sel``
     (all by default) from one ``_Carry`` at cfg.pgd, with the PGD seed
     ``_iter_seed(cfg.seed, tag, it)``: cold while a row has not been visited,
@@ -396,12 +390,12 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
     alpha = cfg.alpha
     decay_every = max(1, cfg.n_main // 4)
     traces = [[] for _ in budgets]
-    carry = _Carry(cfg.pgd, theta.stack_shape + np.shape(X))
+    carry, spaces = _Carry(cfg.pgd, theta.stack_shape + np.shape(X)), {}
     for it in range(n_pre + cfg.n_main):
         phase = 1 if it < n_pre else 2
         Xb, yb, rows = _batch(rng, X, y, cfg.batch_size)
         adversary = functools.partial(carry.adversary, theta, Xb, yb, rows, _iter_seed(cfg.seed, tag, it))
-        out = objective(theta, phase, Xb, yb, adversary)
+        out = objective(theta, phase, Xb, yb, adversary, spaces)
         if out is None:
             for trace in traces:
                 trace.append({"iter": it, "phase": phase, "objective": float("nan")})
@@ -442,23 +436,18 @@ def _rated(params: ModelParams, thetas: list[ModelParams], ds: LabeledDataset, c
 # untargeted gradient attack (elementwise box)
 
 
-def _robust_objective():
+def _robust_objective(theta, phase, Xb, yb, adversary, spaces):
     """The two-phase objective on a minibatch and its PGD points.
 
     Phase 1: minus the mean robust loss.  Phase 2: clean CE sum / robust CE
     sum.  Both record the mean robust loss in the trace.
     """
-    spaces = {}
-
-    def objective(theta, phase, Xb, yb, adversary):
-        Xadv = adversary()
-        if phase == 1:
-            adv_mean, g = _loss_grads(spaces, 0, theta, Xadv, yb, "mean")
-            return -adv_mean, g.like(-g.flat), {"robust_loss": adv_mean}
-        ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
-        return ratio, g, {"robust_loss": den / len(yb)}
-
-    return objective
+    Xadv = adversary()
+    if phase == 1:
+        adv_mean, g = loss_and_grads(theta, Xadv, yb, "mean", _workspace(spaces, 0, theta, len(yb)))
+        return -adv_mean, g.like(-g.flat), {"robust_loss": adv_mean}
+    ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
+    return ratio, g, {"robust_loss": den / len(yb)}
 
 
 def linf_attacks(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudget],
@@ -476,7 +465,7 @@ def linf_attacks(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbB
     """
     if not budgets:
         raise ValueError("no budgets to attack")
-    thetas, traces = _descend(params, ds.X, ds.y, budgets, cfg, 1, cfg.n_pre, _robust_objective())
+    thetas, traces = _descend(params, ds.X, ds.y, budgets, cfg, 1, cfg.n_pre, _robust_objective)
     return [AttackResult(theta, budget.describe(), trace, ri, rr.value, rr.failed)
             for theta, budget, trace, (ri, rr) in zip(thetas, budgets, traces, _rated(params, thetas, ds, cfg))]
 
@@ -601,9 +590,8 @@ def _targeted(params: ModelParams, ds: LabeledDataset, target_label: int, budget
     all on or all off the target is skipped.  The rate is ``_rated``'s.
     """
     on = target_rows(ds.y, target_label)
-    spaces = {}
 
-    def objective(theta, phase, Xb, yb, adversary):
+    def objective(theta, phase, Xb, yb, adversary, spaces):
         on_b = yb == target_label
         if on_b.all() or not on_b.any():
             return None
@@ -662,7 +650,7 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     x = np.asarray(x, dtype=np.float64)
     check_classified(params, x, label)
     X1, y1 = x[None, :], np.array([label])
-    (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective())
+    (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective)
 
     from .metrics import RateInputs, approx_radius, scored_rows, targeted_rate
 

@@ -7,7 +7,8 @@ subcommand.  A config file is a flat list of `key = value` lines: each key is
 a long option of the active subcommand, its value is parsed like the flag's
 argument, and explicit flags win.  Each ``theory --op`` reads the options named
 by its function's parameters (a construction also --model, --data, --save-model
-and, for an x0, --index) and refuses any other that differs from its default.
+and, for an x0, --index).  theory, gen-data and train refuse an option they do
+not read (``_refuse_unread``) set to other than its default.
 """
 
 from __future__ import annotations
@@ -121,6 +122,13 @@ def _check_output(path: str, out_dir: str | None = None) -> str:
     return path
 
 
+def _refuse_unread(ns: argparse.Namespace, what: str, unread: set[str]) -> None:
+    """Refuse the first option of ``unread`` (dests) that differs from its declared default."""
+    for dest, default in ns.defaults.items():
+        if dest in unread and getattr(ns, dest) != default:
+            raise ValueError(f"{what} does not read --{dest.replace('_', '-')}")
+
+
 def _sample_index(ns: argparse.Namespace, ds: LabeledDataset) -> int:
     """The --index option, checked against the dataset (no negative wrap)."""
     if not 0 <= ns.index < len(ds):
@@ -154,6 +162,7 @@ def _theory_reads(op: str) -> set[str]:
 
 
 def _cmd_gen_data(ns: argparse.Namespace) -> int:
+    _refuse_unread(ns, f"gen-data --kind {ns.kind}", {"intrinsic_dim"} if ns.kind == "blobs" else {"spread"})
     path = _check_output(os.path.join(ns.out_dir, ns.out if ns.out is not None else f"{ns.kind}.json"), ns.out_dir)
     if ns.kind == "blobs":
         ds = gen_blobs(ns.samples, ns.features, ns.classes, ns.seed, spread=ns.spread)
@@ -167,6 +176,7 @@ def _cmd_gen_data(ns: argparse.Namespace) -> int:
 
 
 def _cmd_train(ns: argparse.Namespace) -> int:
+    _refuse_unread(ns, "train without --adversarial", set() if ns.adversarial else {"eps", "pgd_steps"})
     model_path = _check_output(os.path.join(ns.out_dir, ns.model_out), ns.out_dir)
     ds = load_dataset(ns.data)
     cfg = TrainConfig(
@@ -239,9 +249,7 @@ def _cmd_theory(ns: argparse.Namespace) -> int:
     func_name, line = _THEORY_OPS[ns.op]
     func = getattr(theory, func_name)
     reads = _theory_reads(ns.op) | {"op"}
-    for dest, default in ns.defaults.items():
-        if dest not in reads and getattr(ns, dest) != default:
-            raise ValueError(f"theory --op {ns.op} does not read --{dest.replace('_', '-')}")
+    _refuse_unread(ns, f"theory --op {ns.op}", set(ns.defaults) - reads)
     _check_output(ns.save_model or "")
     values = dict(vars(ns))
     if "params" in reads:  # a construction; --index is 0 unless the op reads it

@@ -51,8 +51,8 @@ class LabeledDataset:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
         if self.y.shape != (self.X.shape[0],):
             raise ValueError(f"y shape {self.y.shape} does not match {self.X.shape[0]} samples")
-        if self.X.shape[0] == 0:
-            raise ValueError("empty dataset")
+        if 0 in self.X.shape:
+            raise ValueError(f"empty dataset: X has shape {self.X.shape}")
         if not np.isfinite(self.X).all():
             raise ValueError("non-finite features")
         if self.X.min() < 0.0 or self.X.max() > 1.0:
@@ -91,8 +91,8 @@ def gen_blobs(
     Class centers are kept at least 5*spread apart in L2 so the task is
     cleanly separable at the default spread.
     """
-    if n_samples < n_classes or n_classes < 2:
-        raise ValueError("need n_samples >= n_classes >= 2")
+    if n_samples < n_classes or n_classes < 2 or n_features < 1:
+        raise ValueError("need n_samples >= n_classes >= 2 and n_features >= 1")
     rng = np.random.default_rng(seed)
     min_dist = 5.0 * spread
     for _ in range(200):

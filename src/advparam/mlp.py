@@ -216,15 +216,20 @@ class Workspace:
         self.y = y
 
 
+def _workspace(made: dict, key, params: ModelParams, n_rows: int) -> Workspace:
+    """``made[key]``, a workspace a loop keeps, while it fits n_rows rows of
+    params; else a ``Workspace`` built for them and stored there."""
+    if key not in made or not made[key].fits(params, n_rows):
+        made[key] = Workspace(params, n_rows)
+    return made[key]
+
+
 def _block_workspaces(params: ModelParams, n_rows: int, made: dict | None = None):
-    """(row slice, workspace) for each of ``row_blocks(n_rows)``; blocks of one size share
-    ``made[size]`` when it fits, else a ``Workspace`` built and stored there."""
+    """(row slice, workspace) for each of ``row_blocks(n_rows)``; blocks of one
+    size share ``_workspace(made, size, ...)``."""
     made = {} if made is None else made
     for blk in row_blocks(n_rows):
-        size = blk.stop - blk.start
-        if size not in made or not made[size].fits(params, size):
-            made[size] = Workspace(params, size)
-        yield blk, made[size]
+        yield blk, _workspace(made, blk.stop - blk.start, params, blk.stop - blk.start)
 
 
 def forward_batch(params: ModelParams, X: np.ndarray,

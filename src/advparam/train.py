@@ -10,7 +10,7 @@ import numpy as np
 from .attack import PgdConfig, pgd_adversary_batch
 from .data import LabeledDataset
 from .metrics import accuracy
-from .mlp import ModelParams, Workspace, init_params, loss_and_grads
+from .mlp import ModelParams, _workspace, init_params, loss_and_grads
 
 
 @dataclass
@@ -67,9 +67,7 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
             Xb, yb = ds.X[idx], ds.y[idx]
             if cfg.adversarial:
                 Xb = pgd_adversary_batch(params, Xb, yb, cfg.pgd, seed=(cfg.seed, 2, step_idx), made=spaces)
-            if len(idx) not in spaces:
-                spaces[len(idx)] = Workspace(params, len(idx))
-            val, g = loss_and_grads(params, Xb, yb, reduction="mean", ws=spaces[len(idx)])
+            val, g = loss_and_grads(params, Xb, yb, reduction="mean", ws=_workspace(spaces, len(idx), params, len(idx)))
             velocity = cfg.momentum * velocity - lr * g.flat
             params = params.like(params.flat + velocity)
             epoch_loss += val * len(idx)

@@ -30,6 +30,7 @@ from advparam.mlp import (
     classify,
     forward_batch,
     input_gradient,
+    loss_and_grads,
     max_abs_diff,
 )
 from advparam.train import TrainConfig, train
@@ -237,23 +238,32 @@ def test_pgd_builds_one_workspace_per_block_size(monkeypatch, n, sizes):
     assert len(grads) == 3 * len(mlp.row_blocks(n)) and all(isinstance(ws, Counted) for ws in grads)
 
 
-def _count_pgd_workspaces(monkeypatch):
-    """(built, used): the (stack shape, rows) of every ``mlp.Workspace`` made,
-    and the workspace of every PGD gradient pass."""
-    built, used = [], []
+def _count_workspaces(monkeypatch):
+    """(built, pgd, loss): every ``mlp.Workspace`` made, the workspace of every
+    PGD gradient pass and that of every ``loss_and_grads`` of an attack."""
+    built, pgd, loss = [], [], []
 
     class Counted(mlp.Workspace):
         def __init__(self, params, n_rows):
-            built.append((params.stack_shape, n_rows))
+            built.append(self)
             super().__init__(params, n_rows)
 
     def grad(params, X, y, ws=None):
-        used.append(ws)
+        pgd.append(ws)
         return input_gradient(params, X, y, ws)
+
+    def loss_grads(params, X, y, reduction="mean", ws=None):
+        loss.append(ws)
+        return loss_and_grads(params, X, y, reduction, ws)
 
     monkeypatch.setattr(mlp, "Workspace", Counted)
     monkeypatch.setattr(attack, "input_gradient", grad)
-    return built, used
+    monkeypatch.setattr(attack, "loss_and_grads", loss_grads)
+    return built, pgd, loss
+
+
+def _distinct(spaces: list) -> list:
+    return list({id(ws): ws for ws in spaces}.values())
 
 
 @pytest.mark.parametrize("n,sizes", [(30, [30]), (1025, [512, 513])])
@@ -264,13 +274,31 @@ def test_full_batch_descent_keeps_one_pgd_workspace_per_block_size(monkeypatch, 
     p = random_net(rng, [4, 6, 3])
     ds = LabeledDataset(rng.uniform(0, 1, size=(n, 4)), rng.integers(0, 3, size=n))
     cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=6), n_pre=2, n_main=3, alpha=0.05)
-    built, used = _count_pgd_workspaces(monkeypatch)
+    built, pgd, loss = _count_workspaces(monkeypatch)
     linf_attacks(p, ds, [PerturbBudget("linf", gamma=g) for g in (0.05, 0.1)], cfg)
-    descent = [ws for ws in used if ws.stack_shape == (2,)]  # the scorer's stack holds 3 nets
+    descent = [ws for ws in pgd if ws.stack_shape == (2,)]  # the scorer's stack holds 3 nets
     steps = 6 + attack._WARM_STEPS * (cfg.n_pre + cfg.n_main - 1)
     assert len(descent) == steps * len(sizes)
-    assert sorted(ws.n_rows for ws in {id(ws): ws for ws in descent}.values()) == sizes
-    assert sorted(rows for shape, rows in built if shape == (2,)) == sizes
+    assert sorted(ws.n_rows for ws in _distinct(descent)) == sizes
+    loss_ids = {id(ws) for ws in loss}
+    assert sorted(ws.n_rows for ws in built if ws.stack_shape == (2,) and id(ws) not in loss_ids) == sizes
+
+
+@pytest.mark.parametrize("n", [30, 1025])
+def test_full_batch_descent_keeps_one_loss_workspace_per_ratio_term(monkeypatch, n):
+    """A full-batch descent builds one loss workspace per term of the ratio
+    (the clean numerator, the robust denominator), of all n rows, and runs
+    every iteration's ``loss_and_grads`` in them; phase 1 takes the first."""
+    rng = np.random.default_rng(23)
+    p = random_net(rng, [4, 6, 3])
+    ds = LabeledDataset(rng.uniform(0, 1, size=(n, 4)), rng.integers(0, 3, size=n))
+    cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=6), n_pre=2, n_main=3, alpha=0.05)
+    built, pgd, loss = _count_workspaces(monkeypatch)
+    linf_attacks(p, ds, [PerturbBudget("linf", gamma=g) for g in (0.05, 0.1)], cfg)
+    num, den = _distinct(loss)
+    assert loss == [num] * cfg.n_pre + [num, den] * cfg.n_main
+    assert (num.stack_shape, num.n_rows) == (den.stack_shape, den.n_rows) == ((2,), n)
+    assert sum(ws is num or ws is den for ws in built) == 2
 
 
 def test_swap_refreshes_keep_one_pgd_workspace(monkeypatch):
@@ -279,12 +307,13 @@ def test_swap_refreshes_keep_one_pgd_workspace(monkeypatch):
     p = random_net(rng, [4, 6, 3])
     ds = LabeledDataset(rng.uniform(0, 1, size=(30, 4)), rng.integers(0, 3, size=30))
     cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=4), n_pre=0, n_main=0, seed=1)
-    built, used = _count_pgd_workspaces(monkeypatch)
+    built, pgd, loss = _count_workspaces(monkeypatch)
     res = attack_swap(p, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=4), cfg)
-    refreshes = [ws for ws in used if ws.stack_shape == ()]  # the scorer's stack holds 2 nets
+    refreshes = [ws for ws in pgd if ws.stack_shape == ()]  # the scorer's stack holds 2 nets
     assert len(res.trace) > 1 and len(refreshes) == 4 * len(res.trace)
     assert all(ws is refreshes[0] for ws in refreshes)
-    assert built.count(((), 30)) == 1
+    loss_ids = {id(ws) for ws in loss}
+    assert [(ws.stack_shape, ws.n_rows) for ws in built if id(ws) not in loss_ids].count(((), 30)) == 1
 
 
 def test_carry_keeps_the_workspaces_of_one_row_count():

@@ -240,6 +240,46 @@ def test_config_and_file_system_errors_exit_2(tmp_path, workdir, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind,flag", [("subspace", "--spread=0.2"), ("blobs", "--intrinsic-dim=3")])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_gen_data_refuses_an_option_its_kind_does_not_read(tmp_path, capsys, kind, flag, via):
+    option, value = flag.split("=")
+    argv = ["gen-data", "--kind", kind, "--out-dir", str(tmp_path / "out")]
+    argv += [flag] if via == "flag" else ["--config", _cfg(tmp_path, f"{option[2:]} = {value}\n")]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: gen-data --kind {kind} does not read {option}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--eps=0.3", "--pgd-steps=3"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_plain_train_refuses_the_pgd_options(tmp_path, workdir, capsys, flag, via):
+    """Without --adversarial, train reads no PGD option; with it, it reads both."""
+    option, value = flag.split("=")
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(workdir / "data.json"), "--epochs", "1", "--out-dir", str(out)]
+    argv += [flag] if via == "flag" else ["--config", _cfg(tmp_path, f"{option[2:]} = {value}\n")]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: train without --adversarial does not read {option}\n"
+    assert not out.exists()
+    assert main(argv + ["--adversarial"]) == 0
+
+
+@pytest.mark.parametrize("features", ["0", "-1"])
+def test_gen_data_refuses_a_feature_count_below_1(tmp_path, capsys, features):
+    assert main(["gen-data", "--features", features, "--out-dir", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys) == "error: need n_samples >= n_classes >= 2 and n_features >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_a_dataset_of_empty_rows_is_refused(tmp_path, workdir, capsys, command):
+    (tmp_path / "rows.json").write_text(json.dumps({"version": 1, "X": [[], []], "y": [0, 1]}))
+    argv = [command, "--data", str(tmp_path / "rows.json"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + (["--model", str(workdir / "model.json")] if command == "eval" else [])) == 2
+    assert _one_error_line(capsys) == "error: empty dataset: X has shape (2, 0)\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "attack", "report"])
 def test_labels_the_model_cannot_output_refused(tmp_path, workdir, capsys, command):
     save_dataset(gen_blobs(30, 6, 3, seed=1), str(tmp_path / "data3.json"))  # the net has 2 outputs

@@ -26,10 +26,17 @@ def test_dataset_validation():
         LabeledDataset(np.array([[0.5, 1.2]]), np.array([0]))  # out of [0,1]
     with pytest.raises(ValueError):
         LabeledDataset(np.array([[0.5, 0.5]]), np.array([0, 1]))  # length mismatch
-    with pytest.raises(ValueError):
-        LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
+    for shape in [(0, 3), (2, 0)]:  # no samples, no features
+        with pytest.raises(ValueError, match=rf"empty dataset: X has shape \({shape[0]}, {shape[1]}\)"):
+            LabeledDataset(np.zeros(shape), np.zeros(shape[0], dtype=int))
     ds = LabeledDataset(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1, 0]))
     assert len(ds) == 2 and ds.n_features == 2 and ds.n_classes == 2
+
+
+@pytest.mark.parametrize("n_features", [0, -1])
+def test_gen_blobs_refuses_a_feature_count_below_1(n_features):
+    with pytest.raises(ValueError, match="need n_samples >= n_classes >= 2 and n_features >= 1"):
+        gen_blobs(10, n_features, 2, seed=0)
 
 
 @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [1e30, 0.0], [0.0, -np.inf]])

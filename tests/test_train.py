@@ -34,20 +34,27 @@ def test_train_deterministic():
 
 def test_train_keeps_one_workspace_per_batch_size(monkeypatch):
     """40 samples in batches of 16 take two batch sizes (16 and 8), so two
-    workspaces; the trained net is bit for bit the one from a fresh
+    workspaces for the gradient pass, besides the epoch accuracy's one for
+    ds (40 rows); the trained net is bit for bit the one from a fresh
     workspace per step."""
     ds = gen_blobs(40, 4, 2, seed=1)
     cfg = TrainConfig(dims=[4, 8, 2], epochs=3, lr=0.1, batch_size=16, seed=3)
-    built = []
+    built, loss_spaces = [], set()
 
-    class Counted(train_mod.Workspace):
+    class Counted(mlp.Workspace):
         def __init__(self, params, n_rows):
-            built.append(n_rows)
+            built.append(self)
             super().__init__(params, n_rows)
 
-    monkeypatch.setattr(train_mod, "Workspace", Counted)
+    def loss(params, X, y, reduction, ws):
+        loss_spaces.add(ws)
+        return loss_and_grads(params, X, y, reduction, ws)
+
+    monkeypatch.setattr(mlp, "Workspace", Counted)
+    monkeypatch.setattr(train_mod, "loss_and_grads", loss)
     reused = train(cfg, ds).params
-    assert sorted(built) == [8, 16]
+    assert sorted(ws.n_rows for ws in built if ws in loss_spaces) == [8, 16]
+    assert sorted(ws.n_rows for ws in built) == [8, 16, 40]
     monkeypatch.setattr(train_mod, "loss_and_grads",
                         lambda params, X, y, reduction, ws: loss_and_grads(params, X, y, reduction))
     assert train(cfg, ds).params.flat.tobytes() == reused.flat.tobytes()
@@ -76,7 +83,6 @@ def test_adversarial_train_shares_one_workspace_per_batch_size(monkeypatch):
         return loss_and_grads(params, X, y, reduction, ws)
 
     monkeypatch.setattr(mlp, "Workspace", Counted)
-    monkeypatch.setattr(train_mod, "Workspace", Counted)
     monkeypatch.setattr(attack, "input_gradient", grad)
     monkeypatch.setattr(train_mod, "loss_and_grads", loss)
     kept = train(cfg, ds)
