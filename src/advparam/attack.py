@@ -57,17 +57,15 @@ class PgdConfig:
         return 2.5 * self.eps / max(1, self.steps)
 
 
-def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed, best: bool = True,
-             flips: bool = True, start: np.ndarray | None = None, made: dict | None = None):
+def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed, flips: bool = False,
+             start: np.ndarray | None = None, made: dict | None = None) -> np.ndarray:
     """Batched PGD ascent on per-sample cross-entropy.
 
-    Returns (X_best, flipped, ce_best): the highest-CE iterate per sample
-    (the clean point counts as an iterate, so CE never decreases), a flag per
-    sample set when *any* iterate was classified differently from y, and the
-    CE at X_best.  A caller that reads no X_best / ce_best (``best`` False)
-    or no flipped (``flips`` False) gets None in their place, and the run
-    skips the work that only they need.  On a stack of K nets the outputs
-    gain a leading K axis, and each net gets what a run on it alone gives.
+    Returns the highest-CE iterate per sample (the clean point counts as an
+    iterate, so CE never decreases) or, with ``flips``, a flag per sample set
+    when *any* iterate was classified differently from y; a run does only
+    the work its output needs.  On a stack of K nets the output gains a
+    leading K axis, and each net gets what a run on it alone gives.
 
     The rows run in ``row_blocks``, one block after the other, each on a
     ``Workspace`` reused for every step and bound to the block's labels, so
@@ -76,29 +74,59 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     of the eps-ball (clipped to [0,1]^n); each block draws its own in turn
     from the run's one generator, which yields the numbers of one draw for
     all rows, and every net of a stack starts from it.  A warm run passes
-    ``start`` instead, in the shape of X_best (one point per row and per net
-    of a stack): each net starts there, clipped to the ball, and the run
-    makes no generator.  Each point gets one forward pass: the gradient pass
-    at an iterate also yields its CE and prediction.  Only the clean point
-    and the last iterate are forward-only, so per block a run of s >= 1
-    steps makes s ``input_gradient`` calls and s + 2 ``forward_batch`` calls.
+    ``start`` instead, in the shape of the best iterates (one point per row
+    and per net of a stack): each net starts there, clipped to the ball, and
+    the run makes no generator.  Each point gets one forward pass: the
+    gradient pass at an iterate also yields its CE and prediction.  Only the
+    clean point and the last iterate are forward-only, so per block a run of
+    s >= 1 steps makes s ``input_gradient`` calls and s + 2 ``forward_batch``
+    calls.  Raises ValueError on non-finite clean logits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     rng = np.random.default_rng(seed) if start is None else None
     lead = params.stack_shape
-    best_X = np.empty(lead + X.shape) if best else None
-    if best:
-        best_X[...] = X
-    best_ce = np.empty(lead + y.shape) if best else None
-    flipped = np.empty(lead + y.shape, dtype=bool) if flips else None
+    out = np.empty(lead + y.shape, dtype=bool) if flips else np.array(np.broadcast_to(X, lead + X.shape))
+    step = cfg.resolved_step
     for blk, ws in _block_workspaces(params, len(X), made):
-        _pgd_block(params, X[blk], y[blk], cfg, rng, ws,
-                   None if best_X is None else best_X[..., blk, :],
-                   None if flipped is None else flipped[..., blk],
-                   None if best_ce is None else best_ce[..., blk],
-                   None if start is None else start[..., blk, :])
-    return best_X, flipped, best_ce
+        Xb, yb = X[blk], y[blk]
+        found = out[..., blk] if flips else out[..., blk, :]  # the flags or the best iterates
+        logits = finite_logits(params, Xb, ws)
+        if flips:
+            np.not_equal(np.argmax(logits, axis=-1), yb, out=found)
+        else:
+            best_ce = _ce_and_dlogits(logits, yb, ws)[0].copy()
+        if cfg.eps == 0.0 or cfg.steps == 0:
+            continue
+        lo = np.maximum(Xb - cfg.eps, 0.0)
+        hi = np.minimum(Xb + cfg.eps, 1.0)
+        pred = np.empty(ws.ce.shape, dtype=np.intp) if flips else None
+        mask = np.empty(ws.ce.shape, dtype=bool)
+        cur = np.empty(ws.grad.shape)
+        if start is None:  # one start for every net of a stack
+            np.add(Xb, cfg.eps * rng.uniform(-1.0, 1.0, size=Xb.shape), out=cur)
+        else:
+            np.copyto(cur, start[..., blk, :])
+        for i in range(cfg.steps + 1):
+            np.maximum(cur, lo, out=cur)
+            np.minimum(cur, hi, out=cur)
+            if i < cfg.steps:
+                ce, g, logits = input_gradient(params, cur, yb, ws)
+            else:  # the last iterate takes no step, so it needs no gradient
+                _, _, logits = forward_batch(params, cur, ws)
+                ce = None if flips else _ce_and_dlogits(logits, yb, ws)[0]
+            if flips:
+                np.argmax(logits, axis=-1, out=pred)
+                np.logical_or(found, np.not_equal(pred, yb, out=mask), out=found)
+            else:
+                np.greater(ce, best_ce, out=mask)
+                np.copyto(best_ce, ce, where=mask)
+                np.copyto(found, cur, where=mask[..., None])
+            if i < cfg.steps:
+                np.sign(g, out=g)
+                g *= step
+                cur += g
+    return out
 
 
 def finite_logits(params: ModelParams, X: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
@@ -110,63 +138,11 @@ def finite_logits(params: ModelParams, X: np.ndarray, ws: Workspace | None = Non
     return logits
 
 
-def _pgd_block(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, rng,
-               ws: Workspace, best_X, flipped, best_ce, start) -> None:
-    """``_pgd_run`` on one block of rows, in ``ws``: fills best_X (which holds
-    X on entry), flipped and best_ce in place, each None when not read (best_X
-    and best_ce together), from the block's ``start`` or, when None, a random
-    one.  Raises ValueError on non-finite clean logits."""
-    logits = finite_logits(params, X, ws)
-    if best_ce is not None:
-        np.copyto(best_ce, _ce_and_dlogits(logits, y, ws)[0])
-    if flipped is not None:
-        np.not_equal(np.argmax(logits, axis=-1), y, out=flipped)
-    if cfg.eps == 0.0 or cfg.steps == 0:
-        return
-
-    lo = np.maximum(X - cfg.eps, 0.0)
-    hi = np.minimum(X + cfg.eps, 1.0)
-    pred = np.empty(ws.ce.shape, dtype=np.intp)
-    miss = np.empty(ws.ce.shape, dtype=bool)
-    better = np.empty(ws.ce.shape, dtype=bool)
-
-    def record(ce, logits):
-        if flipped is not None:
-            np.argmax(logits, axis=-1, out=pred)
-            np.logical_or(flipped, np.not_equal(pred, y, out=miss), out=flipped)
-        if best_ce is not None:
-            np.greater(ce, best_ce, out=better)
-            np.copyto(best_ce, ce, where=better)
-            np.copyto(best_X, cur, where=better[..., None])
-
-    def clip(P):
-        np.maximum(P, lo, out=P)
-        np.minimum(P, hi, out=P)
-
-    cur = np.empty(ws.grad.shape)
-    if start is None:  # one start for every net of a stack
-        np.add(X, cfg.eps * rng.uniform(-1.0, 1.0, size=X.shape), out=cur)
-    else:
-        np.copyto(cur, start)
-    clip(cur)
-    step = cfg.resolved_step
-    for _ in range(cfg.steps):
-        ce, g, logits = input_gradient(params, cur, y, ws)
-        record(ce, logits)
-        np.sign(g, out=g)
-        g *= step
-        cur += g
-        clip(cur)
-    _, _, logits = forward_batch(params, cur, ws)
-    record(None if best_ce is None else _ce_and_dlogits(logits, y, ws)[0], logits)
-
-
 def pgd_adversary_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0,
                         start: np.ndarray | None = None, made: dict | None = None) -> np.ndarray:
     """Highest-CE PGD point for each sample (CE(x') >= CE(x) guaranteed),
     from ``start`` when given, in the workspaces of ``made`` (see ``_pgd_run``)."""
-    best_X, _, _ = _pgd_run(params, X, y, cfg, seed, flips=False, start=start, made=made)
-    return best_X
+    return _pgd_run(params, X, y, cfg, seed, start=start, made=made)
 
 
 def pgd_flips_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, seed=0) -> np.ndarray:
@@ -174,8 +150,7 @@ def pgd_flips_batch(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdC
 
     The clean point is checked too, so a misclassified sample always flips.
     """
-    _, flipped, _ = _pgd_run(params, X, y, cfg, seed, best=False)
-    return flipped
+    return _pgd_run(params, X, y, cfg, seed, flips=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ subcommand.  A config file is a flat list of `key = value` lines: each key is
 a long option of the active subcommand, its value is parsed like the flag's
 argument, and explicit flags win.  Each ``theory --op`` reads the options named
 by its function's parameters (a construction also --model, --data, --save-model
-and, for an x0, --index).  theory, gen-data and train refuse an option they do
-not read (``_refuse_unread``) set to other than its default.
+and, for an x0, --index).  theory, gen-data, train, attack and report refuse an
+option they do not read (``_refuse_unread``) set to other than its default.
 """
 
 from __future__ import annotations
@@ -157,6 +157,11 @@ def _theory_reads(op: str) -> set[str]:
     return names
 
 
+# The attack options that only some kinds read, and those kinds.
+_KIND_ONLY = {"index": {"single"}, "target_label": {"label", "direct"},
+              "k_matrices": {"swap"}, "pair_fraction": {"swap"}, "pair_floor": {"swap"}}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -197,6 +202,7 @@ def _cmd_train(ns: argparse.Namespace) -> int:
 
 
 def _cmd_attack(ns: argparse.Namespace) -> int:
+    _refuse_unread(ns, f"attack --kind {ns.kind}", {dest for dest, kinds in _KIND_ONLY.items() if ns.kind not in kinds})
     params, ds = load_inputs(ns.model, ns.data)
     cfg = _attack_cfg(ns)
     budget = (_swap_budget(ns, ns.k_matrices) if ns.kind == "swap"
@@ -271,6 +277,7 @@ def _cmd_theory(ns: argparse.Namespace) -> int:
 
 
 def _cmd_report(ns: argparse.Namespace) -> int:
+    _refuse_unread(ns, "report without --swap-k", set() if ns.swap_k else {"pair_fraction", "pair_floor"})
     budgets = [PerturbBudget("linf", gamma=g) for g in ns.gammas]
     budgets += [_swap_budget(ns, k) for k in ns.swap_k]
     res = run_experiment(ns.model, ns.data, budgets, ns.out_dir, _attack_cfg(ns),

@@ -128,10 +128,10 @@ def gen_subspace_task(
     uncentered numerical ranks of X both equal intrinsic_dim (for
     n_samples > intrinsic_dim).
     """
+    if n_samples < n_classes or n_classes < 2 or n_features < 1:
+        raise ValueError("need n_samples >= n_classes >= 2 and n_features >= 1")
     if not (1 <= intrinsic_dim <= n_features):
         raise ValueError("need 1 <= intrinsic_dim <= n_features")
-    if n_samples < n_classes or n_classes < 2:
-        raise ValueError("need n_samples >= n_classes >= 2")
     rng = np.random.default_rng(seed)
     n, d = n_features, intrinsic_dim
     # orthonormal basis whose first column is the normalized all-ones vector

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from advparam import metrics
@@ -171,3 +173,41 @@ def count_scoring_passes(monkeypatch) -> dict:
             return _fn(*a, **k)
         monkeypatch.setattr(metrics, name, wrapped)
     return counts
+
+
+def certified_rows(params: ModelParams, X: np.ndarray, y: np.ndarray, eps: float, tol: float = 1e-9) -> np.ndarray:
+    """Interval bound propagation (Gowal et al. 2018): True where no point of
+    the box [max(x-eps, 0), min(x+eps, 1)] can get a label other than y.
+
+    The box goes through the hidden layers as intervals; the last layer takes
+    the exact difference rows W_y - W_j, and a row is certified when its
+    worst-case margin over every j != y is above ``tol``, which absorbs
+    rounding.  A stack gives one row of flags per net.
+    """
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    lo, hi = np.maximum(X - eps, 0.0), np.minimum(X + eps, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bound certifies nothing
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            mid, rad = (lo + hi) / 2, (hi - lo) / 2
+            z, r = mid @ w.mT + b[..., None, :], rad @ np.abs(w).mT
+            lo, hi = np.maximum(z - r, 0.0), np.maximum(z + r, 0.0)
+        w, b = params.weights[-1], params.biases[-1]
+        diff = w[..., y, None, :] - w[..., None, :, :]
+        margin = (np.einsum("...nh,...nmh->...nm", (lo + hi) / 2, diff)
+                  - np.einsum("...nh,...nmh->...nm", (hi - lo) / 2, np.abs(diff))
+                  + b[..., y, None] - b[..., None, :])
+    margin[..., np.arange(len(y)), y] = np.inf
+    return margin.min(axis=-1) > tol
+
+
+def certified_floor(scored_rows):
+    """``scored_rows`` checked against ``certified_rows``: every row that the
+    oracle certifies at the PGD's eps must come back robust, for any correct
+    PGD, ``classify_batch`` and clip."""
+    @functools.wraps(scored_rows)
+    def checked(params, X, y, pgd, seed=0):
+        correct, robust = scored_rows(params, X, y, pgd, seed)
+        flipped = certified_rows(params, X, y, pgd.eps) & ~robust
+        assert not flipped.any(), f"PGD flipped {int(flipped.sum())} certified rows at eps {pgd.eps}"
+        return correct, robust
+    return checked

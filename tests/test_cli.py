@@ -267,9 +267,52 @@ def test_plain_train_refuses_the_pgd_options(tmp_path, workdir, capsys, flag, vi
 
 @pytest.mark.parametrize("features", ["0", "-1"])
 def test_gen_data_refuses_a_feature_count_below_1(tmp_path, capsys, features):
-    assert main(["gen-data", "--features", features, "--out-dir", str(tmp_path / "out")]) == 2
-    assert _one_error_line(capsys) == "error: need n_samples >= n_classes >= 2 and n_features >= 1\n"
-    assert not (tmp_path / "out").exists()
+    """Both kinds name the feature count; subspace's --intrinsic-dim, which defaults from it, is not blamed."""
+    for kind in ("blobs", "subspace"):
+        assert main(["gen-data", "--kind", kind, "--features", features, "--out-dir", str(tmp_path / "out")]) == 2
+        assert _one_error_line(capsys) == "error: need n_samples >= n_classes >= 2 and n_features >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+
+# Each attack option that only some kinds read, and those kinds.
+_KIND_READERS = {"--index=5": {"single"}, "--target-label=1": {"label", "direct"},
+                 "--k-matrices=2": {"swap"}, "--pair-fraction=0.3": {"swap"}, "--pair-floor=3": {"swap"}}
+
+
+@pytest.mark.parametrize("kind,flag", [(k, f) for f, readers in _KIND_READERS.items()
+                                       for k in ("linf", "swap", "label", "direct", "single") if k not in readers])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_attack_refuses_an_option_its_kind_does_not_read(tmp_path, workdir, capsys, kind, flag, via):
+    option, value = flag.split("=")
+    out = tmp_path / "out"
+    argv = ["attack", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+            "--kind", kind, "--out-dir", str(out)]
+    argv += [flag] if via == "flag" else ["--config", _cfg(tmp_path, f"{option[2:]} = {value}\n")]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: attack --kind {kind} does not read {option}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,option", [("--kind linf --index 5 --target-label 2", "--target-label"),
+                                         ("--kind label --k-matrices 2 --pair-floor 3", "--pair-floor")])
+def test_attack_names_the_first_unread_option(tmp_path, workdir, capsys, argv, option):
+    out = tmp_path / "out"
+    assert main(["attack", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+                 *argv.split(), "--out-dir", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: attack --kind {argv.split()[1]} does not read {option}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pair-fraction=0.3", "--pair-floor=3"])
+def test_report_without_swap_k_refuses_the_swap_options(tmp_path, workdir, capsys, flag):
+    """Only the swap rows of --swap-k read the pair options."""
+    out = tmp_path / "out"
+    argv = ["report", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+            "--gammas", "0.05", flag, "--n-pre", "1", "--n-main", "1", "--pgd-steps", "2", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: report without --swap-k does not read {flag.split('=')[0]}\n"
+    assert not out.exists()
+    assert main(argv + ["--swap-k", "1"]) in (0, 1)
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])

@@ -22,12 +22,47 @@ from advparam.metrics import (
     robustness_report,
     targeted_rate,
 )
-from advparam.mlp import ModelParams, forward_batch
+from advparam.mlp import ModelParams, classify, classify_batch, forward_batch
+from advparam.theory import surgery_single_point
 
-from common import chain_input_jacobian, conditioned_surgery_net, count_scoring_passes, random_net
+from common import (certified_rows, chain_input_jacobian, conditioned_surgery_net, count_scoring_passes,
+                    random_net)
 
 # identity-logits net: F(x) = x, two classes
 IDNET = ModelParams([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+
+
+@pytest.mark.parametrize("net", [IDNET, ModelParams([np.eye(2), np.eye(2)], [np.zeros(2)] * 2)],
+                         ids=["no-hidden", "relu-identity"])
+def test_certified_rows_hand_case(net):
+    """On logits = x the worst margin over the box is x_y - x_j - 2 eps; a
+    ReLU layer on inputs in [0,1] passes its intervals exactly."""
+    X, y = np.array([[0.2, 0.8], [0.2, 0.8], [0.0, 0.9]]), np.array([1, 0, 1])
+    assert certified_rows(net, X, y, 0.29).tolist() == [True, False, True]
+    assert certified_rows(net, X, y, 0.31).tolist() == [False, False, True]
+
+
+def test_certified_rows_are_sound_on_nets_and_stacks():
+    """No sampled point of a certified row's box changes its label; a stack
+    gets each net's flags; the surgery's adversarial point, within eps of x0,
+    leaves x0 uncertified on the attacked net, which the scorer then scores."""
+    rng = np.random.default_rng(31)
+    nets = [random_net(rng, [4, 12, 12, 3]) for _ in range(2)]
+    X = rng.uniform(0, 1, size=(200, 4))
+    y = classify_batch(nets[0], X)
+    cert = certified_rows(nets[0], X, y, 0.05)
+    assert 0 < cert.sum() < len(y)
+    for _ in range(20):
+        P = np.clip(X[cert] + rng.uniform(-0.05, 0.05, size=X[cert].shape), 0, 1)
+        assert (classify_batch(nets[0], P) == y[cert]).all()
+    stacked = certified_rows(ModelParams.stack(nets), X, y, 0.05)
+    assert stacked.tolist() == [cert.tolist(), certified_rows(nets[1], X, y, 0.05).tolist()]
+    net, x0 = conditioned_surgery_net(np.random.default_rng(103), n=10, width=64, m=3), np.full(10, 0.5)
+    tr = surgery_single_point(net, x0, gamma=0.5, eps=0.05, seed=1)
+    label = classify(net, x0)
+    assert classify(tr.attacked, tr.adversarial_point) != label
+    assert not certified_rows(tr.attacked, x0[None], [label], 0.05)[0]
+    metrics.scored_rows(tr.attacked, x0[None], np.array([label]), PgdConfig(eps=0.05, steps=10))
 
 
 def test_approx_radius_hand_case():
