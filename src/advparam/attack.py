@@ -619,15 +619,15 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
 
     Runs the two-phase loop on the singleton set; success means the attacked
     net still classifies x correctly but PGD now finds an adversarial point,
-    and the rate is 1 - min(radius_after / radius_before, 1) using the
-    linearized robustness radius.
+    and the rate is ``adversarial_rate`` at an accuracy ratio of 1 on the
+    linearized robustness radius: 1 - min(radius_after / radius_before, 1).
     """
     x = np.asarray(x, dtype=np.float64)
     check_classified(params, x, label)
     X1, y1 = x[None, :], np.array([label])
     (theta,), (trace,) = _descend(params, X1, y1, [budget], cfg, 4, cfg.n_pre, _robust_objective)
 
-    from .metrics import RateInputs, approx_radius, scored_rows, targeted_rate
+    from .metrics import RateInputs, adversarial_rate, approx_radius, scored_rows
 
     base_r = approx_radius(params, x, label)
     att_r = approx_radius(theta, x, label)
@@ -635,7 +635,7 @@ def attack_single(params: ModelParams, x: np.ndarray, label: int,
     still_correct, has_adv = bool(correct[0]), not robust[0]
     ri = RateInputs(base_acc=1.0, base_rob=base_r,
                     att_acc=1.0 if still_correct else 0.0, att_rob=att_r)
-    rr = targeted_rate("single", ri)
+    rr = adversarial_rate(RateInputs(1.0, base_r, 1.0, att_r))  # at accuracy ratio 1; ri.att_acc is reported only
     failed = not (still_correct and has_adv)
     return AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
                         rate_inputs=ri, rate=rr.value, failed=failed,

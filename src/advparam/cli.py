@@ -101,6 +101,8 @@ def _parse(argv) -> argparse.Namespace:
         (parser if action.default is SUP else sub).set_defaults(**{action.dest: value})
     if ns.config is not None:
         ns = parser.parse_args(argv)
+    if ns.seed < 0:  # numpy would refuse it only once the work has begun, naming no option
+        raise ValueError(f"--seed must be >= 0, got {ns.seed}")
     ns.defaults = defaults
     return ns
 
@@ -159,7 +161,8 @@ def _theory_reads(op: str) -> set[str]:
 
 # The attack options that only some kinds read, and those kinds.
 _KIND_ONLY = {"index": {"single"}, "target_label": {"label", "direct"},
-              "k_matrices": {"swap"}, "pair_fraction": {"swap"}, "pair_floor": {"swap"}}
+              "k_matrices": {"swap"}, "pair_fraction": {"swap"}, "pair_floor": {"swap"},
+              "gamma": {"linf", "label", "direct", "single"}, "batch_size": {"linf", "swap", "label", "direct"}}
 
 
 # ---------------------------------------------------------------------------

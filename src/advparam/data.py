@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -93,6 +94,8 @@ def gen_blobs(
     """
     if n_samples < n_classes or n_classes < 2 or n_features < 1:
         raise ValueError("need n_samples >= n_classes >= 2 and n_features >= 1")
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be a finite number >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     min_dist = 5.0 * spread
     for _ in range(200):
@@ -186,15 +189,21 @@ def dataset_to_json(ds: LabeledDataset) -> str:
     return json.dumps(doc)
 
 
-def dataset_from_json(text: str) -> LabeledDataset:
+def _json_document(text: str, kind: str, version: int) -> dict:
+    """The JSON object of a ``kind`` file (model, dataset) in format ``version``, or ValueError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise ValueError("dataset document must be a JSON object")
-    if doc.get("version") != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {doc.get('version')!r}")
+        raise ValueError(f"{kind} document must be a JSON object")
+    if doc.get("version") != version:
+        raise ValueError(f"unsupported {kind} format version {doc.get('version')!r}")
+    return doc
+
+
+def dataset_from_json(text: str) -> LabeledDataset:
+    doc = _json_document(text, "dataset", DATASET_FORMAT_VERSION)
     for key in ("X", "y"):
         if key not in doc:
             raise ValueError(f"dataset document missing {key!r}")

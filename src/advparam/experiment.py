@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .attack import (
     AttackConfig,
@@ -26,9 +26,6 @@ from .attack import (
 from .data import LabeledDataset, atomic_open, load_dataset, write_csv
 from .metrics import GAMMA_LOW, RateInputs, adversarial_rate, avg_approx_radius, robustness_report
 from .mlp import ModelParams, _block_workspaces, load_model
-
-SWEEP_COLUMNS = ["attack", "budget", "ac_base", "ac_att", "aa_base", "aa_att",
-                 "r4_base", "r4_att", "ar_aa", "ar_r4", "failed"]
 
 
 @dataclass
@@ -49,8 +46,8 @@ class SweepRow:
         nums = [repr(float(getattr(self, c))) for c in SWEEP_COLUMNS[2:10]]
         return [self.attack, self.budget] + nums + ["1" if self.failed else "0"]
 
-    def as_dict(self) -> dict:
-        return {c: getattr(self, c) for c in SWEEP_COLUMNS}
+
+SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]  # report.csv's columns: a row's fields, in order
 
 
 def build_row(attack: str, budget: str, base_nums, att_nums) -> SweepRow:
@@ -61,11 +58,6 @@ def build_row(attack: str, budget: str, base_nums, att_nums) -> SweepRow:
     rate_r4 = adversarial_rate(RateInputs(ac_b, r4_b, ac_a, r4_a))
     return SweepRow(attack, budget, ac_b, ac_a, aa_b, aa_a, r4_b, r4_a,
                     rate_aa.value, rate_r4.value, rate_aa.failed)
-
-
-def _nan_row(attack: str, budget: str) -> SweepRow:
-    nan = math.nan
-    return SweepRow(attack, budget, nan, nan, nan, nan, nan, nan, nan, nan, True)
 
 
 def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudget],
@@ -100,7 +92,7 @@ def run_sweep(params: ModelParams, ds: LabeledDataset, budgets: list[PerturbBudg
 
     def fail(attack: str, label: str, exc: ValueError) -> None:  # keep sweeping, record the failure
         errors.append({"attack": attack, "budget": label, "error": str(exc)})
-        rows.append(_nan_row(attack, label))
+        rows.append(SweepRow(attack, label, *[math.nan] * 8, failed=True))
 
     for idx, budget in enumerate(budgets):
         label = budget.label()
@@ -171,10 +163,7 @@ class ExperimentResult:
     errors: list[dict]
     csv_path: str
     summary_path: str
-
-    @property
-    def any_failed(self) -> bool:
-        return any(r.failed for r in self.rows)
+    any_failed: bool
 
 
 def load_inputs(model_path: str, dataset_path: str) -> tuple[ModelParams, LabeledDataset]:
@@ -212,6 +201,7 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
     csv_path = os.path.join(out_dir, "report.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     write_report_csv(rows, csv_path)
+    any_failed = any(r.failed for r in rows)
     summary = {
         "name": name,
         "seed": cfg.seed,
@@ -220,10 +210,10 @@ def run_experiment(model_path: str, dataset_path: str, budgets: list[PerturbBudg
         "eval_eps": cfg.pgd.eps,
         "gamma_low": GAMMA_LOW,
         "n_samples": len(ds),
-        "rows": [{k: _json_number(v) for k, v in r.as_dict().items()} for r in rows],
+        "rows": [{k: _json_number(v) for k, v in asdict(r).items()} for r in rows],
         "errors": errors,
-        "any_failed": any(r.failed for r in rows),
+        "any_failed": any_failed,
     }
     with atomic_open(summary_path) as f:
         json.dump(summary, f, indent=2, allow_nan=False)
-    return ExperimentResult(rows, errors, csv_path, summary_path)
+    return ExperimentResult(rows, errors, csv_path, summary_path, any_failed)

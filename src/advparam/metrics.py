@@ -219,15 +219,7 @@ def targeted_rate(kind: str, ri: RateInputs) -> RateResult:
     overall robustness); rate = g1*g2*(1-g3), capped at 1 termwise.
     kind "direct": gamma2 as above, gamma1 = off-target acc ratio and
     gamma3 = on-target acc ratio against the base net's overall accuracy.
-    kind "single": rate = 1 - min(att_rob/base_rob, 1) on the per-sample
-    radius (gamma2 carries the ratio).
     """
-    if kind == "single":
-        if not (ri.base_rob > 0.0) or not math.isfinite(ri.base_rob):
-            return RateResult(math.nan, math.nan, math.nan, None, failed=True, defined=False)
-        g = ri.att_rob / ri.base_rob
-        value = 1.0 - _capped(g)
-        return RateResult(value, 1.0, g, None, failed=False, defined=True)
     if kind not in ("label", "direct"):
         raise ValueError(f"unknown targeted rate kind {kind!r}")
     if ri.att_aux is None:

@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .data import atomic_open
+from .data import _json_document, atomic_open
 
 MODEL_FORMAT_VERSION = 1
 
@@ -275,9 +275,8 @@ def forward_batch(params: ModelParams, X: np.ndarray,
 
 
 def classify(params: ModelParams, x: np.ndarray) -> int:
-    """Predicted label: argmax of the logits, smallest index on ties."""
-    _, _, logits = forward_batch(params, np.reshape(x, (1, -1)))
-    return int(np.argmax(logits[0]))
+    """Predicted label of one input: ``classify_batch`` on one row (argmax, smallest index on ties)."""
+    return int(classify_batch(params, np.reshape(x, (1, -1)))[0])
 
 
 def classify_batch(params: ModelParams, X: np.ndarray, made: dict | None = None) -> np.ndarray:
@@ -471,14 +470,7 @@ def model_to_json(params: ModelParams) -> str:
 
 
 def model_from_json(text: str) -> ModelParams:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('version')!r}")
+    doc = _json_document(text, "model", MODEL_FORMAT_VERSION)
     layers = doc.get("layers")
     if not isinstance(layers, list) or not layers:
         raise ValueError("model document has no layers")

@@ -446,9 +446,12 @@ class ConstructionTrace:
         return "\n".join(lines)
 
 
-def _identity_trace(kind: str, params: ModelParams, gamma: float, **kw) -> ConstructionTrace:
-    return ConstructionTrace(kind=kind, attacked=params.copy(), budget=gamma,
-                             budget_used=0.0, clean_residual=0.0, **kw)
+def _record(kind: str, params: ModelParams, gamma: float, attacked: ModelParams | None = None,
+            clean_residual: float = 0.0, **kw) -> ConstructionTrace:
+    """The record of a ``kind`` edit of params into ``attacked`` (by default the identity, a copy)."""
+    attacked = params.copy() if attacked is None else attacked
+    return ConstructionTrace(kind=kind, attacked=attacked, budget=gamma,
+                             budget_used=max_abs_diff(attacked, params), clean_residual=clean_residual, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +495,7 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     lg0, jac0 = logit_jacobians(params, x0[None, :])
     lx = int(np.argmax(lg0[0]))  # smallest index on ties, as in classify
     if gamma == 0.0 or eps == 0.0:
-        return _identity_trace("single_point", params, gamma, adversarial_found=False)
+        return _record("single_point", params, gamma, adversarial_found=False)
     conditions = surgery_conditions(params, x0, radius, eps, gamma, seed=seed)
     bad = conditions.failing()
     if bad:
@@ -515,12 +518,8 @@ def surgery_single_point(params: ModelParams, x0: np.ndarray, gamma: float, eps:
     adv = x0 + eps * v
     found = classify(attacked, adv) != lx
     lg1, jac1 = logit_jacobians(attacked, x0[None, :])
-    return ConstructionTrace(
-        kind="single_point",
-        attacked=attacked,
-        budget=gamma,
-        budget_used=max_abs_diff(attacked, params),
-        clean_residual=float(np.abs(lg1[0] - lg0[0]).max()),
+    return _record(
+        "single_point", params, gamma, attacked, float(np.abs(lg1[0] - lg0[0]).max()),
         direction=v,
         sign=sign,
         target_class=l2,
@@ -573,7 +572,7 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
     radius = _surgery_prologue(params, gamma, eps, radius)
     m = params.output_dim
     if gamma == 0.0 or eps == 0.0:
-        return _identity_trace("protected_set", params, gamma, adversarial_fraction=0.0)
+        return _record("protected_set", params, gamma, adversarial_fraction=0.0)
     V = _null_directions(X, m)
     conditions = surgery_conditions(params, X, radius, eps, gamma, ascent_steps=20, seed=seed)
 
@@ -605,12 +604,8 @@ def surgery_protected_set(params: ModelParams, X: np.ndarray, gamma: float, eps:
     hits = hit_minus | hit_plus
     adv_points = [a if hm else (b if hp else None)
                   for a, b, hm, hp in zip(minus, plus, hit_minus, hit_plus)]
-    return ConstructionTrace(
-        kind="protected_set",
-        attacked=attacked,
-        budget=gamma,
-        budget_used=max_abs_diff(attacked, params),
-        clean_residual=residual,
+    return _record(
+        "protected_set", params, gamma, attacked, residual,
         directions=V,
         adversarial_fraction=float(hits.mean()),
         conditions=conditions,
@@ -778,8 +773,8 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
     # the target class l2 is the class that sets the squared margin, as in margin_measure
     margin_before, l2 = _squared_margin(logits[None], jac[None], lx)
     if gamma == 0.0:
-        return _identity_trace("gradient_inflation", params, gamma, margin_before=margin_before,
-                               margin_after=margin_before, guarantee=True)
+        return _record("gradient_inflation", params, gamma, margin_before=margin_before,
+                       margin_after=margin_before, guarantee=True)
     if margin_before == 0.0:  # another class ties or leads
         raise ValueError("anchor point is not confidently classified")
     if margin_before == math.inf:
@@ -831,12 +826,8 @@ def gradient_inflation_attack(params: ModelParams, x0: np.ndarray, gamma: float)
         residual = max(residual, float(np.abs(a1 - a0).max()))
     head_a, _ = _layer_chains(attacked, [s[0] for s in signs_a])
     margin_after = _squared_margin(logits_a, head_a[0][None], lx)[0]
-    return ConstructionTrace(
-        kind="gradient_inflation",
-        attacked=attacked,
-        budget=gamma,
-        budget_used=max_abs_diff(attacked, params),
-        clean_residual=residual,
+    return _record(
+        "gradient_inflation", params, gamma, attacked, residual,
         target_class=l2,
         margin_before=margin_before,
         margin_after=margin_after,

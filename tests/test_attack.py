@@ -939,9 +939,9 @@ def _ref_attack_single(params, x, label, budget, cfg):
     has_adv = bool(pgd_flips_batch(theta, X1, y1, cfg.pgd, seed=cfg.seed)[0])
     ri = metrics.RateInputs(base_acc=1.0, base_rob=base_r,
                             att_acc=1.0 if still_correct else 0.0, att_rob=att_r)
-    rr = metrics.targeted_rate("single", ri)
+    rate = 1.0 - min(att_r / base_r, 1.0) if 0.0 < base_r < math.inf else math.nan
     return attack.AttackResult(attacked=theta, budget_desc=budget.describe(), trace=trace,
-                               rate_inputs=ri, rate=rr.value,
+                               rate_inputs=ri, rate=rate,
                                failed=not (still_correct and has_adv),
                                extras={"kind": "single", "still_correct": still_correct,
                                        "adversarial_found": has_adv,

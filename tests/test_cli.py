@@ -276,7 +276,9 @@ def test_gen_data_refuses_a_feature_count_below_1(tmp_path, capsys, features):
 
 # Each attack option that only some kinds read, and those kinds.
 _KIND_READERS = {"--index=5": {"single"}, "--target-label=1": {"label", "direct"},
-                 "--k-matrices=2": {"swap"}, "--pair-fraction=0.3": {"swap"}, "--pair-floor=3": {"swap"}}
+                 "--k-matrices=2": {"swap"}, "--pair-fraction=0.3": {"swap"}, "--pair-floor=3": {"swap"},
+                 "--gamma=0.3": {"linf", "label", "direct", "single"},
+                 "--batch-size=5": {"linf", "swap", "label", "direct"}}
 
 
 @pytest.mark.parametrize("kind,flag", [(k, f) for f, readers in _KIND_READERS.items()
@@ -313,6 +315,27 @@ def test_report_without_swap_k_refuses_the_swap_options(tmp_path, workdir, capsy
     assert _one_error_line(capsys) == f"error: report without --swap-k does not read {flag.split('=')[0]}\n"
     assert not out.exists()
     assert main(argv + ["--swap-k", "1"]) in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["attack", "report"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_refused_before_any_work(tmp_path, workdir, capsys, command, via):
+    """numpy would refuse the seed only mid-run (report after writing its files), naming no option."""
+    out = tmp_path / "out"
+    argv = [command, "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+            "--n-pre", "1", "--n-main", "1", "--pgd-steps", "2", "--out-dir", str(out)]
+    argv += ["--seed", "-1"] if via == "flag" else ["--config", _cfg(tmp_path, "seed = -1\n")]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spread", ["-1", "nan", "inf"])
+def test_gen_data_refuses_a_spread_that_is_negative_or_not_finite(tmp_path, capsys, spread):
+    """Checked where it enters: not numpy's `scale < 0`, not the data's non-finite features, not a 0/1 dataset."""
+    assert main(["gen-data", "--spread", spread, "--out-dir", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys) == f"error: spread must be a finite number >= 0, got {float(spread)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])
@@ -922,17 +945,17 @@ def test_output_in_a_missing_directory_refused_before_any_work(tmp_path, workdir
     assert not out.exists() and not missing.exists()
 
 
-# per command: option -> (values that parse, values its type or choices refuse);
+# per command: option -> (values that parse, values its type, choices or range check refuse);
 # gen-data has no --adversarial and train no --kind
 _FUZZ_OPTIONS = {
     "gen-data": {"kind": (["blobs", "subspace"], ["bogus"]), "samples": (["8"], ["2.5", "x"]),
                  "features": (["3", "-1"], []), "classes": (["2"], ["true"]),
                  "spread": (["0.05", "nan"], ["wide"]), "intrinsic-dim": (["2"], [""]),
-                 "out": (["d.json", ""], []), "seed": (["3"], ["1e3"]), "adversarial": ([], ["true"])},
+                 "out": (["d.json", ""], []), "seed": (["3"], ["1e3", "-1"]), "adversarial": ([], ["true"])},
     "train": {"epochs": (["1", "0"], ["2.5"]), "hidden": (["3", "3,2", "0", "3,-1"], ["a"]),
               "lr": (["0.05"], ["fast"]),
               "adversarial": (["true", "no"], ["maybe"]), "pgd-steps": (["1", "-1"], []),
-              "batch-size": (["16", "0"], []), "model-out": (["m.json", ""], []), "seed": (["1"], ["x"]),
+              "batch-size": (["16", "0"], []), "model-out": (["m.json", ""], []), "seed": (["1"], ["x", "-1"]),
               "kind": ([], ["blobs"])},
 }
 

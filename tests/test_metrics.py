@@ -378,19 +378,24 @@ def test_targeted_rate_label_uses_base_rob_denominator():
 
 
 def test_targeted_rate_single():
-    r = targeted_rate("single", RateInputs(1.0, 0.078, 1.0, 0.016))
-    assert r.value == pytest.approx(1 - 0.016 / 0.078, abs=1e-12)
-    assert abs(r.value - 0.7949) <= 0.005
-    # radius that grew caps at zero rate
-    assert targeted_rate("single", RateInputs(1.0, 0.05, 1.0, 0.09)).value == 0.0
-    assert not targeted_rate("single", RateInputs(1.0, 0.0, 1.0, 0.0)).defined
+    """The single attack's radius rate is ``adversarial_rate`` at an accuracy
+    ratio of 1: bit for bit 1 - min(att_r / base_r, 1), never failed, and
+    undefined for a base radius that is <= 0, nan or inf."""
+    r = adversarial_rate(RateInputs(1.0, 0.078, 1.0, 0.016))
+    assert abs(r.value - 0.7949) <= 0.005 and not r.failed and r.defined
+    for base_r, att_r in [(0.078, 0.016), (0.05, 0.09), (0.3, 0.0), (1e-300, 1e300), (0.2, math.inf)]:
+        assert adversarial_rate(RateInputs(1.0, base_r, 1.0, att_r)).value == 1 - min(att_r / base_r, 1)
+    assert adversarial_rate(RateInputs(1.0, 0.05, 1.0, 0.09)).value == 0.0  # a radius that grew
+    for base_r in (0.0, -0.1, math.nan, math.inf):
+        assert not adversarial_rate(RateInputs(1.0, base_r, 1.0, 0.0)).defined
 
 
 def test_targeted_rate_validation():
     with pytest.raises(ValueError):
         targeted_rate("label", RateInputs(1.0, 0.5, 1.0, 0.5))  # no att_aux
-    with pytest.raises(ValueError):
-        targeted_rate("sideways", RateInputs(1.0, 0.5, 1.0, 0.5, att_aux=0.1))
+    for kind in ("sideways", "single"):  # the single attack is rated by adversarial_rate
+        with pytest.raises(ValueError, match="unknown targeted rate kind"):
+            targeted_rate(kind, RateInputs(1.0, 0.5, 1.0, 0.5, att_aux=0.1))
 
 
 def test_robustness_report_fields():
