@@ -27,12 +27,14 @@ from .mlp import (
     Workspace,
     _block_workspaces,
     _ce_and_dlogits,
+    _forward,
+    _input_gradient,
+    _loss_and_grads,
     _workspace,
     add_scaled,
     classify,
     forward_batch,
     input_gradient,
-    loss_and_grads,
 )
 
 # ---------------------------------------------------------------------------
@@ -79,8 +81,11 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
     the run makes no generator.  Each point gets one forward pass: the
     gradient pass at an iterate also yields its CE and prediction.  Only the
     clean point and the last iterate are forward-only, so per block a run of
-    s >= 1 steps makes s ``input_gradient`` calls and s + 2 ``forward_batch``
-    calls.  Raises ValueError on non-finite clean logits.
+    s >= 1 steps makes s gradient passes and s + 2 forwards.  The clean point
+    and the first iterate, where a start enters, pass the public checks; the
+    later ones, derived in the box, run as the kernels ``_input_gradient``
+    and ``_forward`` after one finiteness check each ("non-finite input").
+    Raises ValueError on non-finite clean logits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
@@ -110,10 +115,14 @@ def _pgd_run(params: ModelParams, X: np.ndarray, y: np.ndarray, cfg: PgdConfig, 
         for i in range(cfg.steps + 1):
             np.maximum(cur, lo, out=cur)
             np.minimum(cur, hi, out=cur)
-            if i < cfg.steps:
+            if i == 0:
                 ce, g, logits = input_gradient(params, cur, yb, ws)
+            elif not np.isfinite(cur).all():
+                raise ValueError("non-finite input")
+            elif i < cfg.steps:
+                ce, g, logits = _input_gradient(params, cur, yb, ws)
             else:  # the last iterate takes no step, so it needs no gradient
-                _, _, logits = forward_batch(params, cur, ws)
+                logits = _forward(params, cur, ws)
                 ce = None if flips else _ce_and_dlogits(logits, yb, ws)[0]
             if flips:
                 np.argmax(logits, axis=-1, out=pred)
@@ -291,22 +300,20 @@ class _Carry:
     The descent moves theta by at most alpha per step, so the last
     iteration's points are nearly optimal for this one.  Which rows have been
     visited depends on no net, so each net of a stack still gets the bits of
-    a descent on it alone.  Runs of one row count share ``spaces``.
+    a descent on it alone.  Its runs keep their workspaces in ``spaces``.
     """
 
-    def __init__(self, pgd: PgdConfig, shape: tuple):
+    def __init__(self, pgd: PgdConfig, shape: tuple, spaces: dict):
         """``shape``: the stack's shape, then the dataset's (rows, inputs)."""
         self.cold, self.warm = pgd, PgdConfig(pgd.eps, min(pgd.steps, _WARM_STEPS))
         self.points = np.empty(shape)
         self.seen = np.zeros(shape[-2], dtype=bool)
-        self.spaces, self.n_rows = {}, None
+        self.spaces = spaces
 
     def adversary(self, theta: ModelParams, X, y, rows, seed, sel=slice(None)) -> np.ndarray:
         """``pgd_adversary_batch`` on rows ``sel`` of the minibatch (X, y) of
         dataset rows ``rows``, warm when they have all been visited."""
         X, y, rows = X[sel], y[sel], rows[sel]
-        if len(y) != self.n_rows:  # a new set, so subsets of varying size pile up no workspaces
-            self.spaces, self.n_rows = {}, len(y)
         warm = self.seen[rows].all()
         Xadv = pgd_adversary_batch(theta, X, y, self.warm if warm else self.cold, seed,
                                    start=self.points[..., rows, :] if warm else None, made=self.spaces)
@@ -321,18 +328,19 @@ def _ratio_grad(theta: ModelParams, num_terms, den_term, spaces: dict):
     The numerator is the CE sum over each (X, y) of ``num_terms``, added in
     order; the denominator is the CE sum over the (X, y) ``den_term``, floored
     at _DENOM_FLOOR.  Returns (ratio, unfloored denominator, gradient), one
-    ratio and denominator per net of a stack.  Term i runs in
-    ``_workspace(spaces, i, ...)``.
+    ratio and denominator per net of a stack.  Terms of one row count share
+    one workspace of ``spaces``, so each gradient is copied out before the next pass.
     """
-    terms = [loss_and_grads(theta, X, y, "sum", _workspace(spaces, i, theta, len(y)))
-             for i, (X, y) in enumerate([*num_terms, den_term])]
+    terms = []
+    for X, y in [*num_terms, den_term]:
+        value, g = _loss_and_grads(theta, X, y, "sum", _workspace(spaces, theta, len(y)))
+        terms.append((value, g.flat.copy()))
     (den_raw, g_den), terms = terms[-1], terms[:-1]
     num = sum(v for v, _ in terms)
-    g_num = functools.reduce(add_scaled, [g for _, g in terms])
+    g_num = functools.reduce(np.add, [g for _, g in terms])  # g0 + g1 is add_scaled's g0 + 1.0 * g1
     den = np.maximum(den_raw, _DENOM_FLOOR)
     ratio = num / den
-    grad = add_scaled(g_num, g_den, -np.expand_dims(ratio, -1))
-    return ratio, den_raw, grad.like(grad.flat / np.expand_dims(den, -1))
+    return ratio, den_raw, theta.like((g_num - np.expand_dims(ratio, -1) * g_den) / np.expand_dims(den, -1))
 
 
 def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[PerturbBudget],
@@ -343,8 +351,8 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
     Runs n_pre phase-1 and then cfg.n_main phase-2 iterations.  Iteration
     ``it`` draws a minibatch of (X, y) from one default_rng(cfg.seed) and
     calls ``objective(theta, phase, Xb, yb, adversary, spaces)`` on the
-    stack, with the run's one dict of loss workspaces (see ``_ratio_grad``).
-    ``adversary(sel)`` gives theta's PGD points on the minibatch rows ``sel``
+    stack.  Its loss passes and the PGD runs share ``spaces``, one workspace
+    per row count of the last iteration.  ``adversary(sel)`` gives theta's PGD points on the minibatch rows ``sel``
     (all by default) from one ``_Carry`` at cfg.pgd, with the PGD seed
     ``_iter_seed(cfg.seed, tag, it)``: cold while a row has not been visited,
     then warm from the rows' last points for at most _WARM_STEPS steps.  The
@@ -365,7 +373,8 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
     alpha = cfg.alpha
     decay_every = max(1, cfg.n_main // 4)
     traces = [[] for _ in budgets]
-    carry, spaces = _Carry(cfg.pgd, theta.stack_shape + np.shape(X)), {}
+    spaces = {}  # one workspace per row count, for the carry's PGD and the loss passes
+    carry = _Carry(cfg.pgd, theta.stack_shape + np.shape(X), spaces)
     for it in range(n_pre + cfg.n_main):
         phase = 1 if it < n_pre else 2
         Xb, yb, rows = _batch(rng, X, y, cfg.batch_size)
@@ -375,6 +384,8 @@ def _descend(params: ModelParams, X: np.ndarray, y: np.ndarray, budgets: list[Pe
             for trace in traces:
                 trace.append({"iter": it, "phase": phase, "objective": float("nan")})
             continue
+        for n in [n for n, ws in spaces.items() if ws.params is not theta]:
+            del spaces[n]  # every pass binds its workspace to theta, so these went unused
         value, grad, fields = out
         theta = proj_box(add_scaled(theta, grad, -alpha), params, delta)
         for k, trace in enumerate(traces):
@@ -419,7 +430,7 @@ def _robust_objective(theta, phase, Xb, yb, adversary, spaces):
     """
     Xadv = adversary()
     if phase == 1:
-        adv_mean, g = loss_and_grads(theta, Xadv, yb, "mean", _workspace(spaces, 0, theta, len(yb)))
+        adv_mean, g = _loss_and_grads(theta, Xadv, yb, "mean", _workspace(spaces, theta, len(yb)))
         return -adv_mean, g.like(-g.flat), {"robust_loss": adv_mean}
     ratio, den, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
     return ratio, g, {"robust_loss": den / len(yb)}
@@ -508,7 +519,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
     rng = np.random.default_rng(cfg.seed)
     sel = _pick_matrices(rng, theta, budget)
     trace = []  # one entry per gradient
-    swap_log, spaces, made = [], {}, {}
+    swap_log, spaces = [], {}  # one workspace per row count, for PGD and the loss passes
     skipped = 0
 
     for l in sel:
@@ -518,7 +529,7 @@ def attack_swap(params: ModelParams, ds: LabeledDataset, budget: PerturbBudget,
         for _slot in range(_pair_count(budget, W)):
             if stale:
                 Xb, yb, _ = _batch(rng, ds.X, ds.y, cfg.batch_size)
-                Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, _iter_seed(cfg.seed, 2, len(trace)), made=made)
+                Xadv = pgd_adversary_batch(theta, Xb, yb, cfg.pgd, _iter_seed(cfg.seed, 2, len(trace)), made=spaces)
                 ratio, _, g = _ratio_grad(theta, [(Xb, yb)], (Xadv, yb), spaces)
                 gflat = g.weights[l].ravel()
                 stale = False

@@ -216,20 +216,39 @@ class Workspace:
         self.y = y
 
 
-def _workspace(made: dict, key, params: ModelParams, n_rows: int) -> Workspace:
-    """``made[key]``, a workspace a loop keeps, while it fits n_rows rows of
-    params; else a ``Workspace`` built for them and stored there."""
-    if key not in made or not made[key].fits(params, n_rows):
-        made[key] = Workspace(params, n_rows)
-    return made[key]
+def _workspace(made: dict, params: ModelParams, n_rows: int) -> Workspace:
+    """``made[n_rows]``, the workspace a loop keeps for n_rows rows, while it
+    fits params; else a ``Workspace`` built for them and stored there; bound to params."""
+    if n_rows not in made or not made[n_rows].fits(params, n_rows):
+        made[n_rows] = Workspace(params, n_rows)
+    made[n_rows].bind(params)
+    return made[n_rows]
 
 
 def _block_workspaces(params: ModelParams, n_rows: int, made: dict | None = None):
     """(row slice, workspace) for each of ``row_blocks(n_rows)``; blocks of one
-    size share ``_workspace(made, size, ...)``."""
+    size share ``_workspace(made, ...)``."""
     made = {} if made is None else made
     for blk in row_blocks(n_rows):
-        yield blk, _workspace(made, blk.stop - blk.start, params, blk.stop - blk.start)
+        yield blk, _workspace(made, params, blk.stop - blk.start)
+
+
+def _bound(params: ModelParams, X, ws: Workspace | None) -> tuple[np.ndarray, Workspace]:
+    """The public passes' check: X as a finite float array of a shape params
+    takes, and ``ws`` (fresh when None) fitting it, bound to params."""
+    X = np.asarray(X, dtype=np.float64)
+    bad_lead = X.ndim != 2 and (X.ndim < 2 or X.shape[:-2] != params.stack_shape)
+    if bad_lead or X.shape[-1] != params.input_dim:
+        raise ValueError(f"input shape {X.shape} does not match model input dim {params.input_dim}")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite input")
+    if ws is None:
+        ws = Workspace(params, X.shape[-2])
+    elif not ws.fits(params, X.shape[-2]):
+        raise ValueError(f"workspace for {ws.n_rows} rows of a {ws.dims} net does not fit "
+                         f"{X.shape[-2]} rows of a {params.dims} net")
+    ws.bind(params)
+    return X, ws
 
 
 def forward_batch(params: ModelParams, X: np.ndarray,
@@ -249,18 +268,13 @@ def forward_batch(params: ModelParams, X: np.ndarray,
     widths, bound to params, and returns views into it, which the next pass
     in ``ws`` overwrites; without ``ws`` it fills a fresh one.
     """
-    X = np.asarray(X, dtype=np.float64)
-    bad_lead = X.ndim != 2 and (X.ndim < 2 or X.shape[:-2] != params.stack_shape)
-    if bad_lead or X.shape[-1] != params.input_dim:
-        raise ValueError(f"input shape {X.shape} does not match model input dim {params.input_dim}")
-    if not np.isfinite(X).all():
-        raise ValueError("non-finite input")
-    if ws is None:
-        ws = Workspace(params, X.shape[-2])
-    elif not ws.fits(params, X.shape[-2]):
-        raise ValueError(f"workspace for {ws.n_rows} rows of a {ws.dims} net does not fit "
-                         f"{X.shape[-2]} rows of a {params.dims} net")
-    ws.bind(params)
+    X, ws = _bound(params, X, ws)
+    _forward(params, X, ws)
+    return [X, *ws.acts], list(ws.signs), ws.logits
+
+
+def _forward(params: ModelParams, X: np.ndarray, ws: Workspace) -> np.ndarray:
+    """``forward_batch``'s pass with no check, in ws bound to params; returns ws's logits."""
     weights_t, biases = params._transposed(), ws.bias_rows
     h = X
     for wt, b, a, s in zip(weights_t, biases, ws.acts, ws.signs):
@@ -271,7 +285,7 @@ def forward_batch(params: ModelParams, X: np.ndarray,
         h = a
     np.matmul(h, weights_t[-1], out=ws.logits)
     ws.logits += biases[-1]
-    return [X, *ws.acts], list(ws.signs), ws.logits
+    return ws.logits
 
 
 def classify(params: ModelParams, x: np.ndarray) -> int:
@@ -350,32 +364,37 @@ def loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction:
     one loss per net and grads is a stack.  The pass runs in ``ws``
     (see ``forward_batch``), and ``grads`` is then the workspace's own set,
     which the next ``loss_and_grads`` in ws overwrites; without ``ws`` it
-    fills a fresh ``Workspace``.
+    fills a fresh ``Workspace``.  Non-finite gradients raise ValueError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[-2] == 0:
         raise ValueError("empty batch")
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    N = X.shape[-2]
-    if ws is None:
-        ws = Workspace(params, N)
-    acts, signs, logits = forward_batch(params, X, ws)
-    scale = 1.0 / N if reduction == "mean" else 1.0
-    per, dz = _ce_and_dlogits(logits, np.asarray(y), ws)
+    X, ws = _bound(params, X, ws)
+    value, grads = _loss_and_grads(params, X, np.asarray(y), reduction, ws)
+    if not np.isfinite(grads.flat).all():
+        raise ValueError("non-finite parameter entries")
+    return value, grads
+
+
+def _loss_and_grads(params: ModelParams, X: np.ndarray, y: np.ndarray, reduction: str, ws: Workspace):
+    """``loss_and_grads``'s pass with no check, in ws bound to params: a
+    non-finite gradient is refused where a caller steps with it (``like``)."""
+    logits = _forward(params, X, ws)
+    scale = 1.0 / X.shape[-2] if reduction == "mean" else 1.0
+    per, dz = _ce_and_dlogits(logits, y, ws)
     dz *= scale
     value = per.sum(axis=-1) * scale
 
     if ws.grads is None:
         ws.grads = params.like(np.zeros(params.flat.shape))
-    grads = ws.grads
+    grads, acts = ws.grads, [X, *ws.acts]
     for l in range(len(params.weights) - 1, -1, -1):
         np.matmul(dz.swapaxes(-1, -2), acts[l], out=grads.weights[l])
         dz.sum(axis=-2, out=grads.biases[l])
         if l > 0:
-            dz = _backprop(dz, params.weights[l], signs[l - 1], ws.back[l - 1])
-    if not np.isfinite(grads.flat).all():
-        raise ValueError("non-finite parameter entries")
+            dz = _backprop(dz, params.weights[l], ws.signs[l - 1], ws.back[l - 1])
     return (float(value) if value.ndim == 0 else value), grads
 
 
@@ -391,14 +410,16 @@ def input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray,
     needs.  The pass runs in ``ws`` (see ``forward_batch``) and returns
     views into it; without ``ws`` it fills a fresh ``Workspace``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if ws is None:
-        ws = Workspace(params, X.shape[-2])
-    _, signs, logits = forward_batch(params, X, ws)
-    per, dz = _ce_and_dlogits(logits, np.asarray(y), ws)
+    X, ws = _bound(params, np.atleast_2d(X), ws)
+    return _input_gradient(params, X, np.asarray(y), ws)
+
+
+def _input_gradient(params: ModelParams, X: np.ndarray, y: np.ndarray, ws: Workspace):
+    """``input_gradient``'s pass with no check, in ws bound to params."""
+    per, dz = _ce_and_dlogits(_forward(params, X, ws), y, ws)
     for l in range(len(params.weights) - 1, 0, -1):
-        dz = _backprop(dz, params.weights[l], signs[l - 1], ws.back[l - 1])
-    return per, np.matmul(dz, params.weights[0], out=ws.grad), logits
+        dz = _backprop(dz, params.weights[l], ws.signs[l - 1], ws.back[l - 1])
+    return per, np.matmul(dz, params.weights[0], out=ws.grad), ws.logits
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 from .attack import PgdConfig, pgd_adversary_batch
 from .data import LabeledDataset
 from .metrics import accuracy
-from .mlp import ModelParams, _workspace, init_params, loss_and_grads
+from .mlp import ModelParams, _loss_and_grads, _workspace, init_params
 
 
 @dataclass
@@ -36,8 +36,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
-        if not (0 < self.lr_decay <= 1) or not (0 <= self.momentum < 1):
-            raise ValueError("bad optimizer constants")
+        if not (0 <= self.momentum < 1):
+            raise ValueError(f"momentum must be a finite number in [0, 1), got {self.momentum}")
+        if not (0 < self.lr_decay <= 1):
+            raise ValueError(f"lr_decay must be a finite number in (0, 1], got {self.lr_decay}")
 
 
 @dataclass
@@ -49,7 +51,8 @@ class TrainResult:
 def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
     """Train a fresh net on ds; deterministic for a fixed config.  Each batch
     size (the last batch may be short) keeps one ``Workspace`` for PGD and the
-    gradient pass of its steps; each epoch's accuracy keeps its own there too."""
+    gradient pass of its steps; each epoch's accuracy keeps its own there too.
+    Its rows, from ds or PGD, are finite, so the pass is ``_loss_and_grads``."""
     ds.check_model(cfg.dims[0], cfg.dims[-1])
     params = init_params(cfg.dims, seed=cfg.seed)
     shuffle_rng = np.random.default_rng((cfg.seed, 1))
@@ -67,7 +70,7 @@ def train(cfg: TrainConfig, ds: LabeledDataset) -> TrainResult:
             Xb, yb = ds.X[idx], ds.y[idx]
             if cfg.adversarial:
                 Xb = pgd_adversary_batch(params, Xb, yb, cfg.pgd, seed=(cfg.seed, 2, step_idx), made=spaces)
-            val, g = loss_and_grads(params, Xb, yb, reduction="mean", ws=_workspace(spaces, len(idx), params, len(idx)))
+            val, g = _loss_and_grads(params, Xb, yb, "mean", _workspace(spaces, params, len(idx)))
             velocity = cfg.momentum * velocity - lr * g.flat
             params = params.like(params.flat + velocity)
             epoch_loss += val * len(idx)

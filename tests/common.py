@@ -6,7 +6,8 @@ import functools
 
 import numpy as np
 
-from advparam import metrics
+from advparam import attack, metrics, mlp
+from advparam import train as train_mod
 from advparam.mlp import ModelParams, flatten_params, forward_batch, unflatten_params
 
 
@@ -173,6 +174,24 @@ def count_scoring_passes(monkeypatch) -> dict:
             return _fn(*a, **k)
         monkeypatch.setattr(metrics, name, wrapped)
     return counts
+
+
+def observe_kernel(monkeypatch, name: str, arg: int | None = None) -> list:
+    """The argument tuple (or its entry ``arg``) of every call of the ``mlp``
+    kernel ``name`` (``_forward``, ``_input_gradient`` or ``_loss_and_grads``),
+    through every module that binds it: the public passes call it in ``mlp``,
+    PGD's later iterates, the descent and training call it by name.  The
+    workspace is the last argument."""
+    calls, real = [], getattr(mlp, name)
+
+    def observed(*a):
+        calls.append(a if arg is None else a[arg])
+        return real(*a)
+
+    for mod in (mlp, attack, train_mod):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, observed)
+    return calls
 
 
 def certified_rows(params: ModelParams, X: np.ndarray, y: np.ndarray, eps: float, tol: float = 1e-9) -> np.ndarray:

@@ -35,7 +35,7 @@ from advparam.mlp import (
 )
 from advparam.train import TrainConfig, train
 
-from common import count_scoring_passes, cross_entropy, random_net
+from common import count_scoring_passes, cross_entropy, observe_kernel, random_net
 
 
 def _ce(params, X, y):
@@ -171,33 +171,34 @@ def test_pgd_matches_two_pass_oracle(n, dims, steps, eps):
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 7], ids=lambda s: f"True-{s}")
 def test_pgd_pass_counts(monkeypatch, steps):
-    """Per row block, both PGD paths make s input_gradient calls and s + 2
-    forwards (one forward when there is no step)."""
+    """Per row block, both PGD paths make s gradient passes and s + 2
+    forwards (one forward when there is no step), counted in the kernels
+    that every pass, public or not, runs; the clean point is a public
+    ``forward_batch`` and only the first gradient pass a public
+    ``input_gradient``."""
     rng = np.random.default_rng(8)
     p = random_net(rng, [4, 6, 3])
-    counts = {"forward": 0, "grad": 0}
-
-    def counted(key, fn):
-        def wrapper(*a, **k):
-            counts[key] += 1
-            return fn(*a, **k)
-        return wrapper
-
-    fwd = counted("forward", mlp.forward_batch)
-    monkeypatch.setattr(attack, "forward_batch", fwd)
-    monkeypatch.setattr(mlp, "forward_batch", fwd)  # the pass inside input_gradient
-    monkeypatch.setattr(attack, "input_gradient", counted("grad", mlp.input_gradient))
+    forwards, grads = observe_kernel(monkeypatch, "_forward"), observe_kernel(monkeypatch, "_input_gradient")
+    public = {"forward_batch": 0, "input_gradient": 0}
+    for name in public:
+        def counted(*a, _fn=getattr(attack, name), _name=name):
+            public[_name] += 1
+            return _fn(*a)
+        monkeypatch.setattr(attack, name, counted)
     for n in (5, 1025):
         X = rng.uniform(0, 1, size=(n, 4))
         y = rng.integers(0, 3, size=n)
         blocks = len(mlp.row_blocks(n))
         for run in (pgd_adversary_batch, pgd_flips_batch):
-            counts.update(forward=0, grad=0)
+            forwards.clear()
+            grads.clear()
+            public.update(forward_batch=0, input_gradient=0)
             run(p, X, y, PgdConfig(eps=0.1, steps=steps))
             if steps == 0:
-                assert counts == {"forward": blocks, "grad": 0}
+                assert (len(forwards), len(grads)) == (blocks, 0)
             else:
-                assert counts == {"forward": blocks * (steps + 2), "grad": blocks * steps}
+                assert (len(forwards), len(grads)) == (blocks * (steps + 2), blocks * steps)
+            assert public == {"forward_batch": blocks, "input_gradient": blocks if steps else 0}
 
 
 @pytest.mark.parametrize("steps", [0, 3])
@@ -225,19 +226,15 @@ def test_pgd_builds_one_workspace_per_block_size(monkeypatch, n, sizes):
     p = random_net(rng, [4, 6, 3])
     X = rng.uniform(0, 1, size=(n, 4))
     y = rng.integers(0, 3, size=n)
-    built, grads = [], []
+    built = []
 
     class Counted(mlp.Workspace):
         def __init__(self, params, n_rows):
             built.append(n_rows)
             super().__init__(params, n_rows)
 
-    def grad(params, X, y, ws=None):
-        grads.append(ws)
-        return input_gradient(params, X, y, ws)
-
     monkeypatch.setattr(mlp, "Workspace", Counted)
-    monkeypatch.setattr(attack, "input_gradient", grad)
+    grads = observe_kernel(monkeypatch, "_input_gradient", -1)
     pgd_flips_batch(p, X, y, PgdConfig(eps=0.1, steps=3))
     assert sorted(built) == sorted(sizes)
     assert len(grads) == 3 * len(mlp.row_blocks(n)) and all(isinstance(ws, Counted) for ws in grads)
@@ -245,26 +242,16 @@ def test_pgd_builds_one_workspace_per_block_size(monkeypatch, n, sizes):
 
 def _count_workspaces(monkeypatch):
     """(built, pgd, loss): every ``mlp.Workspace`` made, the workspace of every
-    PGD gradient pass and that of every ``loss_and_grads`` of an attack."""
-    built, pgd, loss = [], [], []
+    PGD gradient pass and that of every loss pass of an attack."""
+    built = []
 
     class Counted(mlp.Workspace):
         def __init__(self, params, n_rows):
             built.append(self)
             super().__init__(params, n_rows)
 
-    def grad(params, X, y, ws=None):
-        pgd.append(ws)
-        return input_gradient(params, X, y, ws)
-
-    def loss_grads(params, X, y, reduction="mean", ws=None):
-        loss.append(ws)
-        return loss_and_grads(params, X, y, reduction, ws)
-
     monkeypatch.setattr(mlp, "Workspace", Counted)
-    monkeypatch.setattr(attack, "input_gradient", grad)
-    monkeypatch.setattr(attack, "loss_and_grads", loss_grads)
-    return built, pgd, loss
+    return built, observe_kernel(monkeypatch, "_input_gradient", -1), observe_kernel(monkeypatch, "_loss_and_grads", -1)
 
 
 def _distinct(spaces: list) -> list:
@@ -274,7 +261,9 @@ def _distinct(spaces: list) -> list:
 @pytest.mark.parametrize("n,sizes", [(30, [30]), (1025, [512, 513])])
 def test_full_batch_descent_keeps_one_pgd_workspace_per_block_size(monkeypatch, n, sizes):
     """Every PGD run of a full-batch lockstep descent, cold or warm, runs in
-    the workspaces its carry made for the first one: one per block size."""
+    the workspaces made for the first one: one per block size.  The descent
+    builds one workspace per row count in all, the PGD blocks' and the loss
+    passes' of n rows."""
     rng = np.random.default_rng(23)
     p = random_net(rng, [4, 6, 3])
     ds = LabeledDataset(rng.uniform(0, 1, size=(n, 4)), rng.integers(0, 3, size=n))
@@ -285,29 +274,30 @@ def test_full_batch_descent_keeps_one_pgd_workspace_per_block_size(monkeypatch, 
     steps = 6 + attack._WARM_STEPS * (cfg.n_pre + cfg.n_main - 1)
     assert len(descent) == steps * len(sizes)
     assert sorted(ws.n_rows for ws in _distinct(descent)) == sizes
-    loss_ids = {id(ws) for ws in loss}
-    assert sorted(ws.n_rows for ws in built if ws.stack_shape == (2,) and id(ws) not in loss_ids) == sizes
+    assert sorted(ws.n_rows for ws in built if ws.stack_shape == (2,)) == sorted({*sizes, n})
 
 
 @pytest.mark.parametrize("n", [30, 1025])
-def test_full_batch_descent_keeps_one_loss_workspace_per_ratio_term(monkeypatch, n):
-    """A full-batch descent builds one loss workspace per term of the ratio
-    (the clean numerator, the robust denominator), of all n rows, and runs
-    every iteration's ``loss_and_grads`` in them; phase 1 takes the first."""
+def test_full_batch_descent_keeps_one_workspace_per_row_count(monkeypatch, n):
+    """A full-batch descent runs every loss pass (phase 1's robust mean,
+    phase 2's clean numerator and robust denominator) in one workspace of all
+    n rows, which PGD shares while n rows are one block."""
     rng = np.random.default_rng(23)
     p = random_net(rng, [4, 6, 3])
     ds = LabeledDataset(rng.uniform(0, 1, size=(n, 4)), rng.integers(0, 3, size=n))
     cfg = AttackConfig(pgd=PgdConfig(eps=0.08, steps=6), n_pre=2, n_main=3, alpha=0.05)
     built, pgd, loss = _count_workspaces(monkeypatch)
     linf_attacks(p, ds, [PerturbBudget("linf", gamma=g) for g in (0.05, 0.1)], cfg)
-    num, den = _distinct(loss)
-    assert loss == [num] * cfg.n_pre + [num, den] * cfg.n_main
-    assert (num.stack_shape, num.n_rows) == (den.stack_shape, den.n_rows) == ((2,), n)
-    assert sum(ws is num or ws is den for ws in built) == 2
+    (ws,) = _distinct(loss)
+    assert loss == [ws] * (cfg.n_pre + 2 * cfg.n_main)
+    assert (ws.stack_shape, ws.n_rows) == ((2,), n)
+    descent = _distinct([w for w in pgd if w.stack_shape == (2,)])
+    assert (descent == [ws]) == (n <= mlp.BLOCK_ROWS)
+    assert sum(w.stack_shape == (2,) for w in built) == len(_distinct([*descent, ws]))
 
 
 def test_swap_refreshes_keep_one_pgd_workspace(monkeypatch):
-    """Every gradient refresh of the swap attack runs its cold PGD in one workspace."""
+    """Every gradient refresh of the swap attack runs its cold PGD and its loss passes in one workspace."""
     rng = np.random.default_rng(24)
     p = random_net(rng, [4, 6, 3])
     ds = LabeledDataset(rng.uniform(0, 1, size=(30, 4)), rng.integers(0, 3, size=30))
@@ -316,25 +306,45 @@ def test_swap_refreshes_keep_one_pgd_workspace(monkeypatch):
     res = attack_swap(p, ds, PerturbBudget("swap", k_matrices=1, pair_fraction=0.05, pair_floor=4), cfg)
     refreshes = [ws for ws in pgd if ws.stack_shape == ()]  # the scorer's stack holds 2 nets
     assert len(res.trace) > 1 and len(refreshes) == 4 * len(res.trace)
-    assert all(ws is refreshes[0] for ws in refreshes)
-    loss_ids = {id(ws) for ws in loss}
-    assert [(ws.stack_shape, ws.n_rows) for ws in built if id(ws) not in loss_ids].count(((), 30)) == 1
+    assert all(ws is refreshes[0] for ws in refreshes + loss)
+    assert [(ws.stack_shape, ws.n_rows) for ws in built].count(((), 30)) == 1
 
 
-def test_carry_keeps_the_workspaces_of_one_row_count():
-    """Runs of one row count share workspaces; a run of another count starts
-    a new set, so a minibatch descent whose subsets vary in size (the direct
-    attack's off-target rows) keeps one run's workspaces, not one per size."""
+@pytest.mark.parametrize("kind", ["label", "direct"])
+def test_minibatch_descent_keeps_the_workspaces_of_one_iteration(monkeypatch, kind):
+    """A targeted minibatch descent splits each minibatch at the target, so
+    its row counts vary between iterations (the direct attack's PGD runs on
+    the off-target rows); the descent's dict keeps one workspace per row
+    count of the last iteration, not one for every count it met, and a count
+    the next iteration uses again keeps its workspace."""
     rng = np.random.default_rng(26)
     p = random_net(rng, [4, 6, 3])
-    X, y, rows = rng.uniform(0, 1, size=(8, 4)), rng.integers(0, 3, size=8), np.arange(8)
-    carry = attack._Carry(PgdConfig(eps=0.1, steps=3), X.shape)
-    carry.adversary(p, X, y, rows, 1, sel=slice(0, 5))
-    kept = carry.spaces[5]
-    carry.adversary(p, X, y, rows, 2, sel=slice(3, 8))
-    assert list(carry.spaces) == [5] and carry.spaces[5] is kept
-    carry.adversary(p, X, y, rows, 3, sel=slice(0, 3))
-    assert list(carry.spaces) == [3]
+    ds = LabeledDataset(rng.uniform(0, 1, size=(60, 4)), rng.integers(0, 3, size=60))
+    cfg = AttackConfig(pgd=PgdConfig(eps=0.1, steps=3), n_pre=0, n_main=12, alpha=0.05, batch_size=12)
+    events, real = [], attack._Carry.adversary
+
+    def adversary(self, theta, X, y, rows, seed, sel=slice(None)):
+        events.append(("held", dict(self.spaces)))
+        events.append(("rows", len(y[sel])))
+        return real(self, theta, X, y, rows, seed, sel)
+
+    monkeypatch.setattr(attack._Carry, "adversary", adversary)
+    real_loss = attack._loss_and_grads
+    monkeypatch.setattr(attack, "_loss_and_grads", lambda *a: events.append(("rows", len(a[2]))) or real_loss(*a))
+    (attack_label if kind == "label" else attack_direct)(p, ds, 0, PerturbBudget("linf", gamma=0.1), cfg)
+    held, used, met = [], set(), set()
+    for what, v in events:
+        if what == "held":
+            held.append((v, used))
+            used = set()
+        else:
+            used.add(v)
+            met.add(v)
+    assert held[0] == ({}, set()) and len(held) > 5
+    for (before, _), (spaces, last) in zip(held, held[1:]):
+        assert set(spaces) == last  # rows <= BLOCK_ROWS: a PGD run's one block is keyed by its row count
+        assert all(spaces[n] is before[n] for n in set(spaces) & set(before))
+    assert max(len(spaces) for spaces, _ in held) <= 3 < len(met)
 
 
 def test_warm_pgd_run_makes_no_generator(monkeypatch):
@@ -383,6 +393,57 @@ def test_pgd_non_finite_iterate_raises(monkeypatch):
     monkeypatch.setattr(attack, "input_gradient", nan_grad)
     with pytest.raises(ValueError, match="non-finite input"):
         pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=2))
+
+
+@pytest.mark.parametrize("bad", [1, 3])
+def test_pgd_non_finite_kernel_iterate_raises_at_that_iterate(monkeypatch, bad):
+    """A NaN in the gradient of a later iterate, which the unchecked kernel
+    computes, makes the next iterate non-finite, and that iterate raises
+    ``non-finite input`` before any pass runs on it: with 4 steps, a NaN in
+    the third kernel gradient stops the run before its forward-only last
+    iterate."""
+    rng = np.random.default_rng(10)
+    p = random_net(rng, [4, 6, 3])
+    X = rng.uniform(0, 1, size=(8, 4))
+    y = rng.integers(0, 3, size=8)
+    grads, last, real_grad, real_forward = [], [], attack._input_gradient, attack._forward
+
+    def nan_grad(*a):
+        per, g, logits = real_grad(*a)
+        grads.append(a[1].copy())
+        if len(grads) == bad:
+            g[3, 1] = np.nan
+        return per, g, logits
+
+    monkeypatch.setattr(attack, "_input_gradient", nan_grad)
+    monkeypatch.setattr(attack, "_forward", lambda *a: last.append(a) or real_forward(*a))
+    with pytest.raises(ValueError, match="non-finite input"):
+        pgd_adversary_batch(p, X, y, PgdConfig(eps=0.1, steps=4))
+    assert len(grads) == bad and last == [] and all(np.isfinite(it).all() for it in grads)
+
+
+@pytest.mark.parametrize("k", [None, 3], ids=["net", "stack"])
+def test_ratio_grad_in_one_shared_workspace_equals_one_workspace_per_term(k):
+    """Terms of one row count share one workspace, so each gradient leaves
+    it before the next pass: two numerator terms and the denominator of 20
+    rows each give the bytes of one fresh workspace per term, with the
+    numerator's gradients added by ``add_scaled``."""
+    rng = np.random.default_rng(27)
+    dims = [4, 6, 5, 3]
+    theta = random_net(rng, dims) if k is None else ModelParams.stack([random_net(rng, dims) for _ in range(k)])
+    lead = theta.stack_shape
+    X1, X2, Xd = (rng.uniform(0, 1, size=shape) for shape in [(20, 4), lead + (20, 4), lead + (20, 4)])
+    y1, y2, yd = (rng.integers(0, 3, size=20) for _ in range(3))
+    spaces = {}
+    ratio, den, grad = attack._ratio_grad(theta, [(X1, y1), (X2, y2)], (Xd, yd), spaces)
+    assert list(spaces) == [20]
+    (v1, g1), (v2, g2), (vd, gd) = (loss_and_grads(theta, X, y, "sum") for X, y in [(X1, y1), (X2, y2), (Xd, yd)])
+    floored = np.maximum(vd, attack._DENOM_FLOOR)
+    want_ratio = (v1 + v2) / floored
+    want = mlp.add_scaled(mlp.add_scaled(g1, g2), gd, -np.expand_dims(want_ratio, -1))
+    assert np.asarray(ratio).tobytes() == np.asarray(want_ratio).tobytes()
+    assert np.asarray(den).tobytes() == np.asarray(vd).tobytes()
+    assert grad.flat.tobytes() == (want.flat / np.expand_dims(floored, -1)).tobytes()
 
 
 def _ball_point(rng, X, eps, reach=1.0):
@@ -1098,22 +1159,17 @@ def test_linf_attacks_equal_attack_linf_per_budget(three_class, pgd, batch_size)
 
 
 def _count_descent_steps(monkeypatch):
-    """Per descent PGD run, the ``input_gradient`` calls it makes (its steps per
+    """Per descent PGD run, the gradient passes it makes (its steps per
     block), and whether it was given a start; the scorer's runs are not listed."""
-    runs, grads = [], [0]
-    counted_grad, counted_run = attack.input_gradient, attack.pgd_adversary_batch
-
-    def input_gradient(*a, **k):
-        grads[0] += 1
-        return counted_grad(*a, **k)
+    runs, counted_run = [], attack.pgd_adversary_batch
+    grads = observe_kernel(monkeypatch, "_input_gradient", -1)
 
     def pgd_adversary_batch(*a, start=None, **k):
-        before = grads[0]
+        before = len(grads)
         out = counted_run(*a, start=start, **k)
-        runs.append((grads[0] - before, start is not None))
+        runs.append((len(grads) - before, start is not None))
         return out
 
-    monkeypatch.setattr(attack, "input_gradient", input_gradient)
     monkeypatch.setattr(attack, "pgd_adversary_batch", pgd_adversary_batch)
     return runs
 
@@ -1161,7 +1217,7 @@ def test_carry_runs_cold_until_every_row_is_visited(monkeypatch):
     y = rng.integers(0, 3, size=6)
     cold = PgdConfig(eps=0.1, steps=12)
     warm = PgdConfig(eps=0.1, steps=attack._WARM_STEPS)
-    carry = attack._Carry(cold, (2,) + X.shape)
+    carry = attack._Carry(cold, (2,) + X.shape, {})
     runs = _count_descent_steps(monkeypatch)
 
     def visit(rows, seed):

@@ -204,6 +204,21 @@ def test_non_finite_optimizer_constant_rejected_before_any_output(tmp_path, work
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,rule", [
+    ("--momentum", "nan", "momentum must be a finite number in [0, 1), got nan"),
+    ("--momentum", "-1", "momentum must be a finite number in [0, 1), got -1.0"),
+    ("--momentum", "5", "momentum must be a finite number in [0, 1), got 5.0"),
+    ("--lr-decay", "nan", "lr_decay must be a finite number in (0, 1], got nan"),
+    ("--lr-decay", "-1", "lr_decay must be a finite number in (0, 1], got -1.0"),
+])
+def test_train_names_the_optimizer_constant_it_refuses(tmp_path, workdir, capsys, flag, value, rule):
+    """TrainConfig names the refused momentum or lr_decay and its value, before --out-dir is made."""
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(workdir / "data.json"), "--out-dir", str(out), f"{flag}={value}"]) == 2
+    assert _one_error_line(capsys) == f"error: {rule}\n"
+    assert not out.exists()
+
+
 def test_report_with_mismatched_input_dim(tmp_path, workdir, capsys):
     save_model(init_params([5, 4, 2], 0), str(tmp_path / "model5.json"))  # the data has 6 features
     out = tmp_path / "out"

@@ -29,7 +29,7 @@ from advparam.mlp import (
     save_model,
     unflatten_params,
 )
-from advparam.mlp import _ce_and_dlogits, row_blocks
+from advparam.mlp import _ce_and_dlogits, _forward, _input_gradient, _loss_and_grads, row_blocks
 
 from common import (
     alloc_ce_and_dlogits,
@@ -534,6 +534,36 @@ def test_stacked_passes_equal_per_net_passes_bit_for_bit(dims, k, n):
                 value, g = loss_and_grads(net, alone[i], y, reduction=reduction)
                 assert values[i].tobytes() == np.float64(value).tobytes()
                 assert grads.flat[i].tobytes() == g.flat.tobytes()
+
+
+@pytest.mark.parametrize("k", [None, 1, 3], ids=["net", "stack-1", "stack-3"])
+@pytest.mark.parametrize("dims", STACK_DIMS)
+def test_kernels_equal_their_public_passes_bit_for_bit(dims, k):
+    """``_forward``, ``_input_gradient`` and ``_loss_and_grads``, run without
+    checks in a workspace bound to the net, give the bytes of
+    ``forward_batch``, ``input_gradient`` and ``loss_and_grads`` in a fresh
+    one: on one net and on stacks, for an input shared by the stack and one
+    per net."""
+    rng = np.random.default_rng([dims[-1], len(dims), k or 0])
+    net = random_net(rng, dims) if k is None else ModelParams.stack([random_net(rng, dims) for _ in range(k)])
+    n = 37
+    y = rng.integers(0, dims[-1], size=n)
+    inputs = [rng.uniform(-0.2, 1.2, size=(n, dims[0]))]
+    if k is not None:
+        inputs.append(rng.uniform(-0.2, 1.2, size=(k, n, dims[0])))
+    for X in inputs:
+        ws = Workspace(net, n)
+        ws.bind(net)
+        logits = _forward(net, X, ws)
+        acts, signs, want = forward_batch(net, X)
+        assert [a.tobytes() for a in (*ws.acts, *ws.signs, logits)] == [a.tobytes() for a in (*acts[1:], *signs, want)]
+        got = _input_gradient(net, X, y, ws)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in input_gradient(net, X, y)]
+        for reduction in ("mean", "sum"):
+            value, g = _loss_and_grads(net, X, y, reduction, ws)
+            want_value, want_g = loss_and_grads(net, X, y, reduction)
+            assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+            assert g.flat.tobytes() == want_g.flat.tobytes()
 
 
 def test_stack_refuses_what_it_cannot_hold():

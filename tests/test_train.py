@@ -13,6 +13,8 @@ from advparam.metrics import accuracy, adversarial_accuracy
 from advparam.mlp import init_params, loss_and_grads, max_abs_diff
 from advparam.train import TrainConfig, train
 
+from common import observe_kernel
+
 
 def test_train_fits_blobs_and_loss_decreases():
     ds = gen_blobs(90, 6, 3, seed=2)
@@ -39,23 +41,19 @@ def test_train_keeps_one_workspace_per_batch_size(monkeypatch):
     workspace per step."""
     ds = gen_blobs(40, 4, 2, seed=1)
     cfg = TrainConfig(dims=[4, 8, 2], epochs=3, lr=0.1, batch_size=16, seed=3)
-    built, loss_spaces = [], set()
+    built = []
 
     class Counted(mlp.Workspace):
         def __init__(self, params, n_rows):
             built.append(self)
             super().__init__(params, n_rows)
 
-    def loss(params, X, y, reduction, ws):
-        loss_spaces.add(ws)
-        return loss_and_grads(params, X, y, reduction, ws)
-
     monkeypatch.setattr(mlp, "Workspace", Counted)
-    monkeypatch.setattr(train_mod, "loss_and_grads", loss)
+    loss_spaces = observe_kernel(monkeypatch, "_loss_and_grads", -1)
     reused = train(cfg, ds).params
     assert sorted(ws.n_rows for ws in built if ws in loss_spaces) == [8, 16]
     assert sorted(ws.n_rows for ws in built) == [8, 16, 40]
-    monkeypatch.setattr(train_mod, "loss_and_grads",
+    monkeypatch.setattr(train_mod, "_loss_and_grads",
                         lambda params, X, y, reduction, ws: loss_and_grads(params, X, y, reduction))
     assert train(cfg, ds).params.flat.tobytes() == reused.flat.tobytes()
 
@@ -67,35 +65,53 @@ def test_adversarial_train_shares_one_workspace_per_batch_size(monkeypatch):
     ds = gen_blobs(40, 4, 2, seed=1)
     cfg = TrainConfig(dims=[4, 8, 2], epochs=3, lr=0.1, batch_size=16, seed=3, adversarial=True,
                       pgd=PgdConfig(eps=0.1, steps=3))
-    built, pgd_spaces, loss_spaces = [], set(), set()
+    built = []
 
     class Counted(mlp.Workspace):
         def __init__(self, params, n_rows):
             built.append(n_rows)
             super().__init__(params, n_rows)
 
-    def grad(params, X, y, ws):
-        pgd_spaces.add(ws)
-        return mlp.input_gradient(params, X, y, ws)
-
-    def loss(params, X, y, reduction, ws):
-        loss_spaces.add(ws)
-        return loss_and_grads(params, X, y, reduction, ws)
-
     monkeypatch.setattr(mlp, "Workspace", Counted)
-    monkeypatch.setattr(attack, "input_gradient", grad)
-    monkeypatch.setattr(train_mod, "loss_and_grads", loss)
+    pgd_spaces = observe_kernel(monkeypatch, "_input_gradient", -1)
+    loss_spaces = observe_kernel(monkeypatch, "_loss_and_grads", -1)
     kept = train(cfg, ds)
+    pgd_spaces, loss_spaces = set(pgd_spaces), set(loss_spaces)
     assert sorted(built) == [8, 16, 40]
     assert pgd_spaces == loss_spaces and sorted(ws.n_rows for ws in loss_spaces) == [8, 16]
 
     monkeypatch.setattr(train_mod, "pgd_adversary_batch",
                         lambda params, X, y, pgd, seed, made: attack.pgd_adversary_batch(params, X, y, pgd, seed))
-    monkeypatch.setattr(train_mod, "loss_and_grads",
+    monkeypatch.setattr(train_mod, "_loss_and_grads",
                         lambda params, X, y, reduction, ws: loss_and_grads(params, X, y, reduction))
     monkeypatch.setattr(train_mod, "accuracy", lambda params, ds, made: accuracy(params, ds))
     fresh = train(cfg, ds)
     assert fresh.params.flat.tobytes() == kept.params.flat.tobytes() and fresh.history == kept.history
+
+
+def test_a_step_that_goes_non_finite_is_refused_at_that_step(monkeypatch):
+    """At a huge learning rate the weights blow up and a gradient goes
+    non-finite.  The unchecked gradient pass lets it through, and the step
+    that would apply it raises ``non-finite parameter entries`` when it wraps
+    the new weights: the same step at which the checked ``loss_and_grads``
+    refuses the gradient itself."""
+    ds = gen_blobs(40, 4, 2, seed=1)
+    cfg = TrainConfig(dims=[4, 8, 2], epochs=3, lr=1e100, batch_size=8, seed=3)
+    steps = observe_kernel(monkeypatch, "_loss_and_grads")
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite parameter entries"):
+        train(cfg, ds)
+    unchecked = len(steps)
+    checked = []
+
+    def checked_pass(params, X, y, reduction, ws):
+        checked.append(X)
+        return loss_and_grads(params, X, y, reduction, ws)
+
+    monkeypatch.setattr(train_mod, "_loss_and_grads", checked_pass)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite parameter entries") as refused:
+        train(cfg, ds)
+    assert refused.traceback[-1].name == "loss_and_grads"
+    assert unchecked == len(checked) >= 2
 
 
 def test_train_validates_dims():
